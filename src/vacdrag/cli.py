@@ -6,8 +6,8 @@ kind-specific fields. Runs are deterministic: CSV cells are printed with
 %.17g so values round-trip bit exactly, rows never carry timestamps, and
 sweep rows are computed in input order whether or not a process pool is
 used. Records cache under a sha256 of the normalized scenario, the resolved
-model content, and the package version; unreadable cache entries are
-recomputed and rewritten, never trusted.
+model content, and the package, numpy and scipy versions; unreadable cache
+entries are recomputed and rewritten, never trusted.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -28,6 +28,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .greens import green_dissipation_identity, reciprocity_check, \
@@ -56,6 +57,10 @@ _KINDS = ("rate-free", "rate-surface", "fresnel", "kk-check", "identity-check",
           "dissipation-check", "reciprocity-check", "sweep", "finite-time")
 
 _RATE_AXES = ("beta", "z0", "omega")
+
+# Library versions that can change result bits; part of provenance and of
+# the cache key.
+_LIBRARIES = {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
 class ScenarioValidationError(ValueError):
@@ -218,6 +223,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 and all(isinstance(p, (list, tuple)) and len(p) == 2
                         and all(_is_number(c) for c in p) for p in pairs)):
             errors.append("pairs: required nonempty list of [omega, omega'] pairs")
+        if "shift" in doc and not _is_number(doc["shift"]):
+            errors.append("shift: must be a finite number")
     if kind == "dissipation-check":
         points = doc.get("points")
         if not (isinstance(points, list) and points
@@ -426,7 +433,7 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
 
     outputs = {"columns": columns, "rows": rows}
     outputs.update(summary)
-    provenance = {"version": __version__,
+    provenance = {"version": __version__, **_LIBRARIES,
                   "timestamp": datetime.now(timezone.utc).isoformat(),
                   "quad": asdict(scenario.quad())}
     return ResultRecord(scenario=scenario.doc, outputs=outputs,
@@ -473,7 +480,7 @@ def emit_results(record: ResultRecord, fmt: str, path=None) -> None:
 
 
 def _cache_key(scenario: Scenario) -> str:
-    key_doc = {"scenario": scenario.doc, "version": __version__}
+    key_doc = {"scenario": scenario.doc, "version": __version__, **_LIBRARIES}
     if "model_file" in scenario.doc:
         key_doc["model"] = model_to_dict(scenario.model())
     canonical = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))

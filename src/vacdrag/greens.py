@@ -5,12 +5,13 @@ through reflection coefficients: rest-frame Fresnel amplitudes evaluated at
 the Doppler-shifted frequency gamma (omega - beta kx) while the wave equation
 keeps the lab frequency (the first-order-in-velocity scheme), with the
 polarization-mixing off-diagonal amplitudes dropped at the same order. The
-reflected coincident-point tensor is a ky integral done per entry with the
-light-cone circle handled by substitutions that cancel the 1/xi edge factor
-analytically. Two structural checks live here as operations: the k-space
-dissipation identity relating G W G-dagger to the anti-Hermitian part of G,
-and the velocity-reversal transpose relation that replaces reciprocity for
-moving media.
+reflected coincident-point tensor takes one ky integral per segment of the
+ky axis, all nine dyad entries at once, with the light-cone circle handled
+by substitutions that cancel the 1/xi edge factor analytically. Two
+structural checks live here as operations: the k-space dissipation identity
+relating G W G-dagger to the anti-Hermitian part of G, and the
+velocity-reversal transpose relation that replaces reciprocity for moving
+media.
 
 Branch conventions: xi = sqrt(kpar^2 - omega^2) is real positive in the
 evanescent sector and -i sign(omega) sqrt(omega^2 - kpar^2) in the
@@ -30,8 +31,9 @@ import numpy as np
 
 from .kinematics import MotionFrame, doppler, moving_susceptibility_tensors
 from .medium import SusceptibilityModel, chi
-from .quadrature import (NonConvergenceError, QuadratureSpec, _adapt,
-                         integrate_semi_infinite)
+from .quadrature import (NonConvergenceError, QuadratureSpec,
+                         integrate_adaptive, integrate_semi_infinite,
+                         worst_component)
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -259,22 +261,21 @@ def _reflected_green(model, frame, kx, omega, y, z, yprime, zprime,
 
     total = np.zeros((3, 3), dtype=complex)
     err = 0.0
-    for i in range(3):
-        for j in range(3):
-            for func, a, b, semi in segments:
-                def entry(x, func=func, i=i, j=j):
-                    return func(x)[i, j]
-                if semi:
-                    res = integrate_semi_infinite(entry, a, quad)
-                    value, e, conv = res.value, res.error_estimate, res.converged
-                else:
-                    value, e, _, conv, _ = _adapt(entry, a, b, quad)
-                if not conv:
-                    raise NonConvergenceError(
-                        f"reflected Green entry ({i},{j}) did not converge",
-                        residual=e)
-                total[i, j] += value
-                err += e
+    for func, a, b, semi in segments:
+        def entries(x, func=func):
+            return func(x).reshape(9, -1)
+        if semi:
+            res = integrate_semi_infinite(entries, a, quad)
+        else:
+            res = integrate_adaptive(entries, a, b, quad)
+        if not res.converged:
+            (worst,) = worst_component(res, quad)
+            i, j = divmod(int(worst), 3)
+            raise NonConvergenceError(
+                f"reflected Green entry ({i},{j}) did not converge",
+                residual=float(res.error_estimate[worst]))
+        total += res.value.reshape(3, 3)
+        err += float(np.sum(res.error_estimate))
     return total, err
 
 

@@ -4,21 +4,29 @@ Everything downstream (Green functions, reflection integrals, rates) funnels
 through the four entry points here: a finite-interval adaptive integrator
 built on an embedded Gauss/Kronrod pair, a principal-value integrator using
 symmetric pole folding, a semi-infinite integrator with a 1/x tail map, and a
-Bessel J0 kernel. Subdivision order is fixed (worst panel first, first-found
-tie winner), so repeated runs are bit-identical.
+Bessel J0 kernel. All three integrators share one adaptive loop (`_adapt`).
 
-Integrands receive a 1-D ndarray of abscissae and must return values of the
-same shape; they are evaluated with floating-point warnings suppressed, and
-any non-finite result aborts with the offending location.
+Integrands receive a 1-D ndarray of n abscissae and return values of shape
+(..., n): a plain integrand returns shape (n,), a vector integrand stacks
+any number of components in front. Every component has its own stop test,
+err_c <= max(rel_tol |value_c|, abs_tol), so a component many decades below
+the others still meets the relative tolerance. Vector integrands give
+ndarray values and error estimates of the component shape; plain ones give
+a float or complex and a float. Subdivision order is fixed (worst panel
+first, leftmost on a tie) and the final sums run in spatial order, so
+repeated runs are bit-identical. Integrands are evaluated with
+floating-point warnings suppressed, and any non-finite result aborts with
+the offending location.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 
 import numpy as np
-from scipy.special import j0 as _scipy_j0
 
 __all__ = [
     "IntegralResult",
@@ -28,9 +36,12 @@ __all__ = [
     "integrate_adaptive",
     "integrate_semi_infinite",
     "principal_value",
+    "worst_component",
 ]
 
 _EPS = np.finfo(float).eps
+_TINY_RESABS = np.finfo(float).tiny / (50.0 * _EPS)
+_sum = np.add.reduce
 
 # 15-point Kronrod abscissae (positive half) with the embedded 7-point Gauss
 # rule on the odd indices; weights follow QUADPACK's dqk15.
@@ -92,70 +103,100 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """Value and error estimate: a float (or complex) for a plain integrand,
+    ndarrays of the component shape for a vector integrand."""
+
     value: complex
     error_estimate: float
     evaluations: int
     converged: bool
 
 
+def _tolerance(value, spec):
+    return np.maximum(spec.rel_tol * np.abs(value), spec.abs_tol)
+
+
+def worst_component(result: IntegralResult, spec: QuadratureSpec) -> tuple:
+    """Index of the component of a vector result whose error estimate is
+    largest relative to its tolerance under spec."""
+    ratio = result.error_estimate / _tolerance(result.value, spec)
+    return np.unravel_index(np.argmax(ratio), np.shape(ratio))
+
+
 def _eval(f, x):
     with np.errstate(all="ignore"):
         y = np.asarray(f(x))
-    if y.shape != x.shape:
-        raise ValueError("integrand must return one value per abscissa")
-    bad = ~np.isfinite(y)
-    if np.any(bad):
+    if y.shape[-1:] != x.shape:
+        raise ValueError("integrand must return values of shape (..., n) "
+                         "for n abscissae")
+    if not np.isfinite(y).all():
+        bad = ~np.isfinite(y).reshape(-1, x.size).all(axis=0)
         where = float(x[np.argmax(bad)])
         raise ValueError(f"integrand returned a non-finite value at x = {where:.6g}")
     return y
 
 
 def _panel(f, a, b):
-    """Kronrod estimate, QUADPACK-style error bound, and a complex flag."""
+    """Kronrod estimate and QUADPACK-style error bound, one per component."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = _eval(f, mid + half * _NODES)
-    k15 = half * np.sum(_W_KRONROD * y)
-    g7 = half * np.sum(_W_GAUSS * y)
-    resabs = abs(half) * float(np.sum(_W_KRONROD * np.abs(y)))
+    k15 = half * _sum(_W_KRONROD * y, axis=-1)
+    g7 = half * _sum(_W_GAUSS * y, axis=-1)
+    resabs = abs(half) * _sum(_W_KRONROD * np.abs(y), axis=-1)
     mean = k15 / (b - a)
-    resasc = abs(half) * float(np.sum(_W_KRONROD * np.abs(y - mean)))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > np.finfo(float).tiny / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
-    return k15, float(err), bool(np.iscomplexobj(y))
+    resasc = abs(half) * _sum(_W_KRONROD * np.abs(y - mean[..., None]), axis=-1)
+    err = np.abs(k15 - g7)
+    # where resasc == 0 the integrand is constant and the floor below wins
+    err = resasc * np.minimum(1.0, (200.0 * err / (resasc + (resasc == 0.0))) ** 1.5)
+    err = np.maximum(err, 50.0 * _EPS * resabs * (resabs > _TINY_RESABS))
+    return k15, err
 
 
-def _finish(value, err, evals, converged, any_complex):
-    if not any_complex:
-        value = float(np.real(value))
-    else:
-        value = complex(value)
-    return IntegralResult(value, float(err), int(evals), bool(converged))
+def _finish(value, err, evals, converged):
+    if np.ndim(value) == 0:
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+        err = float(err)
+    return IntegralResult(value, err, int(evals), bool(converged))
 
 
 def _adapt(f, a, b, spec):
-    """Shared worst-first bisection loop; panels kept in spatial order so the
-    final summation order (hence the bit pattern) is reproducible."""
-    v, e, cplx = _panel(f, a, b)
-    panels = [(a, b, v, e, cplx)]
+    """The adaptive loop: worst panel first, bisected, until every component
+    meets its own stop test or the panel budget runs out.
+
+    Panels sit in a heap keyed on (-badness, left end): badness is the panel
+    error scaled per component by the tolerances of the first estimate, so a
+    one-component integrand bisects its largest-error panel, the leftmost on
+    a tie. Running totals drive the stop test; the returned value and error
+    are summed again in spatial order, so the bit pattern is reproducible.
+    """
+    value, err = _panel(f, a, b)
+    if np.ndim(value) == 0:
+        badness = float
+    else:
+        inv_scale = 1.0 / _tolerance(value, spec)
+
+        def badness(e):
+            return float((e * inv_scale).max())
+    heap = [(-badness(err), a, b, value, err)]
     evals = 15
     while True:
-        value = sum(p[2] for p in panels)
-        err = sum(p[3] for p in panels)
-        tol = max(spec.rel_tol * abs(value), spec.abs_tol)
-        if err <= tol:
-            return value, err, evals, True, any(p[4] for p in panels)
-        if len(panels) >= spec.max_subdivisions:
-            return value, err, evals, False, any(p[4] for p in panels)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        pa, pb, _, _, _ = panels[worst]
+        if (err <= _tolerance(value, spec)).all() \
+                or len(heap) >= spec.max_subdivisions:
+            panels = sorted(heap, key=itemgetter(1))
+            value = sum(p[3] for p in panels)
+            err = sum(p[4] for p in panels)
+            converged = (err <= _tolerance(value, spec)).all()
+            if converged or len(heap) >= spec.max_subdivisions:
+                return value, err, evals, converged
+        _, pa, pb, pv, pe = heappop(heap)
         pm = 0.5 * (pa + pb)
-        left = (pa, pm) + _panel(f, pa, pm)
-        right = (pm, pb) + _panel(f, pm, pb)
-        panels[worst:worst + 1] = [(pa, pm, *left[2:]), (pm, pb, *right[2:])]
+        lv, le = _panel(f, pa, pm)
+        rv, re = _panel(f, pm, pb)
+        heappush(heap, (-badness(le), pa, pm, lv, le))
+        heappush(heap, (-badness(re), pm, pb, rv, re))
+        value = value + (lv + rv - pv)
+        err = err + (le + re - pe)
         evals += 30
 
 
@@ -198,17 +239,16 @@ def principal_value(f, pole, a, b, spec: QuadratureSpec,
     value = sum(p[0] for p in parts)
     err = sum(p[1] for p in parts)
     evals = sum(p[2] for p in parts)
-    converged = all(p[3] for p in parts)
-    any_complex = any(p[4] for p in parts)
-    return _finish(value, err, evals, converged, any_complex)
+    return _finish(value, err, evals, all(p[3] for p in parts))
 
 
 def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
     """Integrate f over [a, infinity) assuming decay beyond spec.tail_switch.
 
     The head is integrated directly; the tail is mapped by x -> 1/u. A cheap
-    pre-pass checks that x^2 |f| is not growing far out; if it is, the tail is
-    not integrable at this precision and the result is flagged unconverged.
+    pre-pass checks that x^2 |f| is not growing far out; if it is, in any
+    component, the tail is not integrable at this precision and the result
+    is flagged unconverged.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -220,22 +260,21 @@ def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
     with np.errstate(all="ignore"):
         y = np.asarray(f(probes))
         weight = np.abs(y) * probes ** 2
-    grows = (not np.all(np.isfinite(weight))) or \
-        weight[-1] > 3.0 * max(float(weight[0]), 1e-300)
+    grows = not np.isfinite(weight).all() or \
+        (weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any()
     head = _adapt(f, a, s, spec)
     if grows:
-        return _finish(head[0], math.inf, head[2] + 4, False, head[4])
+        return _finish(head[0], head[1] + math.inf, head[2] + 4, False)
 
     def tail(u):
         return f(1.0 / u) / u ** 2
 
     tl = _adapt(tail, 0.0, 1.0 / s, spec)
-    value = head[0] + tl[0]
-    err = head[1] + tl[1]
-    evals = head[2] + tl[2] + 4
-    return _finish(value, err, evals, head[3] and tl[3], head[4] or tl[4])
+    return _finish(head[0] + tl[0], head[1] + tl[1], head[2] + tl[2] + 4,
+                   head[3] and tl[3])
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero, vectorized."""
-    return _scipy_j0(x)
+    from scipy.special import j0   # imported on first use: scipy.special is heavy
+    return j0(x)

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
+from vacdrag import cli
 from vacdrag.cli import (
     ScenarioValidationError,
     emit_results,
@@ -60,6 +63,17 @@ def test_validate_rejects_bad_values(tmp_path, capsys):
     assert run_cli(["validate", "--scenario", path]) == 1
     err = capsys.readouterr().err
     assert "beta" in err and "omega" in err
+
+
+def test_validate_rejects_non_numeric_shift(tmp_path, capsys):
+    doc = {"kind": "identity-check", "model_file": "bundled:lorentz_dielectric",
+           "pairs": [[0.7, 1.3]], "shift": "abc", "quad": {}}
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 1
+    assert "shift" in capsys.readouterr().err
+    doc["shift"] = 0.5
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 0
 
 
 def test_validate_rejects_malformed_model_file(tmp_path, capsys):
@@ -274,6 +288,20 @@ def test_cache_hit_and_key_sensitivity(tmp_path):
     assert run_cli(["run", "--scenario", path2, "--output", tmp_path / "c.json",
                     "--format", "json", "--cache-dir", cache]) == 0
     assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_cache_key_and_provenance_carry_library_versions(tmp_path, monkeypatch):
+    scenario = scenario_from_dict(BASE_RATE)
+    record = run_scenario(scenario_from_dict(dict(BASE_RATE, quad={
+        "rel_tol": 1e-3, "abs_tol": 1e-18, "k_max": 12.0})))
+    assert record.provenance["numpy"] == np.__version__
+    assert record.provenance["scipy"] == scipy.__version__
+    key = cli._cache_key(scenario)
+    for lib in ("numpy", "scipy"):
+        monkeypatch.setattr(cli, "_LIBRARIES", dict(cli._LIBRARIES, **{lib: "0.0.0"}))
+        assert cli._cache_key(scenario) != key
+        monkeypatch.undo()
+    assert cli._cache_key(scenario) == key
 
 
 def test_cache_corruption_recovers(tmp_path, capsys):

@@ -19,7 +19,7 @@ from vacdrag.greens import (
 )
 from vacdrag.kinematics import MotionFrame
 from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi
-from vacdrag.quadrature import QuadratureSpec
+from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
 
 LORENTZ = SusceptibilityModel(electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
                               label="single resonance")
@@ -296,6 +296,14 @@ def test_surface_green_far_field_envelope():
                                            kx, omega, QUAD_SURF))
     bound = math.exp(-2.0 * xi_min * 7.0)
     assert np.max(np.abs(far)) <= bound * np.max(np.abs(near))
+
+
+def test_surface_green_starved_budget_names_entry():
+    starved = QuadratureSpec(k_max=40.0, max_subdivisions=1)
+    with pytest.raises(NonConvergenceError,
+                       match=r"reflected Green entry \([0-2],[0-2]\) did not converge"):
+        surface_green_coincident(LORENTZ, REST, SurfaceGeometry(z0=0.7), 1.3, 0.9,
+                                 starved)
 
 
 def test_surface_green_requires_cutoff_and_positive_height():

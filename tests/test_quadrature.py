@@ -93,6 +93,40 @@ def test_subdivision_budget_exhaustion_flags_not_converged():
     assert not res.converged
 
 
+def test_vector_integrand_meets_tolerance_per_component():
+    # two components about 1e6 apart; the small one has the sharper peak,
+    # so a test on the joint norm would stop before it is resolved
+    def f(x):
+        return np.stack((1e3 * np.exp(-x) * np.sin(5.0 * x),
+                         1e-3 / (0.01 + (x - 0.7) ** 2)))
+
+    exact = np.array([
+        1e3 * (5.0 - math.exp(-2.0) * (math.sin(10.0) + 5.0 * math.cos(10.0))) / 26.0,
+        1e-3 * (math.atan(13.0) + math.atan(7.0)) / 0.1,
+    ])
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
+    res = integrate_adaptive(f, 0.0, 2.0, spec)
+    assert res.converged
+    assert res.value.shape == res.error_estimate.shape == (2,)
+    for value, err, ref in zip(res.value, res.error_estimate, exact):
+        assert abs(value - ref) <= err <= max(spec.rel_tol * abs(ref), spec.abs_tol)
+    again = integrate_adaptive(f, 0.0, 2.0, spec)
+    assert again.value.tobytes() == res.value.tobytes()
+    assert again.error_estimate.tobytes() == res.error_estimate.tobytes()
+    assert again.evaluations == res.evaluations
+
+
+def test_vector_integrand_nonfinite_reported_with_location():
+    with pytest.raises(ValueError, match="x = 0"):
+        integrate_adaptive(lambda x: np.stack((np.ones_like(x), 1.0 / x)),
+                           -1.0, 1.0, SPEC)
+
+
+def test_integrand_shape_must_end_with_abscissae():
+    with pytest.raises(ValueError, match="shape"):
+        integrate_adaptive(lambda x: np.ones((len(x), 2)), 0.0, 1.0, SPEC)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=-1.0)
@@ -202,6 +236,21 @@ def test_lower_limit_beyond_tail_switch():
 def test_non_decaying_integrand_flagged():
     res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), 0.0, SPEC)
     assert not res.converged
+
+
+def test_vector_semi_infinite_and_principal_value():
+    res = integrate_semi_infinite(
+        lambda x: np.stack((np.exp(-x), 1.0 / (1.0 + x ** 2))), 0.0, SPEC)
+    assert res.converged
+    assert res.value == pytest.approx([1.0, math.pi / 2.0], rel=1e-10)
+    flagged = integrate_semi_infinite(
+        lambda x: np.stack((np.exp(-x), 1.0 / (1.0 + x))), 0.0, SPEC)
+    assert not flagged.converged
+    pv = principal_value(lambda x: np.stack((1.0 / x, np.exp(x) / x)),
+                         0.0, -1.0, 1.0, SPEC)
+    assert pv.converged
+    assert abs(pv.value[0]) < 1e-12
+    assert pv.value[1] == pytest.approx(2.1145017507514570291, rel=1e-10)
 
 
 def test_growing_integrand_flagged_without_overflow_crash():

@@ -1,6 +1,7 @@
 """Excitation rates: free-space null, surface rate, distance sweep, finite time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import reference
 from vacdrag.kinematics import MotionFrame
 from vacdrag.medium import LorentzOscillator, SusceptibilityModel
-from vacdrag.quadrature import QuadratureSpec
+from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
@@ -98,6 +99,28 @@ def test_surface_rate_coupling_symmetry_and_scaling():
     assert flipped.gamma == base.gamma
     doubled = rate_surface(det(kappa=(1.6, 0.6, 2.2)), frame, LORENTZ, quad)
     assert doubled.gamma == pytest.approx(4.0 * base.gamma, rel=1e-12)
+
+
+def test_surface_rate_starved_budget_names_channel_and_k():
+    frame = MotionFrame(beta=0.5)
+    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-16, k_max=20.0,
+                          max_subdivisions=1)
+    with pytest.raises(NonConvergenceError) as exc:
+        rate_surface(det(), frame, LORENTZ, quad)
+    match = re.fullmatch(r"ky integral for the ([sp]) channel failed at k = (\S+)",
+                         str(exc.value))
+    assert match is not None, str(exc.value)
+    # the named k is one of the 15 Kronrod nodes of the first outer panel
+    k = float(match.group(2))
+    k_lo = 0.1 / 0.5
+    nodes = 0.5 * (k_lo + 20.0) + 0.5 * (20.0 - k_lo) * np.array(
+        [-0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+         -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
+         -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
+         0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
+         0.9491079123427585, 0.9914553711208126])
+    assert np.min(np.abs(nodes - k) / nodes) < 1e-5
+    assert exc.value.residual > 0.0
 
 
 def test_surface_rate_grows_with_velocity():
@@ -192,6 +215,18 @@ def test_finite_time_converges_to_golden_rule():
     assert err[4000.0] < 0.02
     assert err[1000.0] < 0.08
     assert err[4000.0] <= 1.05 * err[1000.0]
+
+
+def test_rate_spline_matches_scipy_not_a_knot_spline():
+    from scipy.interpolate import CubicSpline
+    from vacdrag.rates import _cubic_spline
+
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.02, 0.18, 65)
+    y = np.exp(0.1 * rng.normal(size=65).cumsum())
+    z = np.linspace(x[0], x[-1], 2001)
+    ref = CubicSpline(x, y)(z)
+    assert np.max(np.abs(_cubic_spline(x, y)(z) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_finite_time_requires_positive_time():
