@@ -4,10 +4,10 @@ content-addressed caching, and a small command-line front end.
 A scenario is a JSON object with a `kind` selecting the computation and
 kind-specific fields. Runs are deterministic: CSV cells are printed with
 %.17g so values round-trip bit exactly, rows never carry timestamps, and
-sweep rows are computed in input order whether or not a process pool is
-used. Records cache under a sha256 of the normalized scenario, the resolved
-model content, and the package, numpy and scipy versions; unreadable cache
-entries are recomputed and rewritten, never trusted.
+sweep rows are computed serially in input order. Records cache under a
+sha256 of the normalized scenario, the resolved model content, and the
+package and numpy versions; unreadable cache entries are recomputed and
+rewritten, never trusted.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -22,13 +22,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .greens import green_dissipation_identity, reciprocity_check, \
@@ -60,7 +58,7 @@ _RATE_AXES = ("beta", "z0", "omega")
 
 # Library versions that can change result bits; part of provenance and of
 # the cache key.
-_LIBRARIES = {"numpy": np.__version__, "scipy": scipy.__version__}
+_LIBRARIES = {"numpy": np.__version__}
 
 
 class ScenarioValidationError(ValueError):
@@ -239,9 +237,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if pt is not None and not pt[1] > 0.0:
                 errors.append(f"{name}: height must be > 0")
     if kind == "finite-time":
-        T = _check_number(errors, doc, "T")
-        if T is not None and not T > 0.0:
-            errors.append("T: must be > 0")
+        T = doc.get("T")
+        times = T if isinstance(T, list) else [T]
+        if not (times and all(_is_number(t) and t > 0.0 for t in times)):
+            errors.append("T: required positive number or nonempty list of "
+                          "positive numbers")
 
     if errors:
         raise ScenarioValidationError("; ".join(errors))
@@ -288,9 +288,7 @@ def _fresnel_row_values(model, frame, kx, ky, omega) -> dict:
             "re_r22": rc.r22.real, "im_r22": rc.r22.imag}
 
 
-def _sweep_row(payload) -> dict:
-    doc_json, value = payload
-    scenario = scenario_from_dict(json.loads(doc_json))
+def _sweep_row(scenario: Scenario, value: float) -> dict:
     axis_name = scenario.doc["sweep_axis"]["name"]
     if axis_name in _RATE_AXES:
         return _rate_surface_row(scenario, axis_name, value)
@@ -302,15 +300,11 @@ def _sweep_row(payload) -> dict:
 
 
 def _run_sweep(scenario: Scenario, workers: int):
+    """Sweep rows in axis order. `workers` is accepted for compatibility and
+    has no effect: rows are computed serially."""
+    del workers
     axis = scenario.doc["sweep_axis"]
-    values = _axis_values(axis)
-    doc_json = json.dumps(scenario.doc, sort_keys=True)
-    payloads = [(doc_json, v) for v in values]
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
-    else:
-        rows = [_sweep_row(p) for p in payloads]
+    rows = [_sweep_row(scenario, v) for v in _axis_values(axis)]
     if axis["name"] in _RATE_AXES:
         columns = [axis["name"], "gamma", "error_estimate", "converged"]
         summary = {"all_converged": all(r["converged"] for r in rows)}
@@ -425,11 +419,15 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
     elif kind == "sweep":
         columns, rows, summary = _run_sweep(scenario, workers)
     else:
-        p = finite_time_probability(scenario.detector(), scenario.frame(),
-                                    scenario.model(), scenario.quad(),
-                                    float(scenario.doc["T"]))
+        # one rate-spline build serves every T of the list
+        det, frame = scenario.detector(), scenario.frame()
+        model, quad = scenario.model(), scenario.quad()
+        T = scenario.doc["T"]
         columns = ["T", "probability"]
-        rows = [{"T": float(scenario.doc["T"]), "probability": p}]
+        rows = [{"T": float(t),
+                 "probability": finite_time_probability(det, frame, model,
+                                                        quad, float(t))}
+                for t in (T if isinstance(T, list) else [T])]
 
     outputs = {"columns": columns, "rows": rows}
     outputs.update(summary)
@@ -522,7 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scenario", required=True)
     run_p.add_argument("--output", default=None)
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
     run_p.add_argument("--cache-dir", default=None)
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("--scenario", required=True)

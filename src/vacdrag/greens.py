@@ -184,18 +184,16 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
                                   r12=0j, r21=0j, e_1=e_1, e_2=e_2, xi=xi)
 
 
-def _dyad_pair(model, frame, kx, omega, ky, xi, dy, zsum):
+def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
     """Reflected dyad folded over +-ky: (3, 3, n) complex.
 
-    `xi` is supplied by the caller so the light-circle substitutions can pass
-    the exact transformed value; the dyad row index carries e(+i xi), the
-    column e(-i xi).
+    `eps` and `mu` are the medium's responses at the Doppler frequency of
+    (kx, omega), which the caller evaluates once. `xi` is supplied by the
+    caller so the light-circle substitutions can pass the exact transformed
+    value; the dyad row index carries e(+i xi), the column e(-i xi).
     """
     kpar2 = kx * kx + ky * ky
     kpar = np.sqrt(kpar2)
-    om_minus, _ = doppler(frame, omega, kx)
-    eps = 1.0 + chi(model, "electric", om_minus)
-    mu = 1.0 + chi(model, "magnetic", om_minus)
     xim = _xi_medium(kpar2, eps, mu, omega)
     rs, rp = _fresnel_amplitudes(eps, mu, xi, xim)
     weight = np.exp(-xi * zsum) / (2.0 * xi) / (2.0 * math.pi)
@@ -220,10 +218,13 @@ def _reflected_green(model, frame, kx, omega, y, z, yprime, zprime,
     zsum = z + zprime
     k_max = quad.k_max
     sgn_om = math.copysign(1.0, omega)
+    om_minus, _ = doppler(frame, omega, kx)
+    eps = 1.0 + chi(model, "electric", om_minus)
+    mu = 1.0 + chi(model, "magnetic", om_minus)
 
     def f_plain(ky):
         xi = _xi_vacuum(kx * kx + ky * ky, omega)
-        return _dyad_pair(model, frame, kx, omega, ky, xi, dy, zsum)
+        return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum)
 
     segments = []   # (callable returning (3,3,n), a, b, semi_infinite_flag)
     circle_sq = omega * omega - kx * kx
@@ -236,13 +237,13 @@ def _reflected_green(model, frame, kx, omega, y, z, yprime, zprime,
             # ky = sqrt(kc^2 - q^2), xi = -i sign(omega) q, jacobian q/ky
             ky = np.sqrt(kc * kc - q * q)
             xi = -1j * sgn_om * q
-            return _dyad_pair(model, frame, kx, omega, ky, xi, dy, zsum) * (q / ky)
+            return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum) * (q / ky)
 
         def f_outside(t):
             # ky = sqrt(kc^2 + t^2), xi = t, jacobian t/ky
             ky = np.sqrt(kc * kc + t * t)
             xi = t + 0j
-            return _dyad_pair(model, frame, kx, omega, ky, xi, dy, zsum) * (t / ky)
+            return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum) * (t / ky)
 
         outer_edge = 2.0 * kc if k_max is None else min(2.0 * kc, k_max)
         segments.append((f_plain, 0.0, 0.5 * kc, False))

@@ -1,10 +1,10 @@
 """Deterministic adaptive quadrature.
 
 Everything downstream (Green functions, reflection integrals, rates) funnels
-through the four entry points here: a finite-interval adaptive integrator
+through the three entry points here: a finite-interval adaptive integrator
 built on an embedded Gauss/Kronrod pair, a principal-value integrator using
-symmetric pole folding, a semi-infinite integrator with a 1/x tail map, and a
-Bessel J0 kernel. All three integrators share one adaptive loop (`_adapt`).
+symmetric pole folding, and a semi-infinite integrator with a 1/x tail map.
+All three share one adaptive loop (`_adapt`).
 
 Integrands receive a 1-D ndarray of n abscissae and return values of shape
 (..., n): a plain integrand returns shape (n,), a vector integrand stacks
@@ -32,7 +32,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergenceError",
     "QuadratureSpec",
-    "bessel_j0",
     "integrate_adaptive",
     "integrate_semi_infinite",
     "principal_value",
@@ -272,9 +271,3 @@ def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
     tl = _adapt(tail, 0.0, 1.0 / s, spec)
     return _finish(head[0] + tl[0], head[1] + tl[1], head[2] + tl[2] + 4,
                    head[3] and tl[3])
-
-
-def bessel_j0(x):
-    """Bessel function of the first kind, order zero, vectorized."""
-    from scipy.special import j0   # imported on first use: scipy.special is heavy
-    return j0(x)

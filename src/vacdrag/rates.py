@@ -20,7 +20,9 @@ own tolerance.
 finite_time_probability replaces the golden-rule delta with the finite-time
 sinc kernel: the rate function is sampled on a frequency window, splined,
 and convolved with 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary
-rate like 1/T.
+rate like 1/T. The spline is cached per (model, frame, detector, quad) and
+carries one convolution plan per Simpson grid size, so a query on a cached
+spline is one sin over the grid and one dot product.
 """
 
 from __future__ import annotations
@@ -193,15 +195,67 @@ def _cubic_spline(x, y):
     return spline
 
 
+_MAX_PLANS = 8   # convolution plans kept per spline, oldest evicted first
+
+
+class _RateSpline:
+    """The rate spline over the finite-time window [omega - w, omega + w],
+    w = 0.8 omega, with the Simpson convolution plans built on it.
+
+    The grid has n = max(513, 16 cycles of the kernel) nodes u_i, rounded
+    up to odd, so n depends on T only through the kernel's oscillation. A
+    plan for one n holds u_i / 2 for the nodes off the centre and
+    coefficients c_i = (du / 3) w_i Gamma(omega - u_i) / (2 pi) * 4 / u_i^2,
+    plus the centre node's c_0 = (du / 3) w_0 Gamma(omega) / (2 pi), so that
+
+        P(T) = sum_i c_i sin^2(T u_i / 2) + c_0 T^2
+
+    is the composite Simpson rule of the sinc-kernel convolution.
+    """
+
+    def __init__(self, omega, spline):
+        self.omega = omega
+        self.half_width = 0.8 * omega
+        self.spline = spline
+        self.plans = {}
+
+    def grid_size(self, T):
+        cycles = 2.0 * self.half_width * T / (2.0 * math.pi)
+        n = max(513, int(16 * cycles) + 1)
+        return n + 1 if n % 2 == 0 else n
+
+    def _plan(self, n):
+        u, du = np.linspace(-self.half_width, self.half_width, n, retstep=True)
+        weights = np.full(n, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        coef = du / 3.0 * weights * (0.5 * self.spline(self.omega - u)) / math.pi
+        mid = n // 2
+        u_off, c_off = np.delete(u, mid), np.delete(coef, mid)
+        return 0.5 * u_off, c_off * (4.0 / (u_off * u_off)), coef[mid]
+
+    def probability(self, T):
+        n = self.grid_size(T)
+        plan = self.plans.get(n)
+        if plan is None:
+            plan = self.plans[n] = self._plan(n)
+            if len(self.plans) > _MAX_PLANS:
+                del self.plans[next(iter(self.plans))]
+        half_u, coef, centre = plan
+        s = np.sin(T * half_u)
+        return float(np.dot(coef, s * s) + centre * T * T)
+
+
 @lru_cache(maxsize=32)
 def _rate_spline(model, frame, det, quad):
     """Cubic spline of the rate as a function of the detector gap over the
-    window [0.2 omega, 1.8 omega] used by the finite-time kernel."""
+    window [0.2 omega, 1.8 omega] used by the finite-time kernel, with its
+    convolution plans (see _RateSpline)."""
     omega = det.omega
     grid = np.linspace(0.2 * omega, 1.8 * omega, 65)
     values = [rate_surface(replace(det, omega=float(w)), frame, model, quad).gamma
               for w in grid]
-    return _cubic_spline(grid, np.asarray(values))
+    return _RateSpline(omega, _cubic_spline(grid, np.asarray(values)))
 
 
 def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
@@ -211,7 +265,9 @@ def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
 
     The golden-rule delta is broadened to W_T(x) = 4 sin^2(x T / 2) / x^2 and
     convolved with the rate function over a window of width 0.8 omega around
-    the detector gap; P(T)/T approaches the stationary rate as T grows.
+    the detector gap; P(T)/T approaches the stationary rate as T grows. The
+    first call for a (model, frame, det, quad) builds the rate spline; later
+    calls, for any T, reuse it.
     """
     if not T > 0.0:
         raise ValueError("T must be > 0")
@@ -219,23 +275,8 @@ def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
         return 0.0
     if frame.beta == 0.0:
         return 0.0
-    omega = det.omega
-    half_width = 0.8 * omega
-    needed = 1.8 * omega / abs(frame.beta)
+    needed = 1.8 * det.omega / abs(frame.beta)
     if quad.k_max is None or quad.k_max <= needed:
         raise ValueError("quad.k_max must exceed 1.8 omega / |beta| for the "
                          "finite-time window")
-    spline = _rate_spline(model, frame, det, quad)
-    cycles = 2.0 * half_width * T / (2.0 * math.pi)
-    n = max(513, int(16 * cycles) + 1)
-    if n % 2 == 0:
-        n += 1
-    u, du = np.linspace(-half_width, half_width, n, retstep=True)
-    kernel = T * T * np.sinc(u * T / (2.0 * math.pi)) ** 2
-    rate_vals = spline(omega - u)
-    # composite Simpson rule on the odd-sized uniform grid
-    weights = np.full(n, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    integral = du / 3.0 * np.dot(weights, 0.5 * rate_vals * kernel)
-    return float(integral / math.pi)
+    return _rate_spline(model, frame, det, quad).probability(T)

@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from vacdrag import cli
 from vacdrag.cli import (
@@ -227,6 +226,49 @@ def test_sweep_workers_do_not_change_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# finite-time T lists
+# ---------------------------------------------------------------------------
+
+FINITE_TIME = {
+    "kind": "finite-time",
+    "model_file": "bundled:lorentz_dielectric",
+    "frame": {"beta": 0.5},
+    "detector": {"kappa": [0.8, 0.3, 1.1], "omega": 0.1, "z0": 1.0},
+    "quad": {"rel_tol": 0.1, "abs_tol": 1e-12, "k_max": 1.0},
+    "T": [0.5, 50.0, 1600.0, 50.0],
+}
+
+
+def test_finite_time_list_builds_one_spline():
+    from vacdrag import rates
+
+    scenario = scenario_from_dict(FINITE_TIME)
+    rates._rate_spline.cache_clear()
+    record = run_scenario(scenario)
+    assert rates._rate_spline.cache_info().misses == 1
+    assert record.outputs["columns"] == ["T", "probability"]
+    assert [r["T"] for r in record.outputs["rows"]] == FINITE_TIME["T"]
+    rates._rate_spline.cache_clear()
+    for t, row in zip(FINITE_TIME["T"], record.outputs["rows"]):
+        alone = run_scenario(scenario_from_dict(dict(FINITE_TIME, T=t)))
+        assert alone.outputs["rows"] == [row]
+        rates._rate_spline.cache_clear()
+
+
+def test_validate_rejects_bad_finite_time_lists(tmp_path, capsys):
+    for bad in ([], [0], ["a"], [50.0, -1.0], True, None):
+        doc = dict(FINITE_TIME, T=bad)
+        if bad is None:
+            del doc["T"]
+        path = write_scenario(tmp_path, doc)
+        assert run_cli(["validate", "--scenario", path]) == 1
+        assert "T:" in capsys.readouterr().err
+    for good in (50, 2.5, [50], [0.5, 50.0]):
+        path = write_scenario(tmp_path, dict(FINITE_TIME, T=good))
+        assert run_cli(["validate", "--scenario", path]) == 0
+
+
+# ---------------------------------------------------------------------------
 # emission and determinism
 # ---------------------------------------------------------------------------
 
@@ -295,12 +337,10 @@ def test_cache_key_and_provenance_carry_library_versions(tmp_path, monkeypatch):
     record = run_scenario(scenario_from_dict(dict(BASE_RATE, quad={
         "rel_tol": 1e-3, "abs_tol": 1e-18, "k_max": 12.0})))
     assert record.provenance["numpy"] == np.__version__
-    assert record.provenance["scipy"] == scipy.__version__
     key = cli._cache_key(scenario)
-    for lib in ("numpy", "scipy"):
-        monkeypatch.setattr(cli, "_LIBRARIES", dict(cli._LIBRARIES, **{lib: "0.0.0"}))
-        assert cli._cache_key(scenario) != key
-        monkeypatch.undo()
+    monkeypatch.setattr(cli, "_LIBRARIES", dict(cli._LIBRARIES, numpy="0.0.0"))
+    assert cli._cache_key(scenario) != key
+    monkeypatch.undo()
     assert cli._cache_key(scenario) == key
 
 

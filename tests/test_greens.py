@@ -375,3 +375,20 @@ def test_reciprocity_vacuum_any_velocity():
     rep = reciprocity_check(VACUUM, frame, 2.0, 0.4, POINT_A, POINT_B, QUAD)
     assert rep.transpose_residual < 1e-12
     assert rep.naive_residual < 1e-12
+
+
+def test_reflected_green_evaluates_chi_once_per_call(monkeypatch):
+    from vacdrag import greens
+
+    calls = []
+
+    def counting_chi(*args):
+        calls.append(args[1])
+        return chi(*args)
+    monkeypatch.setattr(greens, "chi", counting_chi)
+    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-14, k_max=20.0)
+    frame = MotionFrame(beta=0.5)
+    for kx in (0.3, 2.0):     # inside and outside the light circle
+        calls.clear()
+        greens._reflected_green(LORENTZ, frame, kx, 1.0, 0.0, 1.0, 0.0, 1.0, quad)
+        assert sorted(calls) == ["electric", "magnetic"]

@@ -8,12 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 import reference
 from vacdrag.quadrature import (
     IntegralResult,
     QuadratureSpec,
-    bessel_j0,
     integrate_adaptive,
     integrate_semi_infinite,
     principal_value,
@@ -45,7 +45,7 @@ def test_oscillatory_bessel_integrand_matches_fixed_rule_oracle():
         return np.array([reference.j0_reference(t) for t in np.atleast_1d(10.0 * x)])
 
     oracle = reference.gauss_fixed(f_ref, 0.0, 20.0, n=2000)
-    res = integrate_adaptive(lambda x: bessel_j0(10.0 * x), 0.0, 20.0, SPEC)
+    res = integrate_adaptive(lambda x: j0(10.0 * x), 0.0, 20.0, SPEC)
     assert res.converged
     assert res.value == pytest.approx(oracle, rel=1e-8, abs=1e-10)
 
@@ -309,25 +309,3 @@ def test_error_estimates_are_honest():
         if true_err <= 3.0 * max(res.error_estimate, 5e-16 * abs(exact)):
             honest += 1
     assert honest >= 19  # 95 percent of 20
-
-
-# ---------------------------------------------------------------------------
-# bessel_j0 kernel
-# ---------------------------------------------------------------------------
-
-def test_bessel_j0_against_independent_series_and_asymptotics():
-    xs = np.concatenate([
-        np.linspace(0.0, 7.5, 40),
-        np.linspace(7.5, 8.5, 21),       # switch region
-        np.linspace(8.5, 60.0, 40),
-    ])
-    for x in xs:
-        ref = reference.j0_reference(float(x))
-        assert abs(float(bessel_j0(x)) - ref) < 1e-12
-
-
-def test_bessel_j0_vectorized():
-    x = np.array([0.0, 1.0, 8.0, 30.0])
-    out = bessel_j0(x)
-    assert out.shape == x.shape
-    assert out[0] == pytest.approx(1.0, abs=1e-15)

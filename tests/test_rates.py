@@ -232,3 +232,82 @@ def test_rate_spline_matches_scipy_not_a_knot_spline():
 def test_finite_time_requires_positive_time():
     with pytest.raises(ValueError):
         finite_time_probability(det(), MotionFrame(beta=0.5), LORENTZ, FT_QUAD, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# finite-time convolution plans
+# ---------------------------------------------------------------------------
+
+def synthetic_rate_spline(omega=0.1):
+    """A _RateSpline over a smooth positive stand-in for the rate, so the
+    plans can be checked without a rate build."""
+    from vacdrag.rates import _RateSpline, _cubic_spline
+
+    grid = np.linspace(0.2 * omega, 1.8 * omega, 65)
+    return _RateSpline(omega, _cubic_spline(grid, 4e-3 * np.exp(-5.0 * grid)
+                                            * (1.0 + 0.3 * np.sin(40.0 * grid))))
+
+
+def direct_simpson(rs, T):
+    """The sinc-kernel convolution with the spline evaluated on the whole
+    Simpson grid, as P(T) was computed before plans were cached."""
+    n = rs.grid_size(T)
+    u, du = np.linspace(-rs.half_width, rs.half_width, n, retstep=True)
+    kernel = T * T * np.sinc(u * T / (2.0 * math.pi)) ** 2
+    weights = np.full(n, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return du / 3.0 * np.dot(weights, 0.5 * rs.spline(rs.omega - u) * kernel) / math.pi
+
+
+def test_convolution_plan_matches_direct_simpson_rule():
+    rs = synthetic_rate_spline()
+    sizes = {}
+    for T in (0.5, 50.0, 1600.0, 6400.0):
+        sizes[T] = rs.grid_size(T)
+        assert rs.probability(T) == pytest.approx(direct_simpson(rs, T), rel=1e-13)
+    assert sizes[0.5] == sizes[50.0] == 513
+    assert 513 < sizes[1600.0] < sizes[6400.0]
+
+
+def test_convolution_plan_reused_without_spline_evaluation():
+    rs = synthetic_rate_spline()
+    calls = []
+    spline = rs.spline
+
+    def spy(z):
+        calls.append(z.size)
+        return spline(z)
+    rs.spline = spy
+    first = rs.probability(10.0)
+    assert calls == [513]
+    # same grid size, different T: the plan is reused
+    assert rs.grid_size(20.0) == 513
+    rs.probability(20.0)
+    assert rs.probability(10.0) == first
+    assert calls == [513]
+
+
+def test_convolution_plans_bounded_oldest_evicted():
+    from vacdrag.rates import _MAX_PLANS
+
+    rs = synthetic_rate_spline()
+    times = [2000.0 * (k + 1) for k in range(_MAX_PLANS + 3)]
+    for T in times:
+        rs.probability(T)
+        assert len(rs.plans) <= _MAX_PLANS
+    assert list(rs.plans) == [rs.grid_size(T) for T in times[-_MAX_PLANS:]]
+
+
+def test_rate_spline_cache_clear_drops_plans():
+    from vacdrag.rates import _rate_spline
+
+    quad = QuadratureSpec(rel_tol=0.1, abs_tol=1e-12, k_max=1.0)
+    frame = MotionFrame(beta=0.5)
+    p = finite_time_probability(det(), frame, LORENTZ, quad, 50.0)
+    cached = _rate_spline(LORENTZ, frame, det(), quad)
+    assert list(cached.plans) == [513]
+    _rate_spline.cache_clear()
+    rebuilt = _rate_spline(LORENTZ, frame, det(), quad)
+    assert rebuilt is not cached and rebuilt.plans == {}
+    assert finite_time_probability(det(), frame, LORENTZ, quad, 50.0) == p
