@@ -9,6 +9,14 @@ sha256 of the normalized scenario, the resolved model content, and the
 package and numpy versions; unreadable cache entries are recomputed and
 rewritten, never trusted.
 
+Validation needs no numerics: at top level this module imports only the
+standard library and `specs`, so `vacdrag validate` never loads numpy. The
+functions of the run path import what only they use (the numeric modules,
+hashlib, datetime) and look the numeric functions up through their modules
+at call time. Validation applies the rate computations' own input check
+(`specs.check_rate_inputs`) to every rate a scenario computes, each sweep
+row included, so it rejects every rate input that `run` would reject.
+
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
 """
@@ -16,27 +24,18 @@ Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .greens import green_dissipation_identity, reciprocity_check, \
-    reflection_coefficients
-from .kinematics import MotionFrame
-from .medium import chi, kk_reconstruct, load_model, model_to_dict, \
-    verify_identity_1
-from .quadrature import NonConvergenceError, QuadratureSpec
-from .rates import DetectorSpec, finite_time_probability, rate_free_space, \
-    rate_surface
+from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
+                    QuadratureSpec, check_rate_inputs, load_model,
+                    model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -55,10 +54,6 @@ _KINDS = ("rate-free", "rate-surface", "fresnel", "kk-check", "identity-check",
           "dissipation-check", "reciprocity-check", "sweep", "finite-time")
 
 _RATE_AXES = ("beta", "z0", "omega")
-
-# Library versions that can change result bits; part of provenance and of
-# the cache key.
-_LIBRARIES = {"numpy": np.__version__}
 
 
 class ScenarioValidationError(ValueError):
@@ -180,12 +175,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
             except (TypeError, ValueError) as exc:
                 errors.append(f"quad: {exc}")
 
+    model = None
     if kind != "rate-free":
         if "model_file" not in doc:
             errors.append("model_file: required")
         else:
             try:
-                load_model(doc["model_file"])
+                model = load_model(doc["model_file"])
             except Exception as exc:
                 errors.append(f"model_file: {exc}")
 
@@ -249,21 +245,52 @@ def scenario_from_dict(doc: dict) -> Scenario:
              "kx", "ky", "omega", "pairs", "points", "point_a", "point_b",
              "shift", "T")
     norm = {k: doc[k] for k in known if k in doc}
-    return Scenario(kind=kind, doc=norm)
+    scenario = Scenario(kind=kind, doc=norm)
+    # the rate computations' own input checks, on every rate the run computes
+    try:
+        for det, frame in _rate_inputs(scenario):
+            check_rate_inputs(det, frame, model, scenario.quad(),
+                              finite_time=kind == "finite-time")
+    except ValueError as exc:
+        raise ScenarioValidationError(str(exc)) from None
+    return scenario
+
+
+def _rate_inputs(scenario: Scenario) -> list:
+    """(detector, frame) of every rate a validated scenario computes: one
+    for rate-surface and finite-time, one per row of a lin rate sweep, and
+    for a log rate sweep one per end point, which geomspace returns exactly
+    and between which every other (positive) row lies; none otherwise."""
+    if scenario.kind in ("rate-surface", "finite-time"):
+        return [(scenario.detector(), scenario.frame())]
+    if scenario.kind == "sweep":
+        axis = scenario.doc["sweep_axis"]
+        if axis["name"] in _RATE_AXES:
+            if axis.get("spacing", "lin") == "log":
+                values = [float(axis["min"]), float(axis["max"])][:axis["count"]]
+            else:
+                values = _axis_values(axis)
+            return [_row_inputs(scenario, axis["name"], v) for v in values]
+    return []
 
 
 def _axis_values(axis: dict) -> list:
+    """Row values of a sweep axis. Lin spacing is numpy.linspace's own
+    formula, i * step + min with the last row set to max, so only log
+    spacing needs numpy."""
     lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
     if count == 1:
         return [lo]
     if axis.get("spacing", "lin") == "log":
-        vals = np.geomspace(lo, hi, count)
-    else:
-        vals = np.linspace(lo, hi, count)
-    return [float(v) for v in vals]
+        import numpy as np
+
+        return [float(v) for v in np.geomspace(lo, hi, count)]
+    step = (hi - lo) / (count - 1)
+    return [i * step + lo for i in range(count - 1)] + [hi]
 
 
-def _rate_surface_row(scenario: Scenario, axis_name: str, value: float) -> dict:
+def _row_inputs(scenario: Scenario, axis_name: str, value: float):
+    """Detector and frame of one row of a beta, z0 or omega sweep."""
     frame = scenario.frame()
     det = scenario.detector()
     if axis_name == "beta":
@@ -272,9 +299,16 @@ def _rate_surface_row(scenario: Scenario, axis_name: str, value: float) -> dict:
         det = replace(det, z0=value)
     else:
         det = replace(det, omega=value)
+    return det, frame
+
+
+def _rate_surface_row(scenario: Scenario, axis_name: str, value: float) -> dict:
+    from . import rates
+
+    det, frame = _row_inputs(scenario, axis_name, value)
     row = {axis_name: value}
     try:
-        r = rate_surface(det, frame, scenario.model(), scenario.quad())
+        r = rates.rate_surface(det, frame, scenario.model(), scenario.quad())
         row.update(gamma=r.gamma, error_estimate=r.error_estimate,
                    converged=bool(r.converged))
     except NonConvergenceError:
@@ -283,7 +317,9 @@ def _rate_surface_row(scenario: Scenario, axis_name: str, value: float) -> dict:
 
 
 def _fresnel_row_values(model, frame, kx, ky, omega) -> dict:
-    rc = reflection_coefficients(model, frame, kx, ky, omega)
+    from . import greens
+
+    rc = greens.reflection_coefficients(model, frame, kx, ky, omega)
     return {"re_r11": rc.r11.real, "im_r11": rc.r11.imag,
             "re_r22": rc.r22.real, "im_r22": rc.r22.imag}
 
@@ -315,14 +351,16 @@ def _run_sweep(scenario: Scenario, workers: int):
 
 
 def _run_kk_check(scenario: Scenario):
+    from . import medium
+
     model = scenario.model()
     quad = scenario.quad()
     rows = []
     for omega in _axis_values(scenario.doc["sweep_axis"]):
-        exact = chi(model, "electric", omega)
+        exact = medium.chi(model, "electric", omega)
         row = {"omega": omega, "re_chi": exact.real, "im_chi": exact.imag}
         try:
-            rec = kk_reconstruct(model, "electric", omega, quad)
+            rec = medium.kk_reconstruct(model, "electric", omega, quad)
             row.update(re_reconstructed=rec.real,
                        rel_error=abs(rec - exact) / abs(exact), converged=True)
         except NonConvergenceError:
@@ -337,6 +375,8 @@ def _run_kk_check(scenario: Scenario):
 
 
 def _run_identity_check(scenario: Scenario):
+    from . import medium
+
     model = scenario.model()
     quad = scenario.quad()
     shift = float(scenario.doc.get("shift", 0.0))
@@ -344,8 +384,8 @@ def _run_identity_check(scenario: Scenario):
     for om, op in scenario.doc["pairs"]:
         row = {"omega_minus": float(om), "omega_plus": float(op)}
         try:
-            lhs, rhs, resid = verify_identity_1(model, float(om), float(op),
-                                                quad, numerator_shift=shift)
+            lhs, rhs, resid = medium.verify_identity_1(
+                model, float(om), float(op), quad, numerator_shift=shift)
             scale = max(abs(lhs), abs(rhs), 1e-300)
             row.update(re_lhs=lhs.real, im_lhs=lhs.imag, re_rhs=rhs.real,
                        im_rhs=rhs.imag, relative_residual=resid / scale,
@@ -363,18 +403,22 @@ def _run_identity_check(scenario: Scenario):
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
     """Execute a validated scenario and return the full result record."""
+    from datetime import datetime, timezone
+
+    from . import greens, rates
+
     t0 = time.perf_counter()
     kind = scenario.kind
     summary = {}
     if kind == "rate-free":
-        r = rate_free_space(scenario.detector(), scenario.frame(),
-                            scenario.quad())
+        r = rates.rate_free_space(scenario.detector(), scenario.frame(),
+                                  scenario.quad())
         columns = ["gamma", "error_estimate", "exact"]
         rows = [{"gamma": r.gamma, "error_estimate": r.error_estimate,
                  "exact": bool(r.exact)}]
     elif kind == "rate-surface":
-        r = rate_surface(scenario.detector(), scenario.frame(),
-                         scenario.model(), scenario.quad())
+        r = rates.rate_surface(scenario.detector(), scenario.frame(),
+                               scenario.model(), scenario.quad())
         columns = ["gamma", "error_estimate", "converged", "k_lower", "k_max",
                    "s", "p"]
         rows = [{"gamma": r.gamma, "error_estimate": r.error_estimate,
@@ -397,20 +441,20 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
         model, frame, quad = scenario.model(), scenario.frame(), scenario.quad()
         rows = []
         for kx, ky, kz, omega in scenario.doc["points"]:
-            rep = green_dissipation_identity(model, frame, float(kx),
-                                             (float(ky), float(kz)),
-                                             float(omega), quad)
+            rep = greens.green_dissipation_identity(model, frame, float(kx),
+                                                    (float(ky), float(kz)),
+                                                    float(omega), quad)
             rows.append({"kx": float(kx), "ky": float(ky), "kz": float(kz),
                          "omega": float(omega), "residual": rep.residual,
                          "relative_residual": rep.relative_residual})
         columns = ["kx", "ky", "kz", "omega", "residual", "relative_residual"]
     elif kind == "reciprocity-check":
-        rep = reciprocity_check(scenario.model(), scenario.frame(),
-                                float(scenario.doc["kx"]),
-                                float(scenario.doc["omega"]),
-                                tuple(scenario.doc["point_a"]),
-                                tuple(scenario.doc["point_b"]),
-                                scenario.quad())
+        rep = greens.reciprocity_check(scenario.model(), scenario.frame(),
+                                       float(scenario.doc["kx"]),
+                                       float(scenario.doc["omega"]),
+                                       tuple(scenario.doc["point_a"]),
+                                       tuple(scenario.doc["point_b"]),
+                                       scenario.quad())
         columns = ["kx", "omega", "transpose_residual", "naive_residual"]
         rows = [{"kx": float(scenario.doc["kx"]),
                  "omega": float(scenario.doc["omega"]),
@@ -425,13 +469,13 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
         T = scenario.doc["T"]
         columns = ["T", "probability"]
         rows = [{"T": float(t),
-                 "probability": finite_time_probability(det, frame, model,
-                                                        quad, float(t))}
+                 "probability": rates.finite_time_probability(
+                     det, frame, model, quad, float(t))}
                 for t in (T if isinstance(T, list) else [T])]
 
     outputs = {"columns": columns, "rows": rows}
     outputs.update(summary)
-    provenance = {"version": __version__, **_LIBRARIES,
+    provenance = {"version": __version__, **_libraries(),
                   "timestamp": datetime.now(timezone.utc).isoformat(),
                   "quad": asdict(scenario.quad())}
     return ResultRecord(scenario=scenario.doc, outputs=outputs,
@@ -477,8 +521,19 @@ def emit_results(record: ResultRecord, fmt: str, path=None) -> None:
             handle.write(text)
 
 
+def _libraries() -> dict:
+    """Versions of the libraries that can change result bits, as imported;
+    part of the provenance and of the cache key."""
+    import numpy
+
+    return {"numpy": numpy.__version__}
+
+
 def _cache_key(scenario: Scenario) -> str:
-    key_doc = {"scenario": scenario.doc, "version": __version__, **_LIBRARIES}
+    import hashlib
+
+    key_doc = {"scenario": scenario.doc, "version": __version__,
+               **_libraries()}
     if "model_file" in scenario.doc:
         key_doc["model"] = model_to_dict(scenario.model())
     canonical = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))

@@ -6,16 +6,18 @@ is closed-form: the Lorentz factor, the Doppler pair
 omega_mp = gamma (omega -+ beta kx), the four coupling tensors built from the
 scalar amplitudes, and the pole-decomposed susceptibility tensors where the
 scalar response enters only through its value at the shifted frequency.
+MotionFrame and lorentz_gamma are defined in specs and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .medium import SusceptibilityModel, chi, coupling_amplitude
+from .specs import MotionFrame, lorentz_gamma
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -31,24 +33,6 @@ __all__ = [
 _XCROSS = np.array([[0.0, 0.0, 0.0],
                     [0.0, 0.0, -1.0],
                     [0.0, 1.0, 0.0]])
-
-
-def lorentz_gamma(beta: float) -> float:
-    beta = float(beta)
-    if not abs(beta) < 1.0:
-        raise ValueError("|beta| must be < 1")
-    return 1.0 / math.sqrt(1.0 - beta * beta)
-
-
-@dataclass(frozen=True)
-class MotionFrame:
-    """Uniform motion with velocity beta along the fixed axis x-hat."""
-
-    beta: float
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", lorentz_gamma(self.beta))
 
 
 @dataclass(frozen=True)

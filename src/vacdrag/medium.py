@@ -9,24 +9,21 @@ is analytic in the upper half plane and obeys chi(-omega) = conj(chi(omega))
 on the real axis, so the Kramers-Kronig reconstruction and the two-pole
 frequency-integral identity verified here have exact closed-form references.
 Setting a term's resonance to zero gives the free-carrier (Drude) limit.
+The model dataclasses and their loaders are defined in specs and
+re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import (
-    NonConvergenceError,
-    QuadratureSpec,
-    integrate_semi_infinite,
-    principal_value,
-)
+from .quadrature import integrate_semi_infinite, principal_value
+from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
+                    SusceptibilityModel, load_model, model_from_dict,
+                    model_to_dict)
 
 __all__ = [
     "IdentityReport",
@@ -50,34 +47,6 @@ class IdentityReport(NamedTuple):
     lhs: complex
     rhs: complex
     residual: float
-
-
-@dataclass(frozen=True)
-class LorentzOscillator:
-    """One damped-oscillator term: plasma_strength / (resonance^2 - w^2 - i damping w)."""
-
-    plasma_strength: float
-    resonance: float
-    damping: float
-
-    def __post_init__(self):
-        if self.plasma_strength < 0.0:
-            raise ValueError("plasma_strength must be >= 0")
-        if self.resonance < 0.0:
-            raise ValueError("resonance must be >= 0")
-        if not self.damping > 0.0:
-            raise ValueError("damping must be > 0")
-
-
-@dataclass(frozen=True)
-class SusceptibilityModel:
-    electric_terms: tuple = ()
-    magnetic_terms: tuple = ()
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "electric_terms", tuple(self.electric_terms))
-        object.__setattr__(self, "magnetic_terms", tuple(self.magnetic_terms))
 
 
 def _terms(model: SusceptibilityModel, kind: str):
@@ -216,38 +185,3 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
             residual=sum(p.error_estimate for p in pieces))
     lhs = residue + sum(p.value for p in pieces)
     return IdentityReport(lhs, rhs, abs(lhs - rhs))
-
-
-def model_to_dict(model: SusceptibilityModel) -> dict:
-    def pack(terms):
-        return [{"plasma_strength": t.plasma_strength, "resonance": t.resonance,
-                 "damping": t.damping} for t in terms]
-    return {"label": model.label,
-            "electric_terms": pack(model.electric_terms),
-            "magnetic_terms": pack(model.magnetic_terms)}
-
-
-def model_from_dict(doc: dict) -> SusceptibilityModel:
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    def unpack(entries):
-        return tuple(LorentzOscillator(plasma_strength=float(e["plasma_strength"]),
-                                       resonance=float(e["resonance"]),
-                                       damping=float(e["damping"]))
-                     for e in entries)
-    return SusceptibilityModel(
-        electric_terms=unpack(doc.get("electric_terms", ())),
-        magnetic_terms=unpack(doc.get("magnetic_terms", ())),
-        label=str(doc.get("label", "")))
-
-
-def load_model(source: str) -> SusceptibilityModel:
-    """Load a model from a JSON file path or a bundled:NAME reference."""
-    source = str(source)
-    if source.startswith("bundled:"):
-        name = source.split(":", 1)[1]
-        text = resources.files("vacdrag").joinpath(f"models/{name}.json").read_text()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return model_from_dict(json.loads(text))

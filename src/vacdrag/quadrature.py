@@ -16,7 +16,8 @@ a float or complex and a float. Subdivision order is fixed (worst panel
 first, leftmost on a tie) and the final sums run in spatial order, so
 repeated runs are bit-identical. Integrands are evaluated with
 floating-point warnings suppressed, and any non-finite result aborts with
-the offending location.
+the offending location. QuadratureSpec and NonConvergenceError are defined
+in specs and re-exported here.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from heapq import heappop, heappush
 from operator import itemgetter
 
 import numpy as np
+
+from .specs import NonConvergenceError, QuadratureSpec
 
 __all__ = [
     "IntegralResult",
@@ -63,41 +66,6 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # ascending, 15 nodes
 _W_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1][:4]))
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised when an operation cannot meet its tolerance; carries the
-    residual error estimate that was achieved."""
-
-    def __init__(self, message: str, residual: float = math.nan):
-        super().__init__(message)
-        self.residual = residual
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and domain-control settings shared by all integrals."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    eta: float = 0.0
-    k_max: float | None = None
-    tail_switch: float = 10.0
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if self.eta < 0.0:
-            raise ValueError("eta must be >= 0")
-        if self.k_max is not None and not self.k_max > 0.0:
-            raise ValueError("k_max must be > 0 when set")
-        if not self.tail_switch > 0.0:
-            raise ValueError("tail_switch must be > 0")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,12 @@ evaluates chi once on its 15 k-nodes and runs a single vector ky integral
 of shape (2, 15) (s and p at every node), and each channel still meets its
 own tolerance.
 
+Both entry points check their inputs with specs.check_rate_inputs, the
+predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
+with no terms give the exact zero, and otherwise z0 and a k_max beyond
+omega / |beta| (1.8 omega / |beta| for the finite-time window) are
+required.
+
 finite_time_probability replaces the golden-rule delta with the finite-time
 sinc kernel: the rate function is sampled on a frequency window, splined,
 and convolved with 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary
@@ -33,10 +39,10 @@ from functools import lru_cache
 
 import numpy as np
 from .greens import _fresnel_amplitudes, _xi_medium
-from .kinematics import MotionFrame
-from .medium import SusceptibilityModel, chi
-from .quadrature import (NonConvergenceError, QuadratureSpec,
-                         integrate_adaptive, worst_component)
+from .medium import chi
+from .quadrature import integrate_adaptive, worst_component
+from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
+                    QuadratureSpec, SusceptibilityModel, check_rate_inputs)
 
 __all__ = [
     "DetectorSpec",
@@ -46,27 +52,6 @@ __all__ = [
     "rate_surface",
     "rate_vs_distance",
 ]
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Dipole detector: coupling vector kappa, gap omega, height z0."""
-
-    kappa: tuple
-    omega: float
-    z0: float | None = None
-
-    def __post_init__(self):
-        kappa = tuple(float(c) for c in self.kappa)
-        if len(kappa) != 3:
-            raise ValueError("kappa must have three components")
-        object.__setattr__(self, "kappa", kappa)
-        if not self.omega > 0.0:
-            raise ValueError("omega must be > 0")
-        if not any(c != 0.0 for c in kappa):
-            raise ValueError("kappa must be nonzero")
-        if self.z0 is not None and not self.z0 > 0.0:
-            raise ValueError("z0 must be > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -97,22 +82,9 @@ def rate_free_space(det: DetectorSpec, frame: MotionFrame,
 def rate_surface(det: DetectorSpec, frame: MotionFrame,
                  model: SusceptibilityModel, quad: QuadratureSpec) -> RateResult:
     """Stationary-detector excitation rate above the moving half-space."""
-    if frame.beta == 0.0:
-        return RateResult(gamma=0.0, error_estimate=0.0, converged=True,
-                          k_lower=math.inf,
-                          k_max=quad.k_max if quad.k_max is not None else math.inf,
-                          breakdown={"s": 0.0, "p": 0.0}, exact=True)
-    if det.z0 is None:
-        raise ValueError("detector height z0 is required for the surface rate")
-    if quad.k_max is None:
-        raise ValueError("quad.k_max must be set for the surface rate")
+    if check_rate_inputs(det, frame, model, quad):
+        return rate_free_space(det, frame, quad)    # the same exact zero
     k_lo = _k_lower(det.omega, frame.beta)
-    if quad.k_max <= k_lo:
-        raise ValueError("quad.k_max must exceed omega / |beta|")
-    if not model.electric_terms and not model.magnetic_terms:
-        return RateResult(gamma=0.0, error_estimate=0.0, converged=True,
-                          k_lower=k_lo, k_max=quad.k_max,
-                          breakdown={"s": 0.0, "p": 0.0}, exact=True)
     omega = det.omega
     z0 = det.z0
     kx_c, ky_c, kz_c = det.kappa
@@ -271,12 +243,6 @@ def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
     """
     if not T > 0.0:
         raise ValueError("T must be > 0")
-    if not model.electric_terms and not model.magnetic_terms:
+    if check_rate_inputs(det, frame, model, quad, finite_time=True):
         return 0.0
-    if frame.beta == 0.0:
-        return 0.0
-    needed = 1.8 * det.omega / abs(frame.beta)
-    if quad.k_max is None or quad.k_max <= needed:
-        raise ValueError("quad.k_max must exceed 1.8 omega / |beta| for the "
-                         "finite-time window")
     return _rate_spline(model, frame, det, quad).probability(T)

@@ -1,8 +1,10 @@
 """Scenario runner and CLI: validation, emission, caching, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,89 @@ def test_scenario_from_dict_reports_fields():
     with pytest.raises(ScenarioValidationError) as exc:
         scenario_from_dict({"kind": "no-such-kind"})
     assert "kind" in str(exc.value)
+
+
+# Bundled scenarios with one field changed (None deletes it) so that the
+# rate computations' own input checks reject them.
+RUN_REJECTS = [
+    ("rate_surface.json", "detector", "z0", None),
+    ("rate_surface.json", "quad", "k_max", None),
+    ("rate_surface.json", "quad", "k_max", 0.15),
+    ("finite_time.json", "quad", "k_max", 0.3),
+    ("finite_time.json", "detector", "z0", None),
+    ("sweep_beta.json", "quad", "k_max", 0.4),     # the beta = 0.2 row needs > 0.5
+]
+
+
+def bundled_with(scenarios_dir, name, section, key, value):
+    doc = json.loads((scenarios_dir / name).read_text())
+    if value is None:
+        del doc[section][key]
+    else:
+        doc[section][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, section, key, value", RUN_REJECTS)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, scenarios_dir,
+                                           name, section, key, value):
+    doc = bundled_with(scenarios_dir, name, section, key, value)
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 1
+    message = capsys.readouterr().err
+    assert run_cli(["run", "--scenario", path]) == 1
+    assert capsys.readouterr().err == message
+    # the computation itself, handed the unvalidated document, fails alike
+    with pytest.raises(ValueError) as exc:
+        run_scenario(cli.Scenario(kind=doc["kind"], doc=doc))
+    assert message == f"invalid scenario: {exc.value}\n"
+
+
+def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
+    # rows -0.5, -1/6, 1/6, 0.5: the end points pass k_max = 0.5, the inner
+    # rows need k_max > 0.6
+    doc = bundled_with(scenarios_dir, "sweep_beta.json", "quad", "k_max", 0.5)
+    doc["sweep_axis"].update(min=-0.5, max=0.5, count=4)
+    assert run_cli(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    assert "omega / |beta|" in capsys.readouterr().err
+    doc["sweep_axis"].update(count=3)          # rows -0.5, 0 (exact zero), 0.5
+    assert run_cli(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 0
+
+
+def test_axis_values_match_numpy_spacing():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, size=2))
+        count = int(rng.integers(1, 40))
+        axis = {"min": float(lo), "max": float(hi), "count": count}
+        # bit for bit, not within a tolerance: the CSV rows depend on it
+        expected = [float(v) for v in np.linspace(lo, hi, count)]
+        assert cli._axis_values(axis) == expected
+        # a log sweep is validated at its ends, which bound every row
+        log_axis = dict(axis, min=abs(float(lo)) + 1e-3,
+                        max=abs(float(lo)) + 1e-3 + abs(float(hi)), spacing="log")
+        values = cli._axis_values(log_axis)
+        assert values[0] == log_axis["min"]
+        assert values[-1] == (log_axis["max"] if count > 1 else log_axis["min"])
+        assert min(values) == values[0] and max(values) == values[-1]
+
+
+def test_rate_at_rest_needs_no_k_max(tmp_path, scenarios_dir):
+    doc = bundled_with(scenarios_dir, "rate_surface.json", "quad", "k_max", None)
+    doc["frame"]["beta"] = 0.0
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 0
+    out = tmp_path / "out.csv"
+    assert run_cli(["run", "--scenario", path, "--output", out]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[0] == "0" and row[3] == "inf" and row[4] == "inf"
+
+
+def test_validate_rejects_quad_eta(tmp_path, capsys):
+    doc = json.loads(json.dumps(BASE_RATE))
+    doc["quad"]["eta"] = 0.0
+    assert run_cli(["validate", "--scenario", write_scenario(tmp_path, doc)]) == 1
+    assert "'eta'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +423,8 @@ def test_cache_key_and_provenance_carry_library_versions(tmp_path, monkeypatch):
         "rel_tol": 1e-3, "abs_tol": 1e-18, "k_max": 12.0})))
     assert record.provenance["numpy"] == np.__version__
     key = cli._cache_key(scenario)
-    monkeypatch.setattr(cli, "_LIBRARIES", dict(cli._LIBRARIES, numpy="0.0.0"))
+    libraries = cli._libraries()
+    monkeypatch.setattr(cli, "_libraries", lambda: dict(libraries, numpy="0.0.0"))
     assert cli._cache_key(scenario) != key
     monkeypatch.undo()
     assert cli._cache_key(scenario) == key
@@ -400,6 +486,40 @@ def test_exit_one_on_missing_scenario_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+IMPORT_GUARD = """
+import glob, sys
+import vacdrag, vacdrag.cli
+assert "numpy" not in sys.modules, "import vacdrag loaded numpy"
+assert set(vacdrag.__all__) <= set(dir(vacdrag)), set(vacdrag.__all__) - set(dir(vacdrag))
+assert {"rates", "quadrature", "specs"} <= set(dir(vacdrag))
+assert "numpy" not in sys.modules, "dir(vacdrag) loaded numpy"
+paths = sorted(glob.glob(sys.argv[1] + "/*.json"))
+assert len(paths) >= 10, paths
+for p in paths:
+    assert vacdrag.cli.main(["validate", "--scenario", p]) == 0, p
+assert "numpy" not in sys.modules, "validation loaded numpy"
+assert vacdrag.quadrature.QuadratureSpec is vacdrag.QuadratureSpec
+assert "numpy" in sys.modules
+vacdrag.rates._rate_spline.cache_clear()
+assert vacdrag.rate_surface is vacdrag.rates.rate_surface
+names = {}
+exec("from vacdrag import *", names)
+assert set(vacdrag.__all__) <= set(names), set(vacdrag.__all__) - set(names)
+print("ok")
+"""
+
+
+def test_validate_loads_no_numpy(scenarios_dir):
+    # a fresh interpreter: this one has numpy loaded already
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(scenarios_dir)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
 
 def test_python_dash_m_invocation(tmp_path):
     path = write_scenario(tmp_path, BASE_RATE)

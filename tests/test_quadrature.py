@@ -134,8 +134,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(k_max=-2.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(eta=-1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Excitation rates: free-space null, surface rate, distance sweep, finite time."""
 
+import json
 import math
 import re
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 import reference
+from vacdrag.greens import SurfaceGeometry, surface_green_coincident
 from vacdrag.kinematics import MotionFrame
-from vacdrag.medium import LorentzOscillator, SusceptibilityModel
-from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
+from vacdrag.medium import LorentzOscillator, SusceptibilityModel, load_model
+from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
+                                integrate_adaptive)
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
@@ -18,6 +21,7 @@ from vacdrag.rates import (
     rate_surface,
     rate_vs_distance,
 )
+from vacdrag.specs import check_rate_inputs
 
 LORENTZ = SusceptibilityModel(electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
                               label="single resonance")
@@ -153,6 +157,72 @@ def test_surface_rate_domain_validation():
         rate_surface(det(), frame, LORENTZ, QuadratureSpec())
     with pytest.raises(ValueError):
         rate_surface(det(z0=None), frame, LORENTZ, QUAD)
+
+
+def test_rate_input_checks_run_in_order():
+    frame, fast = MotionFrame(beta=0.0), MotionFrame(beta=0.5)
+    bare = QuadratureSpec()
+    # beta = 0 is the exact zero before any check
+    assert check_rate_inputs(det(z0=None), frame, LORENTZ, bare)
+    assert check_rate_inputs(det(z0=None), frame, LORENTZ, bare, finite_time=True)
+    with pytest.raises(ValueError, match="z0 is required"):
+        check_rate_inputs(det(z0=None), fast, LORENTZ, bare)
+    with pytest.raises(ValueError, match="k_max must be set"):
+        check_rate_inputs(det(), fast, LORENTZ, bare)
+    for finite_time in (False, True):
+        with pytest.raises(ValueError, match=r"exceed omega / \|beta\|"):
+            check_rate_inputs(det(), fast, LORENTZ, QuadratureSpec(k_max=0.15),
+                              finite_time=finite_time)
+    assert not check_rate_inputs(det(), fast, LORENTZ, QuadratureSpec(k_max=0.3))
+    with pytest.raises(ValueError, match=r"1\.8 omega / \|beta\|"):
+        check_rate_inputs(det(), fast, LORENTZ, QuadratureSpec(k_max=0.3),
+                          finite_time=True)
+    # a model with no terms: zero after the k_max checks for the rate, before
+    # them for the finite-time probability
+    with pytest.raises(ValueError, match="k_max must be set"):
+        check_rate_inputs(det(), fast, VACUUM, bare)
+    assert check_rate_inputs(det(), fast, VACUUM, QUAD)
+    assert check_rate_inputs(det(z0=None), fast, VACUUM, bare, finite_time=True)
+
+
+def test_rate_matches_reflected_green_route(scenarios_dir):
+    """Gamma = -(omega^2 / pi) int_{omega/|beta|}^{k_max} dk
+    kappa.Im G_R(kx = sgn(beta) k; omega).kappa, with G_R the coincident
+    surface Green function of greens (ky cut 48), reproduces rate_surface
+    for rate_surface.json at both signs of beta. With the Doppler sign
+    reversed, kx = -sgn(beta) k, the same integral is negative, an error
+    reciprocity_check holds by construction and cannot see."""
+    doc = json.loads((scenarios_dir / "rate_surface.json").read_text())
+    model = load_model(doc["model_file"])
+    d = doc["detector"]
+    detector = DetectorSpec(kappa=tuple(d["kappa"]), omega=d["omega"], z0=d["z0"])
+    k_max = doc["quad"]["k_max"]
+    kappa = np.array(detector.kappa)
+    omega = detector.omega
+
+    def green_route(frame, sign, rel_tol):
+        quad = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-18, k_max=48.0)
+        geom = SurfaceGeometry(detector.z0)
+        direction = sign * math.copysign(1.0, frame.beta)
+
+        def integrand(ks):
+            return np.array([
+                kappa @ np.asarray(surface_green_coincident(
+                    model, frame, geom, direction * k, omega, quad)).imag @ kappa
+                for k in ks])
+        res = integrate_adaptive(integrand, omega / abs(frame.beta), k_max,
+                                 QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-18))
+        assert res.converged
+        return -omega ** 2 / math.pi * res.value
+
+    for beta in (0.5, -0.5):
+        frame = MotionFrame(beta=beta)
+        rate = rate_surface(detector, frame, model, QuadratureSpec(
+            rel_tol=1e-9, abs_tol=1e-18, k_max=k_max))
+        assert rate.error_estimate < 1e-9 * rate.gamma
+        assert green_route(frame, 1.0, 1e-6) == pytest.approx(rate.gamma, rel=1e-8)
+    reversed_doppler = green_route(MotionFrame(beta=0.5), -1.0, 1e-2)
+    assert reversed_doppler < -0.5 * rate.gamma
 
 
 # ---------------------------------------------------------------------------
