@@ -15,7 +15,9 @@ functions of the run path import what only they use (the numeric modules,
 hashlib, datetime) and look the numeric functions up through their modules
 at call time. Validation applies the rate computations' own input check
 (`specs.check_rate_inputs`) to every rate a scenario computes, each sweep
-row included, so it rejects every rate input that `run` would reject.
+row included, so it rejects every rate input that `run` would reject, and
+the reflected-Green integrals' grazing check (`specs.check_not_grazing`) to
+a reciprocity check.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -34,8 +36,8 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_rate_inputs, load_model,
-                    model_to_dict)
+                    QuadratureSpec, check_not_grazing, check_rate_inputs,
+                    load_model, model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -226,8 +228,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         and all(_is_number(c) for c in p) for p in points)):
             errors.append("points: required nonempty list of [kx, ky, kz, omega]")
     if kind == "reciprocity-check":
-        _check_number(errors, doc, "kx")
-        _check_number(errors, doc, "omega")
+        kx = _check_number(errors, doc, "kx")
+        omega = _check_number(errors, doc, "omega")
+        if kx is not None and omega is not None:
+            try:
+                check_not_grazing(float(kx), float(omega))
+            except ValueError as exc:
+                errors.append(str(exc))
         for name in ("point_a", "point_b"):
             pt = _check_vector(errors, doc, name, 2)
             if pt is not None and not pt[1] > 0.0:

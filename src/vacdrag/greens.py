@@ -34,6 +34,7 @@ from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
                          integrate_adaptive, integrate_semi_infinite,
                          worst_component)
+from .specs import check_not_grazing
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -137,10 +138,10 @@ def _xi_vacuum(kpar2, omega):
 
 
 def _xi_medium(kpar2, eps, mu, omega):
-    """Medium-side decay constant with the branch continuous in the loss."""
+    """Medium-side decay constant with the branch continuous in the loss:
+    numpy's complex sqrt is the principal branch, Re >= 0."""
     rad = np.asarray(kpar2 - eps * mu * omega * omega, dtype=complex)
     out = np.sqrt(rad)
-    out = np.where(out.real < 0.0, -out, out)
     lossless_prop = (rad.imag == 0.0) & (rad.real < 0.0)
     if np.any(lossless_prop):
         out = np.where(lossless_prop,
@@ -293,8 +294,7 @@ def surface_green_coincident(model: SusceptibilityModel, frame: MotionFrame,
         raise ValueError("omega must be > 0")
     if quad.k_max is None:
         raise ValueError("quad.k_max must be set for the surface integral")
-    if abs(kx * kx - omega * omega) <= 1e-12 * max(kx * kx, omega * omega):
-        raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
+    check_not_grazing(kx, omega)
     reflected, _ = _reflected_green(model, frame, kx, omega,
                                     0.0, geom.z0, 0.0, geom.z0, quad)
     free_im = np.asarray(im_free_green_coincident(kx, omega))
@@ -352,6 +352,7 @@ def reciprocity_check(model: SusceptibilityModel, frame: MotionFrame,
     yb, zb = (float(c) for c in point_b)
     if not (za > 0.0 and zb > 0.0):
         raise ValueError("both points must lie above the surface")
+    check_not_grazing(float(kx), float(omega))
     reversed_frame = MotionFrame(beta=-frame.beta)
     m1, _ = _reflected_green(model, frame, kx, omega, yb, zb, ya, za, quad)
     m2, _ = _reflected_green(model, reversed_frame, -kx, omega, ya, za, yb, zb,

@@ -12,20 +12,25 @@ any number of components in front. Every component has its own stop test,
 err_c <= max(rel_tol |value_c|, abs_tol), so a component many decades below
 the others still meets the relative tolerance. Vector integrands give
 ndarray values and error estimates of the component shape; plain ones give
-a float or complex and a float. Subdivision order is fixed (worst panel
-first, leftmost on a tie) and the final sums run in spatial order, so
-repeated runs are bit-identical. Integrands are evaluated with
+a float or complex and a float.
+
+The loop bisects in sweeps. Each sweep ranks the panels worst first
+(leftmost on a tie), bisects the shortest prefix whose error must go for
+every component to meet its tolerance, and evaluates all the children in
+one integrand call, so an integrand sees 15 abscissae per child panel and
+a sweep costs one call however many panels it bisects. Each panel's sums
+over its 15 abscissae and the totals over the panels, which run
+sequentially in spatial order, are the same as in a one-panel-at-a-time
+loop, so repeated runs are bit-identical. Integrands are evaluated with
 floating-point warnings suppressed, and any non-finite result aborts with
-the offending location. QuadratureSpec and NonConvergenceError are defined
-in specs and re-exported here.
+the leftmost offending abscissa of the sweep. QuadratureSpec and
+NonConvergenceError are defined in specs and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from operator import itemgetter
 
 import numpy as np
 
@@ -104,15 +109,27 @@ def _eval(f, x):
 
 
 def _panel(f, a, b):
-    """Kronrod estimate and QUADPACK-style error bound, one per component."""
-    half = 0.5 * (b - a)
+    """Kronrod estimates and QUADPACK-style error bounds, one per component.
+
+    With float ends, of the panel [a, b]: shape (...). With ndarray ends, of
+    the panels [a_i, b_i], all from one integrand call on their 15 m
+    abscissae: shape (..., m), the component shape and then one entry per
+    panel.
+    """
+    width = b - a
+    half = 0.5 * width
     mid = 0.5 * (a + b)
-    y = _eval(f, mid + half * _NODES)
+    if np.ndim(a):
+        y = _eval(f, (mid[:, None] + half[:, None] * _NODES).ravel())
+        y = y.reshape(y.shape[:-1] + (a.size, 15))
+    else:
+        y = _eval(f, mid + half * _NODES)
     k15 = half * _sum(_W_KRONROD * y, axis=-1)
     g7 = half * _sum(_W_GAUSS * y, axis=-1)
-    resabs = abs(half) * _sum(_W_KRONROD * np.abs(y), axis=-1)
-    mean = k15 / (b - a)
-    resasc = abs(half) * _sum(_W_KRONROD * np.abs(y - mean[..., None]), axis=-1)
+    scale = abs(half)
+    resabs = scale * _sum(_W_KRONROD * np.abs(y), axis=-1)
+    mean = k15 / width
+    resasc = scale * _sum(_W_KRONROD * np.abs(y - mean[..., None]), axis=-1)
     err = np.abs(k15 - g7)
     # where resasc == 0 the integrand is constant and the floor below wins
     err = resasc * np.minimum(1.0, (200.0 * err / (resasc + (resasc == 0.0))) ** 1.5)
@@ -128,43 +145,72 @@ def _finish(value, err, evals, converged):
 
 
 def _adapt(f, a, b, spec):
-    """The adaptive loop: worst panel first, bisected, until every component
-    meets its own stop test or the panel budget runs out.
+    """The adaptive loop, in sweeps, until every component meets its own
+    stop test or the panel budget runs out.
 
-    Panels sit in a heap keyed on (-badness, left end): badness is the panel
-    error scaled per component by the tolerances of the first estimate, so a
-    one-component integrand bisects its largest-error panel, the leftmost on
-    a tie. Running totals drive the stop test; the returned value and error
-    are summed again in spatial order, so the bit pattern is reproducible.
+    The panels are kept in spatial order along the last axis, and after
+    each sweep their values and errors are summed sequentially in that
+    order. A sweep ranks the panels by badness, worst first and leftmost on
+    a tie (badness is the panel error scaled per component by the
+    tolerances of the first estimate), takes the shortest prefix whose
+    error must go for every component to meet its tolerance, capped so the
+    panel count stays within max_subdivisions, and bisects that prefix: all
+    its children in one integrand call. These are the panels the
+    one-at-a-time worst-first loop of QUADPACK bisects, unless a child
+    outranks a panel of its own prefix, and the spatial sums keep the bit
+    pattern reproducible.
     """
     value, err = _panel(f, a, b)
-    if np.ndim(value) == 0:
-        badness = float
-    else:
-        inv_scale = 1.0 / _tolerance(value, spec)
-
-        def badness(e):
-            return float((e * inv_scale).max())
-    heap = [(-badness(err), a, b, value, err)]
     evals = 15
+    budget = spec.max_subdivisions
+    n = 1
     while True:
-        if (err <= _tolerance(value, spec)).all() \
-                or len(heap) >= spec.max_subdivisions:
-            panels = sorted(heap, key=itemgetter(1))
-            value = sum(p[3] for p in panels)
-            err = sum(p[4] for p in panels)
-            converged = (err <= _tolerance(value, spec)).all()
-            if converged or len(heap) >= spec.max_subdivisions:
-                return value, err, evals, converged
-        _, pa, pb, pv, pe = heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lv, le = _panel(f, pa, pm)
-        rv, re = _panel(f, pm, pb)
-        heappush(heap, (-badness(le), pa, pm, lv, le))
-        heappush(heap, (-badness(re), pm, pb, rv, re))
-        value = value + (lv + rv - pv)
-        err = err + (le + re - pe)
-        evals += 30
+        tol = _tolerance(value, spec)
+        converged = (err <= tol).all()
+        if converged or n >= budget:
+            # 0.0 + turns a -0.0 total into 0.0, as a sum from zero would
+            return 0.0 + value, err, evals, converged
+        if n == 1:
+            inv_scale = 1.0 / tol[..., None]
+            m = 1
+            mid = 0.5 * (a + b)
+            ca, cb = np.array([a, mid]), np.array([mid, b])
+        else:
+            bad = errs if errs.ndim == 1 \
+                else (errs * inv_scale).reshape(-1, n).max(axis=0)
+            order = np.argsort(-bad, kind="stable")
+            # rest[i]: the error left once the n - 1 - i worst are bisected
+            rest = np.add.accumulate(errs[..., order[::-1]], axis=-1)
+            enough = (rest <= tol[..., None]).reshape(-1, n).all(axis=0)
+            m = min(n - int(np.count_nonzero(enough[:-1])), budget - n)
+            pick = np.sort(order[:m])
+            lo, hi = pa[pick], pb[pick]
+            mid = 0.5 * (lo + hi)
+            ca = np.repeat(lo, 2)
+            ca[1::2] = mid
+            cb = np.repeat(hi, 2)
+            cb[::2] = mid
+        cv, ce = _panel(f, ca, cb)
+        if m == n:
+            pa, pb, vals, errs = ca, cb, cv, ce
+        else:
+            # each parent's entry becomes its two children's, in place
+            reps = np.ones(n, dtype=np.intp)
+            reps[pick] = 2
+            left = pick + np.arange(m)
+            slots = np.repeat(left, 2)
+            slots[1::2] += 1
+            pa, pb = np.repeat(pa, reps), np.repeat(pb, reps)
+            pa[left + 1] = mid
+            pb[left] = mid
+            vals = np.repeat(vals, reps, axis=-1)
+            errs = np.repeat(errs, reps, axis=-1)
+            vals[..., slots] = cv
+            errs[..., slots] = ce
+        evals += 30 * m
+        n += m
+        value = np.add.accumulate(vals, axis=-1)[..., -1]
+        err = np.add.accumulate(errs, axis=-1)[..., -1]
 
 
 def integrate_adaptive(f, a, b, spec: QuadratureSpec) -> IntegralResult:

@@ -12,10 +12,11 @@ over k in (omega/|V|, k_max), ky folded over both signs. Only modes with
 k > omega/|V| see a negative comoving frequency and contribute; the domain
 is therefore entirely evanescent (xi real) and the k_max truncation is the
 caller's resolution knob, not an error source tracked here. Both
-polarization channels come out of one pass: each outer Kronrod panel
-evaluates chi once on its 15 k-nodes and runs a single vector ky integral
-of shape (2, 15) (s and p at every node), and each channel still meets its
-own tolerance.
+polarization channels come out of one pass: each sweep of the outer k
+integral evaluates chi once on the 15 k-nodes of every panel it bisects,
+and each of those panels runs a single vector ky integral of shape (2, 15)
+(s and p at every node), in which each channel still meets its own
+tolerance.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -94,12 +95,18 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
                          abs_tol=0.1 * quad.abs_tol)
 
     def outer(karr):
-        # (s, p) ky integrals for all k-nodes of an outer panel at once
+        # chi once on all k-nodes of a sweep, then one (s, p) ky integral
+        # per outer panel: its 15 k-nodes at once
         cap = frame.gamma * (speed * karr - omega)
-        eps = 1.0 + chi(model, "electric", cap)[:, None]
-        mu = 1.0 + chi(model, "magnetic", cap)[:, None]
-        k = karr[:, None]
+        eps_all = 1.0 + chi(model, "electric", cap)[:, None]
+        mu_all = 1.0 + chi(model, "magnetic", cap)[:, None]
+        out = np.empty((2, karr.size))
+        for j in range(0, karr.size, 15):
+            out[:, j:j + 15] = inner(karr[j:j + 15, None], eps_all[j:j + 15],
+                                     mu_all[j:j + 15])
+        return out
 
+    def inner(k, eps, mu):
         def density(ky):
             kpar2 = k * k + ky * ky
             xi = np.sqrt(kpar2 - omega * omega)
@@ -118,7 +125,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
             c, j = worst_component(res, inner_quad)
             raise NonConvergenceError(
                 f"ky integral for the {'sp'[c]} channel failed at "
-                f"k = {karr[j]:.6g}", residual=float(res.error_estimate[c, j]))
+                f"k = {k[j, 0]:.6g}", residual=float(res.error_estimate[c, j]))
         return res.value
 
     res = integrate_adaptive(outer, k_lo, quad.k_max, quad)

@@ -11,6 +11,8 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 `check_rate_inputs` is the one predicate that `rates.rate_surface`,
 `rates.finite_time_probability` and the scenario validator apply, so
 validation rejects exactly the rate inputs that a run rejects.
+`check_not_grazing` plays the same part for the reflected-Green integrals
+of `greens.surface_green_coincident` and `greens.reciprocity_check`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "NonConvergenceError",
     "QuadratureSpec",
     "SusceptibilityModel",
+    "check_not_grazing",
     "check_rate_inputs",
     "load_model",
     "lorentz_gamma",
@@ -160,6 +163,14 @@ def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
         raise ValueError("quad.k_max must exceed 1.8 omega / |beta| for the "
                          "finite-time window")
     return empty
+
+
+def check_not_grazing(kx: float, omega: float) -> None:
+    """Raise ValueError for a grazing mode, kx^2 = omega^2 to 1e-12
+    relative: there the light circle shrinks to ky = 0 and the reflected
+    ky integral is not integrable."""
+    if abs(kx * kx - omega * omega) <= 1e-12 * max(kx * kx, omega * omega):
+        raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
 
 
 def model_to_dict(model: SusceptibilityModel) -> dict:

@@ -127,6 +127,23 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, scenarios_dir,
     assert message == f"invalid scenario: {exc.value}\n"
 
 
+def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys,
+                                                   scenarios_dir):
+    doc = json.loads((scenarios_dir / "reciprocity_check.json").read_text())
+    doc["kx"] = doc["omega"]
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 1
+    message = capsys.readouterr().err
+    assert message == ("invalid scenario: grazing mode kx^2 = omega^2 "
+                       "is not integrable\n")
+    assert run_cli(["run", "--scenario", path]) == 1
+    assert capsys.readouterr().err == message
+    # the computation itself rejects it before any integrand is evaluated
+    with pytest.raises(ValueError) as exc:
+        run_scenario(cli.Scenario(kind=doc["kind"], doc=doc))
+    assert message == f"invalid scenario: {exc.value}\n"
+
+
 def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
     # rows -0.5, -1/6, 1/6, 0.5: the end points pass k_max = 0.5, the inner
     # rows need k_max > 0.6

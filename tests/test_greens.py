@@ -30,6 +30,11 @@ MAGNETIC = SusceptibilityModel(
     magnetic_terms=(LorentzOscillator(0.5, 2.0, 0.3),),
     label="magnetoelectric",
 )
+MAGNETIC_RESONANCE = SusceptibilityModel(
+    electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
+    magnetic_terms=(LorentzOscillator(0.4, 0.9, 0.1),),
+    label="magnetic resonance",
+)
 VACUUM = SusceptibilityModel(electric_terms=(), label="vacuum")
 REST = MotionFrame(beta=0.0)
 
@@ -154,6 +159,22 @@ def test_fresnel_rest_frame_matches_textbook_grid():
                 assert abs(rc.r11 - rs) < 1e-12 * max(1.0, abs(rs))
                 assert abs(rc.r22 - rp) < 1e-12 * max(1.0, abs(rp))
                 assert rc.r12 == 0.0 and rc.r21 == 0.0
+
+
+def test_fresnel_rest_frame_with_magnetic_response_matches_textbook_grid():
+    # mu != 1 enters r_s as mu xi and r_p only through xi_m
+    model = MAGNETIC_RESONANCE
+    largest_mu = 0.0
+    for kpar in np.geomspace(0.05, 20.0, 10):
+        for omega in np.geomspace(0.11, 4.7, 10):
+            eps = 1.0 + chi(model, "electric", float(omega))
+            mu = 1.0 + chi(model, "magnetic", float(omega))
+            largest_mu = max(largest_mu, abs(mu - 1.0))
+            rc = reflection_coefficients(model, REST, float(kpar), 0.0, float(omega))
+            rs, rp = reference.fresnel_textbook(eps, mu, float(kpar), float(omega))
+            assert abs(rc.r11 - rs) < 1e-12 * max(1.0, abs(rs))
+            assert abs(rc.r22 - rp) < 1e-12 * max(1.0, abs(rp))
+    assert largest_mu > 1.0
 
 
 def test_fresnel_vacuum_no_interface():
@@ -375,6 +396,12 @@ def test_reciprocity_vacuum_any_velocity():
     rep = reciprocity_check(VACUUM, frame, 2.0, 0.4, POINT_A, POINT_B, QUAD)
     assert rep.transpose_residual < 1e-12
     assert rep.naive_residual < 1e-12
+
+
+def test_reciprocity_check_rejects_grazing_mode():
+    with pytest.raises(ValueError, match="grazing"):
+        reciprocity_check(LORENTZ, MotionFrame(beta=0.5), 0.4, 0.4, POINT_A,
+                          POINT_B, QUAD)
 
 
 def test_reflected_green_evaluates_chi_once_per_call(monkeypatch):

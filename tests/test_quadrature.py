@@ -137,6 +137,84 @@ def test_spec_validation():
 
 
 # ---------------------------------------------------------------------------
+# batched bisection: one integrand call per sweep
+# ---------------------------------------------------------------------------
+
+def _peak(x):
+    return 1e-3 / (0.01 + (x - 0.7) ** 2)
+
+
+def _two_components(x):
+    return np.stack((1e3 * np.exp(-x) * np.sin(5.0 * x), _peak(x)))
+
+
+def _oscillating(x):
+    return np.sin(40.0 * x) ** 2 / (1e-4 + x ** 2)
+
+
+def test_one_integrand_call_per_sweep():
+    calls = []
+
+    def spy(x):
+        calls.append(x.size)
+        return _peak(x)
+
+    res = integrate_adaptive(spy, 0.0, 2.0, QuadratureSpec(rel_tol=1e-10,
+                                                          abs_tol=1e-30))
+    assert res.converged
+    assert sum(calls) == res.evaluations
+    assert all(size % 15 == 0 for size in calls)
+    assert len(calls) <= (res.evaluations // 15) / 2
+
+
+# evaluations of the one-panel-at-a-time worst-first loop on the same inputs
+SERIAL_EVALUATIONS = [
+    (_two_components, 0.0, 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30), 225),
+    (_oscillating, 0.0, 10.0, SPEC, 3855),
+    (np.exp, 0.0, 1.0, SPEC, 15),
+]
+
+
+@pytest.mark.parametrize("f, a, b, spec, serial", SERIAL_EVALUATIONS)
+def test_sweeps_evaluate_no_more_than_serial_bisection(f, a, b, spec, serial):
+    res = integrate_adaptive(f, a, b, spec)
+    assert res.converged
+    assert res.evaluations <= serial
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 7, 50])
+def test_starved_budget_never_exceeds_max_subdivisions(budget):
+    sizes = []
+
+    def spy(x):
+        sizes.append(x.size)
+        return _oscillating(x)
+
+    res = integrate_adaptive(spy, 0.0, 10.0, QuadratureSpec(max_subdivisions=budget))
+    assert not res.converged
+    # every bisected panel is replaced by two: one more panel per 30 abscissae
+    held = 1 + np.cumsum(sizes[1:]) // 30
+    assert (held <= budget).all()
+
+
+def test_nonfinite_value_reported_at_leftmost_abscissa_of_the_sweep():
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        y = _peak(x)
+        if len(seen) == 3:
+            y[x > 0.9] = np.nan
+        return y
+
+    with pytest.raises(ValueError) as exc:
+        integrate_adaptive(f, 0.0, 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30))
+    x = seen[-1]
+    assert len(seen) == 3 and x.size > 30
+    assert str(exc.value).endswith(f"x = {x[x > 0.9].min():.6g}")
+
+
+# ---------------------------------------------------------------------------
 # principal_value
 # ---------------------------------------------------------------------------
 

@@ -25,6 +25,10 @@ from vacdrag.specs import check_rate_inputs
 
 LORENTZ = SusceptibilityModel(electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
                               label="single resonance")
+MAGNETIC_RESONANCE = SusceptibilityModel(
+    electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
+    magnetic_terms=(LorentzOscillator(0.4, 0.9, 0.1),),
+    label="magnetic resonance")
 VACUUM = SusceptibilityModel(electric_terms=(), label="vacuum")
 KAPPA = (0.8, 0.3, 1.1)
 QUAD = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-16, k_max=50.0)
@@ -93,6 +97,18 @@ def test_surface_rate_matches_dense_grid_oracle():
     assert r.breakdown["p"] == pytest.approx(ref_parts["p"], rel=2e-4)
     assert r.k_lower == pytest.approx(0.2)
     assert r.k_max == 50.0
+
+
+def test_surface_rate_with_magnetic_response_matches_dense_grid_oracle():
+    # mu != 1 reaches the s channel through r_s = (mu xi - xi_m)/(mu xi + xi_m)
+    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-18, k_max=20.0)
+    r = rate_surface(det(), MotionFrame(beta=0.5), MAGNETIC_RESONANCE, quad)
+    _, ref_parts = reference.rate_surface_dense(
+        ((1.0, 1.0, 0.1),), ((0.4, 0.9, 0.1),), 0.5, KAPPA, 0.1, 1.0, 20.0,
+        ky_cut=25.0)
+    assert r.converged
+    for channel in ("s", "p"):
+        assert r.breakdown[channel] == pytest.approx(ref_parts[channel], rel=1e-5)
 
 
 def test_surface_rate_coupling_symmetry_and_scaling():
