@@ -10,14 +10,17 @@ package and numpy versions; unreadable cache entries are recomputed and
 rewritten, never trusted.
 
 Validation needs no numerics: at top level this module imports only the
-standard library and `specs`, so `vacdrag validate` never loads numpy. The
-functions of the run path import what only they use (the numeric modules,
-hashlib, datetime) and look the numeric functions up through their modules
-at call time. Validation applies the rate computations' own input check
-(`specs.check_rate_inputs`) to every rate a scenario computes, each sweep
-row included, so it rejects every rate input that `run` would reject, and
-the reflected-Green integrals' grazing check (`specs.check_not_grazing`) to
-a reciprocity check.
+standard library and `specs`, and the functions of the run path import what
+only they use (the numeric modules, hashlib, datetime) and look the numeric
+functions up through their modules at call time. Validation applies the
+computations' own input checks, the numpy-free predicates in `specs`, to
+every input a scenario computes, each sweep row included, so it rejects
+every input that `run` would reject: `check_rate_inputs` to every rate,
+`check_not_grazing` to a reciprocity check, `check_reflected_mode` to a
+Fresnel mode and every kx sweep row, `check_kk_frequency` to every kk-check
+frequency, `check_pole_pair` to every identity-check pair and
+`check_not_comoving` to every dissipation-check point. So `vacdrag
+validate` loads no numpy, except for the rows of a log-spaced kx sweep.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -36,8 +39,9 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_not_grazing, check_rate_inputs,
-                    load_model, model_to_dict)
+                    QuadratureSpec, check_kk_frequency, check_not_comoving,
+                    check_not_grazing, check_pole_pair, check_rate_inputs,
+                    check_reflected_mode, load_model, model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -228,13 +232,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         and all(_is_number(c) for c in p) for p in points)):
             errors.append("points: required nonempty list of [kx, ky, kz, omega]")
     if kind == "reciprocity-check":
-        kx = _check_number(errors, doc, "kx")
-        omega = _check_number(errors, doc, "omega")
-        if kx is not None and omega is not None:
-            try:
-                check_not_grazing(float(kx), float(omega))
-            except ValueError as exc:
-                errors.append(str(exc))
+        _check_number(errors, doc, "kx")
+        _check_number(errors, doc, "omega")
         for name in ("point_a", "point_b"):
             pt = _check_vector(errors, doc, name, 2)
             if pt is not None and not pt[1] > 0.0:
@@ -253,14 +252,40 @@ def scenario_from_dict(doc: dict) -> Scenario:
              "shift", "T")
     norm = {k: doc[k] for k in known if k in doc}
     scenario = Scenario(kind=kind, doc=norm)
-    # the rate computations' own input checks, on every rate the run computes
     try:
-        for det, frame in _rate_inputs(scenario):
-            check_rate_inputs(det, frame, model, scenario.quad(),
-                              finite_time=kind == "finite-time")
+        _check_inputs(scenario, model)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from None
     return scenario
+
+
+def _check_inputs(scenario: Scenario, model) -> None:
+    """The computations' own input checks, on every input the run computes
+    and in the order it computes them, so the first failure is the one run
+    reports."""
+    kind, doc = scenario.kind, scenario.doc
+    for det, frame in _rate_inputs(scenario):
+        check_rate_inputs(det, frame, model, scenario.quad(),
+                          finite_time=kind == "finite-time")
+    if kind == "fresnel":
+        check_reflected_mode(float(doc["kx"]), float(doc["ky"]), float(doc["omega"]))
+    elif kind == "sweep" and doc["sweep_axis"]["name"] == "kx":
+        # a log kx axis needs numpy's rows: the light cone may fall on one
+        for kx in _axis_values(doc["sweep_axis"]):
+            check_reflected_mode(kx, float(doc["ky"]), float(doc["omega"]))
+    elif kind == "kk-check" and doc["sweep_axis"].get("spacing", "lin") == "lin":
+        # (log rows are positive: a log axis needs min > 0)
+        for omega in _axis_values(doc["sweep_axis"]):
+            check_kk_frequency(omega)
+    elif kind == "identity-check":
+        for om, op in doc["pairs"]:
+            check_pole_pair(float(om), float(op))
+    elif kind == "dissipation-check":
+        beta = scenario.frame().beta
+        for kx, _, _, omega in doc["points"]:
+            check_not_comoving(beta, float(kx), float(omega))
+    elif kind == "reciprocity-check":
+        check_not_grazing(float(doc["kx"]), float(doc["omega"]))
 
 
 def _rate_inputs(scenario: Scenario) -> list:

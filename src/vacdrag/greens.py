@@ -34,7 +34,7 @@ from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
                          integrate_adaptive, integrate_semi_infinite,
                          worst_component)
-from .specs import check_not_grazing
+from .specs import check_not_comoving, check_not_grazing, check_reflected_mode
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -166,11 +166,8 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     basis (e_1, e_2) and the vacuum xi are returned for dyad assembly.
     """
     kx, ky, omega = float(kx), float(ky), float(omega)
+    check_reflected_mode(kx, ky, omega)
     kpar2 = kx * kx + ky * ky
-    if kpar2 == 0.0:
-        raise ValueError("normal incidence has no transverse basis")
-    if abs(kpar2 - omega * omega) <= 1e-12 * max(kpar2, omega * omega):
-        raise ValueError("mode lies on the light cone (xi = 0)")
     om_minus, _ = doppler(frame, omega, kx)
     eps = 1.0 + chi(model, "electric", om_minus)
     mu = 1.0 + chi(model, "magnetic", om_minus)
@@ -314,9 +311,8 @@ def green_dissipation_identity(model: SusceptibilityModel, frame: MotionFrame,
     del quad
     kx, omega = float(kx), float(omega)
     ky, kz = (float(c) for c in np.asarray(kvec, dtype=float))
+    check_not_comoving(frame.beta, kx, omega)
     cap_omega = omega - frame.beta * kx
-    if cap_omega == 0.0:
-        raise ValueError("comoving resonance: omega - V kx must be nonzero")
     gamma_omega = frame.gamma * cap_omega
 
     c_ee, c_bb, c_eb, c_be = (np.asarray(t) for t in

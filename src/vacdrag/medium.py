@@ -22,8 +22,8 @@ import numpy as np
 
 from .quadrature import integrate_semi_infinite, principal_value
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
-                    SusceptibilityModel, load_model, model_from_dict,
-                    model_to_dict)
+                    SusceptibilityModel, check_kk_frequency, check_pole_pair,
+                    load_model, model_from_dict, model_to_dict)
 
 __all__ = [
     "IdentityReport",
@@ -118,8 +118,7 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
     """
     terms = _terms(model, kind)
     omega = float(omega)
-    if not omega > 0.0:
-        raise ValueError("reconstruction frequency must be > 0")
+    check_kk_frequency(omega)
 
     def g(w):
         im = _chi_terms_array(terms, w).imag
@@ -151,11 +150,8 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     om = float(omega_minus)
     op = float(omega_plus_prime)
     a = float(numerator_shift)
-    if not (math.isfinite(om) and math.isfinite(op)):
-        raise ValueError("pole frequencies must be finite")
+    check_pole_pair(om, op)
     dm2 = om * om - op * op
-    if abs(dm2) <= 1e-9 * max(om * om, op * op, 1.0):
-        raise ValueError("pole frequencies are degenerate")
     terms = model.electric_terms
 
     chi_om = chi(model, "electric", om)

@@ -21,9 +21,21 @@ one integrand call, so an integrand sees 15 abscissae per child panel and
 a sweep costs one call however many panels it bisects. Each panel's sums
 over its 15 abscissae and the totals over the panels, which run
 sequentially in spatial order, are the same as in a one-panel-at-a-time
-loop, so repeated runs are bit-identical. Integrands are evaluated with
-floating-point warnings suppressed, and any non-finite result aborts with
-the leftmost offending abscissa of the sweep. QuadratureSpec and
+loop, so repeated runs are bit-identical.
+
+`integrate_adaptive(..., batch=m)` runs m independent integrals over one
+interval in lockstep, through the same loop: each keeps its own panels,
+per-component tolerances and max_subdivisions budget, and makes the
+bisections it would make alone, while one integrand call per sweep serves
+the children of all of them. An integral leaves the working set once it
+converges or runs out of budget. A batch integrand is called with one
+argument, the pair (x, member) of abscissae and the index of the integral
+each belongs to; a single integral is the loop with one member.
+
+Integrands are evaluated with floating-point warnings suppressed, and their
+values are taken in C order, so the panel sums run in one order whatever
+memory layout an integrand returns. Any non-finite result aborts with the
+leftmost offending abscissa of the sweep. QuadratureSpec and
 NonConvergenceError are defined in specs and re-exported here.
 """
 
@@ -76,12 +88,15 @@ _W_GAUSS[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1][:4]))
 @dataclass(frozen=True)
 class IntegralResult:
     """Value and error estimate: a float (or complex) for a plain integrand,
-    ndarrays of the component shape for a vector integrand."""
+    ndarrays of the component shape for a vector integrand. A batch of m
+    integrals gives ndarrays with a trailing axis of m on value and
+    error_estimate, and ndarrays of shape (m,) for evaluations and
+    converged."""
 
-    value: complex
-    error_estimate: float
-    evaluations: int
-    converged: bool
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
+    evaluations: int | np.ndarray
+    converged: bool | np.ndarray
 
 
 def _tolerance(value, spec):
@@ -95,32 +110,35 @@ def worst_component(result: IntegralResult, spec: QuadratureSpec) -> tuple:
     return np.unravel_index(np.argmax(ratio), np.shape(ratio))
 
 
-def _eval(f, x):
+def _eval(f, x, member=None):
     with np.errstate(all="ignore"):
-        y = np.asarray(f(x))
+        # C order fixes the order of the panel sums whatever layout f returns
+        y = np.ascontiguousarray(f(x if member is None else (x, member)))
     if y.shape[-1:] != x.shape:
         raise ValueError("integrand must return values of shape (..., n) "
                          "for n abscissae")
     if not np.isfinite(y).all():
         bad = ~np.isfinite(y).reshape(-1, x.size).all(axis=0)
-        where = float(x[np.argmax(bad)])
-        raise ValueError(f"integrand returned a non-finite value at x = {where:.6g}")
+        raise ValueError(f"integrand returned a non-finite value at "
+                         f"x = {float(x[bad].min()):.6g}")
     return y
 
 
-def _panel(f, a, b):
+def _panel(f, a, b, member=None):
     """Kronrod estimates and QUADPACK-style error bounds, one per component.
 
     With float ends, of the panel [a, b]: shape (...). With ndarray ends, of
     the panels [a_i, b_i], all from one integrand call on their 15 m
     abscissae: shape (..., m), the component shape and then one entry per
-    panel.
+    panel. With `member`, the batch member of each panel, the integrand is
+    called with the pair (abscissae, member of each abscissa).
     """
     width = b - a
     half = 0.5 * width
     mid = 0.5 * (a + b)
     if np.ndim(a):
-        y = _eval(f, (mid[:, None] + half[:, None] * _NODES).ravel())
+        x = (mid[:, None] + half[:, None] * _NODES).ravel()
+        y = _eval(f, x, None if member is None else np.repeat(member, 15))
         y = y.reshape(y.shape[:-1] + (a.size, 15))
     else:
         y = _eval(f, mid + half * _NODES)
@@ -144,55 +162,150 @@ def _finish(value, err, evals, converged):
     return IntegralResult(value, err, int(evals), bool(converged))
 
 
-def _adapt(f, a, b, spec):
-    """The adaptive loop, in sweeps, until every component meets its own
-    stop test or the panel budget runs out.
+def _rows(x, at, size, width):
+    """The entries of x (..., N) one integral to a row: entry q at flat
+    place at[q] of a zero array (..., size, width)."""
+    grid = np.zeros(x.shape[:-1] + (size * width,), dtype=x.dtype)
+    grid[..., at] = x
+    return grid.reshape(x.shape[:-1] + (size, width))
 
-    The panels are kept in spatial order along the last axis, and after
-    each sweep their values and errors are summed sequentially in that
-    order. A sweep ranks the panels by badness, worst first and leftmost on
-    a tie (badness is the panel error scaled per component by the
-    tolerances of the first estimate), takes the shortest prefix whose
-    error must go for every component to meet its tolerance, capped so the
-    panel count stays within max_subdivisions, and bisects that prefix: all
-    its children in one integrand call. These are the panels the
-    one-at-a-time worst-first loop of QUADPACK bisects, unless a child
-    outranks a panel of its own prefix, and the spatial sums keep the bit
-    pattern reproducible.
+
+def _sums(x, slot, col, counts, size):
+    """Each working integral's sum of its entries of x (..., N), sequential
+    in spatial order: shape (..., size)."""
+    if size == 1:
+        return np.add.accumulate(x, axis=-1)[..., -1:]
+    width = counts.max()
+    return np.add.accumulate(_rows(x, slot * width + col, size, width),
+                             axis=-1)[..., -1]
+
+
+def _split(errs, inv_scale, tol, slot, col, counts, budget):
+    """The panels to bisect in a sweep, as sorted places, and how many of
+    each working integral's.
+
+    Each integral's panels are ranked by badness, worst first and leftmost
+    on a tie, and its share is the shortest prefix whose error must go for
+    every component to meet its tolerance, capped by its budget. The error
+    a prefix leaves is an exact sequential sum, best panel first.
     """
-    value, err = _panel(f, a, b)
-    evals = 15
+    size, n = inv_scale.shape[-1], errs.shape[-1]
+    if errs.ndim > 1:
+        scale = inv_scale if size == 1 else inv_scale[..., slot]
+        bad = (errs * scale).reshape(-1, n).max(axis=0)
+    else:
+        bad = errs
+    if size == 1:
+        order = np.argsort(-bad, kind="stable")
+        # rest[i]: the error left once the n - 1 - i worst are bisected
+        rest = np.add.accumulate(errs[..., order[::-1]], axis=-1)
+        enough = (rest <= tol).reshape(-1, n).all(axis=0)
+        m = min(n - int(np.count_nonzero(enough[:-1])), budget - n)
+        return np.sort(order[:m]), m
+    # grouped by integral, so entry q of order has rank col[q] in its own;
+    # row g of rest: integral g's errors summed best first after zero pads
+    order = np.lexsort((-bad, slot))
+    width = counts.max()
+    rest = np.add.accumulate(
+        _rows(errs[..., order], slot * width + (width - 1 - col), size, width),
+        axis=-1)
+    enough = (rest <= tol[..., None]).reshape(-1, size, width).all(axis=0)
+    split = np.minimum(width - np.count_nonzero(enough[:, :-1], axis=1),
+                       budget - counts)
+    return np.sort(order[col < split[slot]]), split
+
+
+def _adapt(f, a, b, spec, batch=None):
+    """The adaptive loop, in sweeps, until every component of every
+    integral meets its own stop test or the integral's panel budget runs
+    out.
+
+    With batch=None, f is one integral over [a, b]. With batch=m, f holds m
+    independent integrals over [a, b], which advance in lockstep: a sweep
+    bisects each working integral's share of panels (see _split) and
+    evaluates all their children in one call of f, and an integral leaves
+    the working set once it converges or its budget runs out.
+
+    The panels sit in flat arrays, grouped by integral and in spatial order
+    within each, and each integral's values and errors are summed
+    sequentially in that order. Badness scales a panel's error per
+    component by the tolerances of its integral's first estimate. So an
+    integral makes the same bisections and gives the same bits alone or in
+    a batch. These are the panels the one-at-a-time worst-first loop of
+    QUADPACK bisects, unless a child outranks a panel of its own prefix.
+    """
     budget = spec.max_subdivisions
-    n = 1
-    while True:
+    if batch is None:
+        # one integral: its first panel with float ends, the cheapest call
+        value, err = _panel(f, a, b)
         tol = _tolerance(value, spec)
         converged = (err <= tol).all()
-        if converged or n >= budget:
+        if converged or budget <= 1:
             # 0.0 + turns a -0.0 total into 0.0, as a sum from zero would
-            return 0.0 + value, err, evals, converged
-        if n == 1:
-            inv_scale = 1.0 / tol[..., None]
-            m = 1
+            return 0.0 + value, err, 15, converged
+        value, err, tol = value[..., None], err[..., None], tol[..., None]
+        size = 1
+        # no slots or places: a working set of one sums and ranks its
+        # panels directly (_sums, _split), without the per-integral rows.
+        # Run as a batch of one, green-checks, all single integrals, read
+        # 22% more op_s (10/10 pairs)
+        ids = slot = col = counts = None
+    else:
+        size = batch
+        # the integral in each working slot; each panel's slot and its
+        # place among its integral's panels; each integral's panel count
+        ids = slot = np.arange(size)
+        col = np.zeros(size, dtype=np.intp)
+        counts = np.ones(size, dtype=np.intp)
+        pa, pb = np.full(size, a), np.full(size, b)
+        value, err = _panel(f, pa, pb, ids)
+        tol = _tolerance(value, spec)
+    vals, errs, inv_scale = value, err, 1.0 / tol
+    while True:
+        if batch is not None:
+            ok = (err <= tol).reshape(-1, size).all(axis=0)
+            done = ok | (counts >= budget)
+            if done.any():
+                if size == batch:
+                    out = (np.empty_like(value), np.empty_like(err),
+                           np.empty(batch, dtype=np.intp),
+                           np.empty(batch, dtype=bool))
+                gone = ids[done]
+                out[0][..., gone] = 0.0 + value[..., done]
+                out[1][..., gone] = err[..., done]
+                out[2][gone] = 30 * counts[done] - 15
+                out[3][gone] = ok[done]
+                if done.all():
+                    return out
+                live = ~done
+                keep = live[slot]
+                slot = (np.cumsum(live) - 1)[slot[keep]]
+                pa, pb, col = pa[keep], pb[keep], col[keep]
+                vals, errs = vals[..., keep], errs[..., keep]
+                ids, counts = ids[live], counts[live]
+                tol, inv_scale = tol[..., live], inv_scale[..., live]
+                size = ids.size
+        n = errs.shape[-1]
+        if n == size:
+            # the first sweep: each integral halves its one panel [a, b]
+            pick, split, m = slice(None), 1, n
             mid = 0.5 * (a + b)
-            ca, cb = np.array([a, mid]), np.array([mid, b])
+            ca, cb = np.array([a, mid] * n), np.array([mid, b] * n)
         else:
-            bad = errs if errs.ndim == 1 \
-                else (errs * inv_scale).reshape(-1, n).max(axis=0)
-            order = np.argsort(-bad, kind="stable")
-            # rest[i]: the error left once the n - 1 - i worst are bisected
-            rest = np.add.accumulate(errs[..., order[::-1]], axis=-1)
-            enough = (rest <= tol[..., None]).reshape(-1, n).all(axis=0)
-            m = min(n - int(np.count_nonzero(enough[:-1])), budget - n)
-            pick = np.sort(order[:m])
+            pick, split = _split(errs, inv_scale, tol, slot, col, counts, budget)
+            m = pick.size
             lo, hi = pa[pick], pb[pick]
             mid = 0.5 * (lo + hi)
             ca = np.repeat(lo, 2)
             ca[1::2] = mid
             cb = np.repeat(hi, 2)
             cb[::2] = mid
-        cv, ce = _panel(f, ca, cb)
+        cv, ce = _panel(f, ca, cb,
+                        None if batch is None else np.repeat(ids[slot[pick]], 2))
         if m == n:
             pa, pb, vals, errs = ca, cb, cv, ce
+            if batch is not None:
+                slot = np.repeat(slot, 2)
         else:
             # each parent's entry becomes its two children's, in place
             reps = np.ones(n, dtype=np.intp)
@@ -207,20 +320,44 @@ def _adapt(f, a, b, spec):
             errs = np.repeat(errs, reps, axis=-1)
             vals[..., slots] = cv
             errs[..., slots] = ce
-        evals += 30 * m
+            if batch is not None:
+                slot = np.repeat(slot, reps)
         n += m
-        value = np.add.accumulate(vals, axis=-1)[..., -1]
-        err = np.add.accumulate(errs, axis=-1)[..., -1]
+        if size > 1:
+            counts += split
+            col = np.arange(n) - (np.cumsum(counts) - counts)[slot]
+        elif batch is not None:
+            counts[0] = n       # a lone integral needs no places
+        value = _sums(vals, slot, col, counts, size)
+        err = _sums(errs, slot, col, counts, size)
+        tol = _tolerance(value, spec)
+        if batch is None:
+            converged = (err <= tol).all()
+            if converged or n >= budget:
+                return 0.0 + value[..., 0], err[..., 0], 30 * n - 15, converged
 
 
-def integrate_adaptive(f, a, b, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over the finite interval [a, b] to spec tolerances."""
+def integrate_adaptive(f, a, b, spec: QuadratureSpec,
+                       batch: int | None = None) -> IntegralResult:
+    """Integrate f over the finite interval [a, b] to spec tolerances.
+
+    With batch=m, f holds m independent integrals over [a, b] that advance
+    in lockstep: it is called with one argument, the pair (x, member), and
+    returns (..., n) values, column j belonging to integral member[j] at
+    x[j]. The result then has ndarrays of shape (..., m) for value and
+    error_estimate and of shape (m,) for evaluations and converged, each
+    entry as integrating that member alone would give.
+    """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration limits must be finite")
     if not a < b:
         raise ValueError("require a < b")
-    return _finish(*_adapt(f, a, b, spec))
+    if batch is None:
+        return _finish(*_adapt(f, a, b, spec))
+    if not (isinstance(batch, (int, np.integer)) and batch >= 1):
+        raise ValueError("batch must be a positive integer")
+    return IntegralResult(*_adapt(f, a, b, spec, int(batch)))
 
 
 def principal_value(f, pole, a, b, spec: QuadratureSpec,

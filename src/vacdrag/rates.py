@@ -14,9 +14,11 @@ is therefore entirely evanescent (xi real) and the k_max truncation is the
 caller's resolution knob, not an error source tracked here. Both
 polarization channels come out of one pass: each sweep of the outer k
 integral evaluates chi once on the 15 k-nodes of every panel it bisects,
-and each of those panels runs a single vector ky integral of shape (2, 15)
-(s and p at every node), in which each channel still meets its own
-tolerance.
+and all those panels' ky integrals run as one lockstep batch
+(`integrate_adaptive(..., batch=m)`), one member per outer panel with
+components (2, 15), s and p at every node. Each member still bisects, and
+each channel still meets its tolerance, as a lone integral would, while one
+density call per sweep serves the whole batch.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -95,38 +97,39 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
                          abs_tol=0.1 * quad.abs_tol)
 
     def outer(karr):
-        # chi once on all k-nodes of a sweep, then one (s, p) ky integral
-        # per outer panel: its 15 k-nodes at once
+        # chi once on all k-nodes of a sweep, then one lockstep batch of
+        # (s, p) ky integrals: one member per outer panel, its 15 k-nodes
         cap = frame.gamma * (speed * karr - omega)
-        eps_all = 1.0 + chi(model, "electric", cap)[:, None]
-        mu_all = 1.0 + chi(model, "magnetic", cap)[:, None]
-        out = np.empty((2, karr.size))
-        for j in range(0, karr.size, 15):
-            out[:, j:j + 15] = inner(karr[j:j + 15, None], eps_all[j:j + 15],
-                                     mu_all[j:j + 15])
-        return out
+        k = karr.reshape(-1, 15).T
+        eps = (1.0 + chi(model, "electric", cap)).reshape(-1, 15).T
+        mu = (1.0 + chi(model, "magnetic", cap)).reshape(-1, 15).T
 
-    def inner(k, eps, mu):
-        def density(ky):
-            kpar2 = k * k + ky * ky
+        def density(arg):
+            # np.take gives C-order (15, n) arrays: no copy in quadrature
+            ky, member = arg
+            kn = np.take(k, member, axis=1)
+            kpar2 = kn * kn + ky * ky
             xi = np.sqrt(kpar2 - omega * omega)
-            xim = _xi_medium(kpar2, eps, mu, omega)
-            rs, rp = _fresnel_amplitudes(eps, mu, xi, xim)
-            fold_s = ((kx_c * ky + ky_c * k) ** 2
-                      + (-kx_c * ky + ky_c * k) ** 2) / kpar2
-            fold_p = (xi * xi * ((kx_c * k - ky_c * ky) ** 2
-                                 + (kx_c * k + ky_c * ky) ** 2)
+            e, m = np.take(eps, member, axis=1), np.take(mu, member, axis=1)
+            xim = _xi_medium(kpar2, e, m, omega)
+            rs, rp = _fresnel_amplitudes(e, m, xi, xim)
+            fold_s = ((kx_c * ky + ky_c * kn) ** 2
+                      + (-kx_c * ky + ky_c * kn) ** 2) / kpar2
+            fold_p = (xi * xi * ((kx_c * kn - ky_c * ky) ** 2
+                                 + (kx_c * kn + ky_c * ky) ** 2)
                       + 2.0 * kz_c ** 2 * kpar2 ** 2) / (kpar2 * omega ** 2)
             weight = np.exp(-2.0 * xi * z0) / xi / (2.0 * math.pi) ** 2
             return np.stack((weight * fold_s * rs.imag, weight * fold_p * rp.imag))
 
-        res = integrate_adaptive(density, 0.0, ky_cut, inner_quad)
-        if not res.converged:
-            c, j = worst_component(res, inner_quad)
+        res = integrate_adaptive(density, 0.0, ky_cut, inner_quad,
+                                 batch=k.shape[1])
+        if not res.converged.all():
+            c, j, i = worst_component(res, inner_quad)
             raise NonConvergenceError(
                 f"ky integral for the {'sp'[c]} channel failed at "
-                f"k = {k[j, 0]:.6g}", residual=float(res.error_estimate[c, j]))
-        return res.value
+                f"k = {k[j, i]:.6g}", residual=float(res.error_estimate[c, j, i]))
+        # (2, 15, panels) -> (2, nodes), the nodes of each panel together
+        return res.value.transpose(0, 2, 1).reshape(2, -1)
 
     res = integrate_adaptive(outer, k_lo, quad.k_max, quad)
     g_s, g_p = (float(v) for v in omega ** 2 * res.value)

@@ -173,6 +173,43 @@ def check_not_grazing(kx: float, omega: float) -> None:
         raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
 
 
+def check_reflected_mode(kx: float, ky: float, omega: float) -> None:
+    """Raise ValueError for a lab-frame mode whose reflection amplitudes are
+    undefined: normal incidence, which has no transverse basis, or a mode on
+    the light cone, kx^2 + ky^2 = omega^2 to 1e-12 relative (xi = 0)."""
+    kpar2 = kx * kx + ky * ky
+    if kpar2 == 0.0:
+        raise ValueError("normal incidence has no transverse basis")
+    if abs(kpar2 - omega * omega) <= 1e-12 * max(kpar2, omega * omega):
+        raise ValueError("mode lies on the light cone (xi = 0)")
+
+
+def check_kk_frequency(omega: float) -> None:
+    """Raise ValueError unless the Kramers-Kronig reconstruction frequency
+    is > 0: the dispersion integral runs over the positive axis."""
+    if not omega > 0.0:
+        raise ValueError("reconstruction frequency must be > 0")
+
+
+def check_pole_pair(omega_minus: float, omega_plus: float) -> None:
+    """Raise ValueError for pole frequencies of the two-pole identity that
+    are not finite or are degenerate, omega_minus^2 = omega_plus^2 to 1e-9
+    relative (the identity divides by their difference)."""
+    if not (math.isfinite(omega_minus) and math.isfinite(omega_plus)):
+        raise ValueError("pole frequencies must be finite")
+    dm2 = omega_minus * omega_minus - omega_plus * omega_plus
+    if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
+                              omega_plus * omega_plus, 1.0):
+        raise ValueError("pole frequencies are degenerate")
+
+
+def check_not_comoving(beta: float, kx: float, omega: float) -> None:
+    """Raise ValueError at the comoving resonance omega = V kx, where the
+    dissipation identity's prefactor gamma (omega - V kx) vanishes."""
+    if omega - beta * kx == 0.0:
+        raise ValueError("comoving resonance: omega - V kx must be nonzero")
+
+
 def model_to_dict(model: SusceptibilityModel) -> dict:
     def pack(terms):
         return [{"plasma_strength": t.plasma_strength, "resonance": t.resonance,

@@ -144,6 +144,42 @@ def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys,
     assert message == f"invalid scenario: {exc.value}\n"
 
 
+# Bundled scenarios of the other kinds, changed (by update) to an input that
+# the computation rejects, with the message it rejects it with.
+KIND_REJECTS = [
+    ("fresnel.json", {"kx": 0.3, "ky": 0.4, "omega": 0.5},
+     "mode lies on the light cone (xi = 0)"),
+    ("kk_check.json", {"sweep_axis": {"name": "omega", "min": -1.0, "max": 1.0,
+                                      "count": 5}},
+     "reconstruction frequency must be > 0"),
+    ("identity_check.json", {"pairs": [[0.7, 1.3], [0.7, 0.7]]},
+     "pole frequencies are degenerate"),
+    ("dissipation_check.json", {"frame": {"beta": 0.5},
+                                "points": [[0.8, 0.3, 0.5, 1.1],
+                                           [0.8, 0.3, 0.5, 0.4]]},
+     "comoving resonance: omega - V kx must be nonzero"),
+    ("sweep_kx.json", {"ky": 0.0, "omega": 3.0},    # the last row, kx = 3
+     "mode lies on the light cone (xi = 0)"),
+    # a log axis, whose rows validate takes from numpy: the last, kx = 0.3
+    ("sweep_kx.json", {"ky": 0.4, "omega": 0.5,
+                       "sweep_axis": {"name": "kx", "min": 0.1, "max": 0.3,
+                                      "count": 3, "spacing": "log"}},
+     "mode lies on the light cone (xi = 0)"),
+]
+
+
+@pytest.mark.parametrize("name, update, reason", KIND_REJECTS)
+def test_validate_rejects_what_each_kind_rejects(tmp_path, capsys, scenarios_dir,
+                                                 name, update, reason):
+    doc = dict(json.loads((scenarios_dir / name).read_text()), **update)
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 1
+    message = capsys.readouterr().err
+    assert message == f"invalid scenario: {reason}\n"
+    assert run_cli(["run", "--scenario", path]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
     # rows -0.5, -1/6, 1/6, 0.5: the end points pass k_max = 0.5, the inner
     # rows need k_max > 0.6

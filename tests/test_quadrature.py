@@ -14,6 +14,7 @@ import reference
 from vacdrag.quadrature import (
     IntegralResult,
     QuadratureSpec,
+    _split,
     integrate_adaptive,
     integrate_semi_infinite,
     principal_value,
@@ -212,6 +213,137 @@ def test_nonfinite_value_reported_at_leftmost_abscissa_of_the_sweep():
     x = seen[-1]
     assert len(seen) == 3 and x.size > 30
     assert str(exc.value).endswith(f"x = {x[x > 0.9].min():.6g}")
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: integrate_adaptive(..., batch=m)
+# ---------------------------------------------------------------------------
+
+# member j: (a_j x^2, its own peak of width w_j at p_j); the parabola is
+# exact for the rule, the peak sets how many sweeps the member needs
+A = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+P = np.array([0.7, 0.2, 1.3, 1.9, 1.0])
+W = np.array([1e-2, 3e-3, 5.0, 1e-4, 1e-1])
+
+
+def _members(arg):
+    x, j = arg
+    return np.stack((A[j] * x * x, 1e-3 / (W[j] + (x - P[j]) ** 2)))
+
+
+def _member(j):
+    return lambda x: _members((x, j))
+
+
+def _members_fortran(arg):
+    # the same values in the other memory layout, components contiguous
+    return np.asfortranarray(_members(arg))
+
+
+TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
+
+
+@pytest.mark.parametrize("members", [_members, _members_fortran])
+def test_batch_members_match_lone_integrals(members):
+    batch = integrate_adaptive(members, 0.0, 2.0, TIGHT, batch=A.size)
+    assert batch.value.shape == batch.error_estimate.shape == (2, A.size)
+    assert batch.evaluations.shape == batch.converged.shape == (A.size,)
+    # ndarrays, not an int and a bool: callers test batch.converged.all()
+    assert isinstance(batch.converged, np.ndarray)
+    assert isinstance(batch.evaluations, np.ndarray)
+    for j in range(A.size):
+        alone = integrate_adaptive(_member(j), 0.0, 2.0, TIGHT)
+        assert type(alone.converged) is bool and type(alone.evaluations) is int
+        assert np.array_equal(batch.value[:, j], alone.value)
+        assert np.array_equal(batch.error_estimate[:, j], alone.error_estimate)
+        assert batch.evaluations[j] == alone.evaluations
+        assert batch.converged[j] == alone.converged
+    # the members do differ: one panel for the broad peak, many for the narrow
+    assert batch.evaluations[2] < batch.evaluations[1] < batch.evaluations[3]
+
+
+def test_batch_makes_one_integrand_call_per_sweep():
+    calls = []
+
+    def spy(arg):
+        calls.append(arg[1].copy())
+        return _members(arg)
+
+    res = integrate_adaptive(spy, 0.0, 2.0, TIGHT, batch=A.size)
+    sweeps = []
+    for j in range(A.size):
+        lone = []
+
+        def lone_spy(x, f=_member(j)):
+            lone.append(x.size)
+            return f(x)
+
+        integrate_adaptive(lone_spy, 0.0, 2.0, TIGHT)
+        sweeps.append(len(lone))
+    # the batch lasts as long as its slowest member, one call a sweep
+    assert len(calls) == max(sweeps)
+    for j in range(A.size):
+        # member j is in the first sweeps[j] calls and in no later one
+        assert sum(np.count_nonzero(c == j) for c in calls) == res.evaluations[j]
+        assert all((c == j).any() for c in calls[:sweeps[j]])
+        assert not any((c == j).any() for c in calls[sweeps[j]:])
+
+
+def test_batch_member_starved_alone_while_the_others_converge():
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30, max_subdivisions=6)
+    res = integrate_adaptive(_members, 0.0, 2.0, spec, batch=A.size)
+    assert res.converged.tolist() == [False, False, True, False, True]
+    # a starved member holds at most its own budget of panels
+    assert (res.evaluations <= 15 + 30 * (6 - 1)).all()
+    for j in range(A.size):
+        alone = integrate_adaptive(_member(j), 0.0, 2.0, spec)
+        assert res.converged[j] == alone.converged
+        assert res.evaluations[j] == alone.evaluations
+        assert np.array_equal(res.value[:, j], alone.value)
+
+
+def test_batch_nonfinite_value_reported_at_leftmost_abscissa():
+    seen = []
+
+    def f(arg):
+        x, j = arg
+        seen.append((x.copy(), j.copy()))
+        y = _members(arg)
+        if len(seen) == 3:
+            # member 0 comes first in the call, member 1 lies further left
+            y[:, (j == 0) & (x > 1.5)] = np.inf
+            y[:, (j == 1) & (x > 0.9)] = np.nan
+        return y
+
+    with pytest.raises(ValueError) as exc:
+        integrate_adaptive(f, 0.0, 2.0, TIGHT, batch=2)
+    x, j = seen[-1]
+    assert len(seen) == 3 and ((j == 0) & (x > 1.5)).any()
+    leftmost = x[(j == 1) & (x > 0.9)].min()
+    assert leftmost < x[(j == 0) & (x > 1.5)].min()
+    assert str(exc.value).endswith(f"x = {leftmost:.6g}")
+
+
+def test_prefix_error_is_an_exact_sum_best_first():
+    # each of two integrals: one panel of error 1 and three of 5e-17 against
+    # a tolerance of 1.2e-16. The three add to 1.5e-16, so the worst panel
+    # alone is not enough: the worst two go. A running total from the worst
+    # panel absorbs them (1 + 5e-17 == 1) and would bisect one.
+    errs = np.array([5e-17, 1.0, 5e-17, 5e-17] * 2)
+    slot, col = np.repeat([0, 1], 4), np.tile(np.arange(4), 2)
+    tol = np.full(2, 1.2e-16)
+    pick, split = _split(errs, 1.0 / tol, tol, slot, col, np.array([4, 4]), 50)
+    assert pick.tolist() == [0, 1, 4, 5] and split.tolist() == [2, 2]
+    # the one-integral path agrees
+    pick, split = _split(errs[:4], 1.0 / tol[:1], tol[:1], slot[:4], col[:4],
+                         np.array([4]), 50)
+    assert pick.tolist() == [0, 1] and split == 2
+
+
+@pytest.mark.parametrize("batch", [0, -1, 2.0])
+def test_batch_must_be_a_positive_integer(batch):
+    with pytest.raises(ValueError, match="batch"):
+        integrate_adaptive(_members, 0.0, 2.0, SPEC, batch=batch)
 
 
 # ---------------------------------------------------------------------------
