@@ -4,10 +4,10 @@ The free-space tensor is closed form in k-space. The half-space enters
 through reflection coefficients: rest-frame Fresnel amplitudes evaluated at
 the Doppler-shifted frequency gamma (omega - beta kx) while the wave equation
 keeps the lab frequency (the first-order-in-velocity scheme), with the
-polarization-mixing off-diagonal amplitudes dropped at the same order. The
-reflected coincident-point tensor takes one ky integral per segment of the
-ky axis, all nine dyad entries at once, with the light-cone circle handled
-by substitutions that cancel the 1/xi edge factor analytically. Two
+polarization-mixing off-diagonal amplitudes dropped at the same order. A
+reflected Green function integrates the closed-form dyad over ky segments:
+plain, light-circle substitutions that cancel the 1/xi edge factor, a 1/u
+tail; every segment a check needs is a member of one lockstep batch. Two
 structural checks live here as operations: the k-space dissipation identity
 relating G W G-dagger to the anti-Hermitian part of G, and the
 velocity-reversal transpose relation that replaces reciprocity for moving
@@ -32,7 +32,7 @@ import numpy as np
 from .kinematics import MotionFrame, doppler, moving_susceptibility_tensors
 from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
-                         integrate_adaptive, integrate_semi_infinite,
+                         _semi_infinite_split, _tail_map, integrate_adaptive,
                          worst_component)
 from .specs import check_not_comoving, check_not_grazing, check_reflected_mode
 from .tensors import ComplexTensor3
@@ -74,7 +74,7 @@ class ReflectionCoefficients:
     xi: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DissipationReport:
     lhs: ComplexTensor3
     rhs: ComplexTensor3
@@ -82,7 +82,7 @@ class DissipationReport:
     relative_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReciprocityReport:
     transpose_residual: float
     naive_residual: float
@@ -126,15 +126,9 @@ def im_free_green_coincident(kx: float, omega: float) -> ComplexTensor3:
 def _xi_vacuum(kpar2, omega):
     """Vacuum decay constant, vectorized; retarded branch in the propagating
     sector (outgoing wave for the sign of omega)."""
-    kpar2 = np.asarray(kpar2, dtype=float)
-    rad = kpar2 - omega * omega
-    xi = np.where(rad >= 0.0, np.sqrt(np.abs(rad)), 0.0) + 0j
-    prop = rad < 0.0
-    if np.any(prop):
-        xi = np.where(prop,
-                      -1j * math.copysign(1.0, omega) * np.sqrt(np.abs(rad)),
-                      xi)
-    return xi
+    rad = np.asarray(kpar2, dtype=float) - omega * omega
+    root = np.sqrt(np.abs(rad))
+    return np.where(rad >= 0.0, root + 0j, -1j * np.copysign(1.0, omega) * root)
 
 
 def _xi_medium(kpar2, eps, mu, omega):
@@ -145,7 +139,7 @@ def _xi_medium(kpar2, eps, mu, omega):
     lossless_prop = (rad.imag == 0.0) & (rad.real < 0.0)
     if np.any(lossless_prop):
         out = np.where(lossless_prop,
-                       -1j * math.copysign(1.0, omega) * np.sqrt(np.abs(rad.real)),
+                       -1j * np.copysign(1.0, omega) * np.sqrt(np.abs(rad.real)),
                        out)
     return out
 
@@ -183,99 +177,126 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
 
 
 def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
-    """Reflected dyad folded over +-ky: (3, 3, n) complex.
+    """Reflected dyad folded over +-ky, every argument broadcast: (3, 3, ...).
 
     `eps` and `mu` are the medium's responses at the Doppler frequency of
-    (kx, omega), which the caller evaluates once. `xi` is supplied by the
-    caller so the light-circle substitutions can pass the exact transformed
-    value; the dyad row index carries e(+i xi), the column e(-i xi).
+    (kx, omega); `xi` comes from the caller, so the light-circle
+    substitutions can pass the exact value. At one sign of ky the dyad
+    r_s e_1 e_1 + r_p e_2(+i xi) e_2(-i xi) is, with a = r_s / kpar^2,
+    p = r_p / omega^2, b = xi^2 p / kpar^2 and c = i xi p,
+
+        [[a ky^2 + b kx^2,  (b - a) kx ky,    -c kx    ],
+         [(b - a) kx ky,    a kx^2 + b ky^2,  -c ky    ],
+         [c kx,             c ky,             p kpar^2 ]]
+
+    times e^(i ky dy - xi zsum) / (4 pi xi). Over +-ky, the entries even in
+    ky fold to 2 cos(ky dy) and the odd ones to 2i sin(ky dy).
     """
     kpar2 = kx * kx + ky * ky
-    kpar = np.sqrt(kpar2)
-    xim = _xi_medium(kpar2, eps, mu, omega)
-    rs, rp = _fresnel_amplitudes(eps, mu, xi, xim)
+    rs, rp = _fresnel_amplitudes(eps, mu, xi, _xi_medium(kpar2, eps, mu, omega))
     weight = np.exp(-xi * zsum) / (2.0 * xi) / (2.0 * math.pi)
-    phase = np.exp(1j * ky * dy)
-    out = np.zeros((3, 3, ky.size), dtype=complex)
-    wz = 1j * xi
-    for sgn, ph in ((1.0, phase), (-1.0, np.conj(phase))):
-        kyv = sgn * ky
-        e1 = np.stack([kyv, -kx * np.ones_like(ky), np.zeros_like(ky)]) / kpar
-        e2u = np.stack([wz * kx, wz * kyv, -kpar2 + 0j]) / (kpar * omega)
-        e2d = np.stack([-wz * kx, -wz * kyv, -kpar2 + 0j]) / (kpar * omega)
-        dyad = (np.einsum("in,jn->ijn", e1 + 0j, e1 + 0j) * rs
-                + np.einsum("in,jn->ijn", e2u, e2d) * rp)
-        out += dyad * (weight * ph)
+    even, odd = 2.0 * weight * np.cos(ky * dy), 2j * weight * np.sin(ky * dy)
+    a, p = rs / kpar2, rp / (omega * omega)
+    b, c = xi * xi * p / kpar2, 1j * xi * p
+    out = np.empty((3, 3) + even.shape, dtype=complex)
+    out[0, 0] = (a * ky * ky + b * kx * kx) * even
+    out[1, 1] = (a * kx * kx + b * ky * ky) * even
+    out[0, 1] = out[1, 0] = (b - a) * kx * ky * odd
+    out[2, 2] = p * kpar2 * even
+    out[2, 0], out[2, 1] = c * kx * even, c * ky * odd
+    out[0, 2], out[1, 2] = -out[2, 0], -out[2, 1]
     return out
 
 
-def _reflected_green(model, frame, kx, omega, y, z, yprime, zprime,
-                     quad: QuadratureSpec):
-    """ky-integral of the reflected dyad between two points above the surface."""
-    dy = y - yprime
-    zsum = z + zprime
+# The kinds of ky segment: ky itself, the 1/u tail (_semi_infinite_split),
+# and the substitutions inside and outside the light circle ky = kc.
+PLAIN, TAIL, INSIDE, OUTSIDE = range(4)
+_SEGMENT = ("plain", "tail", "inside", "outside")
+
+
+def _segment_ky(kind, x, kc2):
+    """ky and |dky/dx| at the variable x of ky segments of the given kinds:
+    x on a plain segment, 1/x on the tail (1/x^2), and sqrt(kc^2 -+ x^2)
+    inside and outside the light circle (x/ky), where xi = -i sign(omega) x
+    or x and the Jacobian cancels the 1/xi edge factor."""
+    circle, tail = kind >= INSIDE, kind == TAIL
+    inverse, u2 = _tail_map(x)
+    ky = np.where(circle, np.sqrt(kc2 + np.where(kind == INSIDE, -x * x, x * x)),
+                  np.where(tail, inverse, x))
+    return ky, np.where(circle, x / ky, np.where(tail, 1.0 / u2, 1.0))
+
+
+def _reflected_green(model, requests, quad: QuadratureSpec):
+    """ky integrals of the reflected dyad between two points above the
+    surface: a (3x3 matrix, error estimate) per request (frame, kx, omega,
+    dy = y - y', zsum = z + z'). Every ky segment of every request, [a, b]
+    mapped onto [0, 1] by x = a + (b - a) t, is one member of one lockstep
+    batch, with its own tolerances and budget; one dyad call per sweep.
+    """
     k_max = quad.k_max
-    sgn_om = math.copysign(1.0, omega)
-    om_minus, _ = doppler(frame, omega, kx)
-    eps = 1.0 + chi(model, "electric", om_minus)
-    mu = 1.0 + chi(model, "magnetic", om_minus)
-
-    def f_plain(ky):
-        xi = _xi_vacuum(kx * kx + ky * ky, omega)
-        return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum)
-
-    segments = []   # (callable returning (3,3,n), a, b, semi_infinite_flag)
-    circle_sq = omega * omega - kx * kx
-    if circle_sq > 0.0:
-        kc = math.sqrt(circle_sq)
-        if k_max is not None and k_max <= kc:
-            raise ValueError("quad.k_max truncates inside the light circle")
-
-        def f_inside(q):
-            # ky = sqrt(kc^2 - q^2), xi = -i sign(omega) q, jacobian q/ky
-            ky = np.sqrt(kc * kc - q * q)
-            xi = -1j * sgn_om * q
-            return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum) * (q / ky)
-
-        def f_outside(t):
-            # ky = sqrt(kc^2 + t^2), xi = t, jacobian t/ky
-            ky = np.sqrt(kc * kc + t * t)
-            xi = t + 0j
-            return _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum) * (t / ky)
-
-        outer_edge = 2.0 * kc if k_max is None else min(2.0 * kc, k_max)
-        segments.append((f_plain, 0.0, 0.5 * kc, False))
-        segments.append((f_inside, 0.0, 0.5 * math.sqrt(3.0) * kc, False))
-        segments.append((f_outside, 0.0,
-                         math.sqrt(outer_edge ** 2 - kc * kc), False))
+    params, members = [], []    # per request; (request, kind, a, b)
+    where = [f"kx = {kx:.6g}, beta = {frame.beta:.6g}" for frame, kx, *_ in requests]
+    for r, (frame, kx, omega, dy, zsum) in enumerate(requests):
+        om_minus, _ = doppler(frame, omega, kx)
+        eps = 1.0 + chi(model, "electric", om_minus)
+        mu = 1.0 + chi(model, "magnetic", om_minus)
+        circle_sq = omega * omega - kx * kx
+        params.append((eps, mu, kx, omega, dy, zsum, max(circle_sq, 0.0)))
+        edge = 0.0
+        if circle_sq > 0.0:
+            kc = math.sqrt(circle_sq)
+            if k_max is not None and k_max <= kc:
+                raise ValueError("quad.k_max truncates inside the light circle")
+            edge = 2.0 * kc if k_max is None else min(2.0 * kc, k_max)
+            members += [(r, PLAIN, 0.0, 0.5 * kc),
+                        (r, INSIDE, 0.0, 0.5 * math.sqrt(3.0) * kc),
+                        (r, OUTSIDE, 0.0, math.sqrt(edge ** 2 - kc * kc))]
         if k_max is None:
-            segments.append((f_plain, outer_edge, math.inf, True))
-        elif outer_edge < k_max:
-            segments.append((f_plain, outer_edge, k_max, False))
-    else:
-        if k_max is None:
-            segments.append((f_plain, 0.0, math.inf, True))
-        else:
-            segments.append((f_plain, 0.0, k_max, False))
+            s, grows = _semi_infinite_split(lambda ky: _dyad_pair(
+                eps, mu, kx, omega, ky, _xi_vacuum(kx * kx + ky * ky, omega),
+                dy, zsum), edge, quad)
+            if grows:
+                raise NonConvergenceError(f"reflected Green tail grows at "
+                                          f"{where[r]}, ky > {s:.6g}", math.inf)
+            members += [(r, PLAIN, edge, s), (r, TAIL, 0.0, 1.0 / s)]
+        elif edge < k_max:
+            members.append((r, PLAIN, edge, k_max))
+    table = np.array([params[r] + (a, b - a, kind) for r, kind, a, b in members],
+                     dtype=complex).T
 
-    total = np.zeros((3, 3), dtype=complex)
-    err = 0.0
-    for func, a, b, semi in segments:
-        def entries(x, func=func):
-            return func(x).reshape(9, -1)
-        if semi:
-            res = integrate_semi_infinite(entries, a, quad)
-        else:
-            res = integrate_adaptive(entries, a, b, quad)
-        if not res.converged:
-            (worst,) = worst_component(res, quad)
-            i, j = divmod(int(worst), 3)
-            raise NonConvergenceError(
-                f"reflected Green entry ({i},{j}) did not converge",
-                residual=float(res.error_estimate[worst]))
-        total += res.value.reshape(3, 3)
-        err += float(np.sum(res.error_estimate))
-    return total, err
+    def g(arg):
+        t, member = arg     # np.take gathers each abscissa's parameters
+        col = np.take(table, member, axis=1)
+        kx, omega, dy, zsum, kc2, a, width, kind = col[2:].real
+        x = a + width * t
+        ky, jac = _segment_ky(kind, x, kc2)
+        xi = np.where(kind == OUTSIDE, x + 0j,
+                      np.where(kind == INSIDE, -1j * np.copysign(1.0, omega) * x,
+                               _xi_vacuum(kx * kx + ky * ky, omega)))
+        out = _dyad_pair(col[0], col[1], kx, omega, ky, xi, dy, zsum)
+        out *= width * jac
+        bad = ~np.isfinite(out)
+        if bad.any():
+            q = np.flatnonzero(bad.any(axis=(0, 1)))[0]
+            (i, j), (r, seg) = np.argwhere(bad[..., q])[0], members[member[q]][:2]
+            raise ValueError(f"reflected Green entry ({i},{j}) is not finite at "
+                             f"{where[r]}, {_SEGMENT[seg]} segment, ky = {ky[q]:.6g}")
+        return out
+
+    res = integrate_adaptive(g, 0.0, 1.0, quad, batch=len(members))
+    if not res.converged.all():
+        i, j, m = worst_component(res, quad)
+        r, kind, a, b = members[m]
+        with np.errstate(all="ignore"):
+            ky = _segment_ky(np.full(2, kind), np.array([a, b]), params[r][-1])[0]
+        raise NonConvergenceError(
+            f"reflected Green entry ({i},{j}) did not converge at {where[r]}, "
+            f"{_SEGMENT[kind]} segment, ky in [{ky.min():.6g}, {ky.max():.6g}]",
+            residual=float(res.error_estimate[i, j, m]))
+    owner = np.array([m[0] for m in members])
+    return [(res.value[..., owner == r].sum(axis=-1),
+             float(res.error_estimate[..., owner == r].sum()))
+            for r in range(len(requests))]
 
 
 def surface_green_coincident(model: SusceptibilityModel, frame: MotionFrame,
@@ -292,8 +313,8 @@ def surface_green_coincident(model: SusceptibilityModel, frame: MotionFrame,
     if quad.k_max is None:
         raise ValueError("quad.k_max must be set for the surface integral")
     check_not_grazing(kx, omega)
-    reflected, _ = _reflected_green(model, frame, kx, omega,
-                                    0.0, geom.z0, 0.0, geom.z0, quad)
+    ((reflected, _),) = _reflected_green(
+        model, [(frame, kx, omega, 0.0, 2.0 * geom.z0)], quad)
     free_im = np.asarray(im_free_green_coincident(kx, omega))
     return ComplexTensor3(reflected + 1j * free_im)
 
@@ -349,11 +370,11 @@ def reciprocity_check(model: SusceptibilityModel, frame: MotionFrame,
     if not (za > 0.0 and zb > 0.0):
         raise ValueError("both points must lie above the surface")
     check_not_grazing(float(kx), float(omega))
-    reversed_frame = MotionFrame(beta=-frame.beta)
-    m1, _ = _reflected_green(model, frame, kx, omega, yb, zb, ya, za, quad)
-    m2, _ = _reflected_green(model, reversed_frame, -kx, omega, ya, za, yb, zb,
-                             quad)
-    m3, _ = _reflected_green(model, frame, -kx, omega, ya, za, yb, zb, quad)
+    # one batch: G(kx; b, a; V), G(-kx; a, b; -V) and G(-kx; a, b; V)
+    (m1, _), (m2, _), (m3, _) = _reflected_green(
+        model, [(frame, kx, omega, yb - ya, zb + za),
+                (MotionFrame(beta=-frame.beta), -kx, omega, ya - yb, za + zb),
+                (frame, -kx, omega, ya - yb, za + zb)], quad)
     scale = max(float(np.max(np.abs(m1))), float(np.max(np.abs(m2))), 1e-300)
     transpose = float(np.max(np.abs(m1.T - m2))) / scale
     naive = float(np.max(np.abs(m1.T - m3))) / scale

@@ -392,14 +392,11 @@ def principal_value(f, pole, a, b, spec: QuadratureSpec,
     return _finish(value, err, evals, all(p[3] for p in parts))
 
 
-def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over [a, infinity) assuming decay beyond spec.tail_switch.
-
-    The head is integrated directly; the tail is mapped by x -> 1/u. A cheap
-    pre-pass checks that x^2 |f| is not growing far out; if it is, in any
-    component, the tail is not integrable at this precision and the result
-    is flagged unconverged.
-    """
+def _semi_infinite_split(f, a, spec):
+    """(s, grows) for f over [a, infinity): the head [a, s] is integrated
+    directly and the tail mapped onto (0, 1/s] by _tail_map; grows says a
+    cheap pre-pass finds x^2 |f| growing far out, in some component, so the
+    tail is not integrable at this precision."""
     a = float(a)
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -412,12 +409,30 @@ def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
         weight = np.abs(y) * probes ** 2
     grows = not np.isfinite(weight).all() or \
         (weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any()
-    head = _adapt(f, a, s, spec)
+    return s, bool(grows)
+
+
+def _tail_map(u):
+    """x = 1/u on the tail of _semi_infinite_split, and u^2 = |du/dx|."""
+    return 1.0 / u, u ** 2
+
+
+def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
+    """Integrate f over [a, infinity) assuming decay beyond spec.tail_switch.
+
+    The head is integrated directly; the tail is mapped by x -> 1/u. A cheap
+    pre-pass checks that x^2 |f| is not growing far out; if it is, in any
+    component, the tail is not integrable at this precision and the result
+    is flagged unconverged.
+    """
+    s, grows = _semi_infinite_split(f, a, spec)
+    head = _adapt(f, float(a), s, spec)
     if grows:
         return _finish(head[0], head[1] + math.inf, head[2] + 4, False)
 
     def tail(u):
-        return f(1.0 / u) / u ** 2
+        x, u2 = _tail_map(u)
+        return f(x) / u2
 
     tl = _adapt(tail, 0.0, 1.0 / s, spec)
     return _finish(head[0] + tl[0], head[1] + tl[1], head[2] + tl[2] + 4,

@@ -8,16 +8,19 @@ __all__ = ["ComplexTensor3"]
 
 
 class ComplexTensor3:
-    """Immutable 3x3 complex tensor with Hermitian decomposition helpers."""
+    """Immutable 3x3 complex tensor, kept as bytes, with Hermitian helpers."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_data",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=complex)
+        arr = np.asarray(entries, dtype=complex)
         if arr.shape != (3, 3):
             raise ValueError("entries must form a 3x3 tensor")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_data", arr.tobytes())
+
+    @property
+    def entries(self):
+        return np.frombuffer(self._data, dtype=complex).reshape(3, 3)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexTensor3 is immutable")

@@ -222,25 +222,21 @@ def moving_chi_tensors_spectral(e_terms, b_terms, beta, omega_lab, kx):
 
 
 # ---------------------------------------------------------------------------
-# Dense-grid reflected surface Green function (beta = 0, evanescent kx)
+# Dense-grid reflected surface Green function (beta = 0)
 # ---------------------------------------------------------------------------
 
-def reflected_green_dense(eps, mu, kx, omega, z0, kcut, n=200_001):
-    """ky-integral of the reflected dyad on a dense fixed grid, beta = 0.
-
-    Valid for |kx| > |omega| (no propagating sector). Uses the textbook
-    Fresnel amplitudes and explicit polarization dyads; mu0 = c = 1.
-    """
-    ky = np.linspace(0.0, kcut, n)[1:]  # skip ky = 0 only to dodge 0/0 at kx=0
+def _reflected_dyad_folded(eps, mu, kx, omega, ky, xi, z0):
+    """Reflected dyad summed over +-ky at coincident points, with the 1/xi
+    weight: shape (3, 3, n). Textbook Fresnel amplitudes and explicit
+    polarization dyads."""
     kpar2 = kx ** 2 + ky ** 2
-    xi = np.sqrt(kpar2 - omega ** 2)
     xim = np.sqrt(kpar2 - eps * mu * omega ** 2 + 0j)
     if np.any(xim.real < 0):
         raise ValueError("branch")
     rs = (mu * xi - xim) / (mu * xi + xim)
     rp = (eps * xi - xim) / (eps * xi + xim)
     kpar = np.sqrt(kpar2)
-    out = np.zeros((3, 3), dtype=complex)
+    out = 0.0
     for sgn in (+1.0, -1.0):
         kyv = sgn * ky
         e1 = np.stack([kyv, -kx * np.ones_like(ky), np.zeros_like(ky)]) / kpar
@@ -253,9 +249,39 @@ def reflected_green_dense(eps, mu, kx, omega, z0, kcut, n=200_001):
 
         dyad = (np.einsum("in,jn->ijn", e1, e1) * rs
                 + np.einsum("in,jn->ijn", e2(wz_up), e2(wz_dn)) * rp)
-        weight = np.exp(-2.0 * xi * z0) / (2.0 * xi) / (2 * np.pi)
-        out += np.trapezoid(dyad * weight, ky, axis=-1)
+        out = out + dyad * (np.exp(-2.0 * xi * z0) / (2.0 * xi) / (2 * np.pi))
     return out
+
+
+def reflected_green_dense(eps, mu, kx, omega, z0, kcut, n=200_001):
+    """ky-integral of the reflected dyad on a dense fixed grid, beta = 0
+    (or a moving medium, given eps and mu at the Doppler frequency).
+
+    For |kx| > omega (no propagating sector) the trapezoid rule runs on
+    ky in (0, kcut], omitting its first cell: an O(h) bias. For |kx| < omega
+    the light circle kc = sqrt(omega^2 - kx^2) is taken by the angle maps
+    ky = kc sin(theta) below it and ky = kc cosh(phi) above it, which turn
+    the edge factor 1/xi into a smooth one, each range with the midpoint
+    rule on n cells: an O(h^2) bias. mu0 = c = 1.
+    """
+    if abs(kx) < omega:
+        kc = np.sqrt(omega ** 2 - kx ** 2)
+        out = np.zeros((3, 3), dtype=complex)
+        for top, ky_of, dky_of, xi_of in (
+                (0.5 * np.pi, np.sin, np.cos, lambda a: -1j * kc * np.cos(a)),
+                (np.arccosh(kcut / kc), np.cosh, np.sinh,
+                 lambda a: kc * np.sinh(a) + 0j)):
+            step = top / n
+            angle = step * (np.arange(n) + 0.5)
+            ky = kc * ky_of(angle)
+            f = _reflected_dyad_folded(eps, mu, kx, omega, ky, xi_of(angle), z0)
+            jac = kc * dky_of(angle)
+            out += step * np.sum(f * jac, axis=-1)
+        return out
+    ky = np.linspace(0.0, kcut, n)[1:]  # skip ky = 0 only to dodge 0/0 at kx=0
+    xi = np.sqrt(kx ** 2 + ky ** 2 - omega ** 2)
+    return np.trapezoid(_reflected_dyad_folded(eps, mu, kx, omega, ky, xi, z0),
+                        ky, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Dyadic Green functions: free space, half-space reflection, identity checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,72 @@ def test_surface_green_starved_budget_names_entry():
                                  starved)
 
 
+def semi_infinite_matches_dense_grid(model, frame, kx, omega, z0, n, order):
+    """_reflected_green with k_max=None at coincident points against the
+    dense grid cut at ky = 40, where exp(-2 xi z0) < 1e-20; Richardson in the
+    step cancels the grid's O(h^order) bias."""
+    from vacdrag import greens
+    ((got, _),) = greens._reflected_green(
+        model, [(frame, kx, omega, 0.0, 2.0 * z0)], QuadratureSpec(k_max=None))
+    om_minus = frame.gamma * (omega - frame.beta * kx)
+    eps = 1.0 + chi(model, "electric", om_minus)
+    mu = 1.0 + chi(model, "magnetic", om_minus)
+    ref_h = reference.reflected_green_dense(eps, mu, kx, omega, z0, 40.0, n=n)
+    ref_h2 = reference.reflected_green_dense(eps, mu, kx, omega, z0, 40.0,
+                                             n=2 * n - 1 if order == 1 else 2 * n)
+    ref = (2 ** order * ref_h2 - ref_h) / (2 ** order - 1)
+    assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def test_semi_infinite_green_inside_light_circle_matches_dense_grid():
+    # plain, inside, outside, head and 1/u tail segments; moving, mu != 1
+    semi_infinite_matches_dense_grid(MAGNETIC_RESONANCE, MotionFrame(beta=0.5),
+                                     -0.4, 1.0, 0.7, 5_000, 2)
+
+
+def test_semi_infinite_green_outside_light_circle_matches_dense_grid():
+    # head [0, tail_switch] and the 1/u tail only
+    semi_infinite_matches_dense_grid(LORENTZ, REST, 1.3, 0.9, 0.7, 50_001, 1)
+
+
+def test_reflected_green_starved_budget_names_request_segment_and_ky():
+    starved = QuadratureSpec(max_subdivisions=1)
+    with pytest.raises(NonConvergenceError) as err:
+        reciprocity_check(LORENTZ, MotionFrame(beta=0.5), 0.3, 1.0, POINT_A,
+                          POINT_B, starved)
+    kc = math.sqrt(1.0 - 0.3 ** 2)
+    # the segment's own ky range, not the mapped t in [0, 1]
+    ranges = {"plain": [(0.0, 0.5 * kc), (2.0 * kc, 10.0)],
+              "inside": [(0.5 * kc, kc)], "outside": [(kc, 2.0 * kc)],
+              "tail": [(10.0, math.inf)]}
+    found = re.fullmatch(r"reflected Green entry \([0-2],[0-2]\) did not converge "
+                         r"at kx = (-?0\.3), beta = (-?0\.5), (\w+) segment, "
+                         r"ky in \[(\S+), (\S+)\]", str(err.value))
+    assert found, str(err.value)
+    ky_range = (float(found[4]), float(found[5]))
+    assert any(ky_range == pytest.approx(r, abs=1e-5) for r in ranges[found[3]])
+
+
+def test_reflected_green_non_finite_value_names_request_segment_and_ky(monkeypatch):
+    from vacdrag import greens
+    original = greens._fresnel_amplitudes
+
+    def nan_at_xi_25_to_30(eps, mu, xi, xim):
+        rs, rp = original(eps, mu, xi, xim)
+        return np.where((xi.real > 25.0) & (xi.real < 30.0), np.nan, rs), rp
+    monkeypatch.setattr(greens, "_fresnel_amplitudes", nan_at_xi_25_to_30)
+    with pytest.raises(ValueError) as err:
+        greens._reflected_green(LORENTZ, [(MotionFrame(beta=0.5), 2.0, 1.0, 0.0,
+                                           2.0)], QuadratureSpec())
+    found = re.fullmatch(r"reflected Green entry \(([0-2]),([0-2])\) is not finite "
+                         r"at kx = 2, beta = 0\.5, tail segment, ky = (\S+)",
+                         str(err.value))
+    assert found, str(err.value)
+    # r_s enters the upper-left 2x2 block only, at a ky where 25 < xi < 30
+    assert int(found[1]) < 2 and int(found[2]) < 2
+    assert 25.0 ** 2 < float(found[3]) ** 2 + 2.0 ** 2 - 1.0 < 30.0 ** 2
+
+
 def test_surface_green_requires_cutoff_and_positive_height():
     with pytest.raises(ValueError):
         surface_green_coincident(LORENTZ, REST, SurfaceGeometry(z0=1.0), 1.5, 1.0,
@@ -404,6 +471,24 @@ def test_reciprocity_check_rejects_grazing_mode():
                           POINT_B, QUAD)
 
 
+def test_reciprocity_batch_equals_three_lone_green_functions():
+    # each Green function of the check is a set of members of one batch; a
+    # member makes the bisections, and so gives the bits, it makes alone
+    from vacdrag import greens
+    frame = MotionFrame(beta=0.5)
+    for kx, k_max in ((0.3, 40.0), (0.3, None), (2.0, None)):
+        quad = QuadratureSpec(rel_tol=1e-6, k_max=k_max)
+        requests = [(frame, kx, 1.0, 0.4, 1.9),
+                    (MotionFrame(beta=-0.5), -kx, 1.0, -0.4, 1.9),
+                    (frame, -kx, 1.0, -0.4, 1.9)]
+        batch = greens._reflected_green(MAGNETIC, requests, quad)
+        for request, (value, err) in zip(requests, batch):
+            ((alone, err_alone),) = greens._reflected_green(MAGNETIC, [request],
+                                                            quad)
+            assert np.array_equal(value, alone)
+            assert err == err_alone
+
+
 def test_reflected_green_evaluates_chi_once_per_call(monkeypatch):
     from vacdrag import greens
 
@@ -417,5 +502,11 @@ def test_reflected_green_evaluates_chi_once_per_call(monkeypatch):
     frame = MotionFrame(beta=0.5)
     for kx in (0.3, 2.0):     # inside and outside the light circle
         calls.clear()
-        greens._reflected_green(LORENTZ, frame, kx, 1.0, 0.0, 1.0, 0.0, 1.0, quad)
+        greens._reflected_green(LORENTZ, [(frame, kx, 1.0, 0.0, 2.0)], quad)
         assert sorted(calls) == ["electric", "magnetic"]
+    # a reciprocity check: one batch of three Green functions, chi once per
+    # kind for each
+    for kx in (0.3, 2.0):
+        calls.clear()
+        reciprocity_check(LORENTZ, frame, kx, 1.0, POINT_A, POINT_B, quad)
+        assert sorted(calls) == ["electric"] * 3 + ["magnetic"] * 3

@@ -60,3 +60,26 @@ def test_traced_rate_surface_reaches_the_inner_integrals():
     assert hooks.counts["rates.inner_integrals"] > 0
     assert "rates.density" in hooks.names
     assert hooks.name.count(hooks.names.index("rates.density")) > 0
+
+
+def test_traced_reciprocity_check_is_one_reflected_green_call():
+    """A reciprocity check runs its three Green functions as one batch: one
+    `_reflected_green` span per check, under which the dyad and its kernels
+    are still seen."""
+    tracer = load_tracer()
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        rep = vacdrag.greens.reciprocity_check(
+            load_model("bundled:lorentz_dielectric"), MotionFrame(beta=0.5),
+            0.3, 1.0, (0.0, 0.8), (0.4, 1.1), QuadratureSpec(rel_tol=1e-6))
+    finally:
+        hooks.uninstall()
+    assert rep.transpose_residual < 1e-6
+    arrays = hooks.arrays()
+    table = tracer.span_table(arrays["names"], arrays["name"], arrays["parent"],
+                              arrays["start"], arrays["end"])
+    metrics = tracer.layer_metrics(table, hooks.counts, hooks.absent)
+    assert metrics["greens.reflected_green_calls"]["value"] == 1
+    assert metrics["greens.dyad_calls"]["value"] > 0
+    assert metrics["greens.kernel_calls"]["value"] > 0
