@@ -28,7 +28,10 @@ interval in lockstep, through the same loop: each keeps its own panels,
 per-component tolerances and max_subdivisions budget, and makes the
 bisections it would make alone, while one integrand call per sweep serves
 the children of all of them. An integral leaves the working set once it
-converges or runs out of budget. A batch integrand is called with one
+converges or runs out of budget, or unconverged when a panel it must
+bisect is at the width floor, its ends within 1000 eps of its midpoint,
+where the outer abscissae of its halves could round onto their ends (an
+integrand singular at an end). A batch integrand is called with one
 argument, the pair (x, member) of abscissae and the index of the integral
 each belongs to; a single integral is the loop with one member.
 
@@ -59,7 +62,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_TINY_RESABS = np.finfo(float).tiny / (50.0 * _EPS)
+_TINY = np.finfo(float).tiny
+_TINY_RESABS = _TINY / (50.0 * _EPS)
 _sum = np.add.reduce
 
 # 15-point Kronrod abscissae (positive half) with the embedded 7-point Gauss
@@ -215,10 +219,21 @@ def _split(errs, inv_scale, tol, slot, col, counts, budget):
     return np.sort(order[col < split[slot]]), split
 
 
+def _at_floor(lo, hi):
+    """Whether the panels [lo, hi] are too narrow to bisect: their ends lie
+    within 1000 eps of their midpoint, or the panels are near the bottom of
+    the normal range. This is QUADPACK's test with 1000 eps for its 100
+    eps: the outer abscissae of a half sit 0.0043 of its width inside its
+    ends, and this keeps them more than an ulp and a rounded midpoint away.
+    Near zero, where floats are dense, a panel shrinks far below eps."""
+    mid = np.abs(0.5 * (lo + hi)) + 1000.0 * _TINY
+    return np.maximum(np.abs(lo), np.abs(hi)) <= (1.0 + 1000.0 * _EPS) * mid
+
+
 def _adapt(f, a, b, spec, batch=None):
     """The adaptive loop, in sweeps, until every component of every
-    integral meets its own stop test or the integral's panel budget runs
-    out.
+    integral meets its own stop test, or the integral's panel budget runs
+    out or a panel it must bisect is at the width floor.
 
     With batch=None, f is one integral over [a, b]. With batch=m, f holds m
     independent integrals over [a, b], which advance in lockstep: a sweep
@@ -235,6 +250,11 @@ def _adapt(f, a, b, spec, batch=None):
     QUADPACK bisects, unless a child outranks a panel of its own prefix.
     """
     budget = spec.max_subdivisions
+    # a panel at the floor (_at_floor) is at most 2000 (eps max(|a|, |b|) +
+    # tiny) wide, and after s sweeps no panel is narrower than about
+    # (b - a) / 2^s, so the sweeps before `deep` need not look for one
+    floor = 2000.0 * (_EPS * max(abs(a), abs(b)) + _TINY)
+    deep, level = math.log2((b - a) / floor) - 1.0, 0
     if batch is None:
         # one integral: its first panel with float ends, the cheapest call
         value, err = _panel(f, a, b)
@@ -257,6 +277,7 @@ def _adapt(f, a, b, spec, batch=None):
         ids = slot = np.arange(size)
         col = np.zeros(size, dtype=np.intp)
         counts = np.ones(size, dtype=np.intp)
+        stuck = np.zeros(size, dtype=bool)
         pa, pb = np.full(size, a), np.full(size, b)
         value, err = _panel(f, pa, pb, ids)
         tol = _tolerance(value, spec)
@@ -264,7 +285,7 @@ def _adapt(f, a, b, spec, batch=None):
     while True:
         if batch is not None:
             ok = (err <= tol).reshape(-1, size).all(axis=0)
-            done = ok | (counts >= budget)
+            done = ok | (counts >= budget) | stuck
             if done.any():
                 if size == batch:
                     out = (np.empty_like(value), np.empty_like(err),
@@ -285,6 +306,7 @@ def _adapt(f, a, b, spec, batch=None):
                 ids, counts = ids[live], counts[live]
                 tol, inv_scale = tol[..., live], inv_scale[..., live]
                 size = ids.size
+                stuck = np.zeros(size, dtype=bool)
         n = errs.shape[-1]
         if n == size:
             # the first sweep: each integral halves its one panel [a, b]
@@ -295,6 +317,14 @@ def _adapt(f, a, b, spec, batch=None):
             pick, split = _split(errs, inv_scale, tol, slot, col, counts, budget)
             m = pick.size
             lo, hi = pa[pick], pb[pick]
+            if level >= deep:
+                narrow = _at_floor(lo, hi)
+                if narrow.any():
+                    # the integral stops unconverged, as on a spent budget
+                    if batch is None:
+                        return 0.0 + value[..., 0], err[..., 0], 30 * n - 15, False
+                    stuck[slot[pick[narrow]]] = True
+                    continue
             mid = 0.5 * (lo + hi)
             ca = np.repeat(lo, 2)
             ca[1::2] = mid
@@ -323,6 +353,7 @@ def _adapt(f, a, b, spec, batch=None):
             if batch is not None:
                 slot = np.repeat(slot, reps)
         n += m
+        level += 1
         if size > 1:
             counts += split
             col = np.arange(n) - (np.cumsum(counts) - counts)[slot]

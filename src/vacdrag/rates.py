@@ -30,8 +30,9 @@ finite_time_probability replaces the golden-rule delta with the finite-time
 sinc kernel: the rate function is sampled on a frequency window, splined,
 and convolved with 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary
 rate like 1/T. The spline is cached per (model, frame, detector, quad) and
-carries one convolution plan per Simpson grid size, so a query on a cached
-spline is one sin over the grid and one dot product.
+carries one convolution plan per Simpson grid size. The kernel is even in
+the gap offset, so a plan pairs the nodes +-u of the grid, and a query on a
+cached spline is one sin over half the grid and one dot product.
 """
 
 from __future__ import annotations
@@ -185,14 +186,20 @@ class _RateSpline:
     w = 0.8 omega, with the Simpson convolution plans built on it.
 
     The grid has n = max(513, 16 cycles of the kernel) nodes u_i, rounded
-    up to odd, so n depends on T only through the kernel's oscillation. A
-    plan for one n holds u_i / 2 for the nodes off the centre and
-    coefficients c_i = (du / 3) w_i Gamma(omega - u_i) / (2 pi) * 4 / u_i^2,
+    up to odd, so n depends on T only through the kernel's oscillation. The
+    kernel and the Simpson weights w_i are even in u, so the nodes +-u_j
+    pair up: a plan for one n holds u_j / 2 for the (n - 1) / 2 positive
+    nodes u_j = j du and one coefficient per pair,
+
+        c_j = (du / 3) w_j [Gamma(omega - u_j) + Gamma(omega + u_j)]
+              / (2 pi) * 4 / u_j^2,
+
     plus the centre node's c_0 = (du / 3) w_0 Gamma(omega) / (2 pi), so that
 
-        P(T) = sum_i c_i sin^2(T u_i / 2) + c_0 T^2
+        P(T) = sum_j c_j sin^2(T u_j / 2) + c_0 T^2
 
-    is the composite Simpson rule of the sinc-kernel convolution.
+    is the composite Simpson rule of the sinc-kernel convolution, one sin
+    per pair.
     """
 
     def __init__(self, omega, spline):
@@ -211,10 +218,13 @@ class _RateSpline:
         weights = np.full(n, 2.0)
         weights[1::2] = 4.0
         weights[0] = weights[-1] = 1.0
-        coef = du / 3.0 * weights * (0.5 * self.spline(self.omega - u)) / math.pi
+        rate = self.spline(self.omega - u)      # one call on the whole grid
         mid = n // 2
-        u_off, c_off = np.delete(u, mid), np.delete(coef, mid)
-        return 0.5 * u_off, c_off * (4.0 / (u_off * u_off)), coef[mid]
+        pos = u[mid + 1:]
+        pair = rate[mid + 1:] + rate[mid - 1::-1]   # Gamma(omega -+ u_j)
+        coef = du / 3.0 * weights[mid + 1:] * (0.5 * pair) / math.pi
+        centre = du / 3.0 * weights[mid] * (0.5 * rate[mid]) / math.pi
+        return 0.5 * pos, coef * (4.0 / (pos * pos)), centre
 
     def probability(self, T):
         n = self.grid_size(T)

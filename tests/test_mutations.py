@@ -10,7 +10,8 @@ Every binding means what an edit of the source would reach: `rates` imports
 what they check. A row whose oracle passes under its mutant is a fault the
 suite cannot see, and fails here. A mutant is a wrapper around the original
 function or, where the fault sits inside a longer function (`rate_surface`),
-an edit of its source compiled again in its module.
+an edit of its source compiled again in its module. A dotted name
+(`_RateSpline._plan`) is a method, bound only on its class.
 """
 
 import importlib
@@ -26,6 +27,7 @@ import test_kinematics
 import test_medium
 import test_rates
 from vacdrag import greens
+from vacdrag.specs import NonConvergenceError
 from vacdrag.tensors import ComplexTensor3
 
 
@@ -135,13 +137,21 @@ MUTATIONS = [
     ("rates", "rate_surface",
      rewritten("kz_fold_halved", "2.0 * kz_c ** 2", "kz_c ** 2"), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("rates", "_RateSpline._plan",
+     rewritten("pair_one_sided", "rate[mid - 1::-1]", "rate[mid + 1:]"),
+     {"rates"}, test_rates.test_convolution_plan_matches_direct_simpson_rule),
+    ("kinematics", "moving_susceptibility_tensors",
+     rewritten("chi_ee_yz_term_with_chi_e", "g2 * b2 * yz * cb", "g2 * b2 * yz * ce"),
+     {"kinematics", "greens"},
+     test_kinematics.test_moving_chi_matches_raw_integral_route),
 ]
 
 
 # How an oracle fails under a mutant where not by its own assertion: a
-# mutant whose integral diverges stops the quadrature first.
-FAILURES = {"inside_jacobian_dropped": (ValueError,
-                                        r"is not finite at .* inside segment")}
+# mutant whose integral diverges at a segment end stops at the quadrature's
+# panel-width floor first.
+FAILURES = {"inside_jacobian_dropped": (NonConvergenceError,
+                                        r"did not converge at .* inside segment")}
 
 
 def patch_every_binding(monkeypatch, module, name, make):
@@ -150,8 +160,15 @@ def patch_every_binding(monkeypatch, module, name, make):
     modules that import it by name included); the short names of the
     vacdrag modules patched."""
     importlib.import_module("vacdrag.rates")       # load every numeric module
-    original = getattr(importlib.import_module(f"vacdrag.{module}"), name)
+    owner = importlib.import_module(f"vacdrag.{module}")
+    cls, _, name = name.rpartition(".")
+    if cls:
+        owner = getattr(owner, cls)
+    original = getattr(owner, name)
     mutant = make(original)
+    if cls:
+        monkeypatch.setattr(owner, name, mutant)
+        return {module}
     patched = set()
     for mod_name, mod in list(sys.modules.items()):
         for attr, value in list(getattr(mod, "__dict__", {}).items()):

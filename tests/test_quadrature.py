@@ -302,6 +302,42 @@ def test_batch_member_starved_alone_while_the_others_converge():
         assert np.array_equal(res.value[:, j], alone.value)
 
 
+def _end_singular(arg):
+    # member 0 diverges at x = 0, member 2 at x = 1; member 1 is smooth
+    x, j = arg
+    with np.errstate(divide="ignore"):
+        return np.where(j == 0, 1.0 / x, np.where(j == 2, 1.0 / (1.0 - x), x * x))
+
+
+def test_endpoint_singularity_stops_at_the_width_floor():
+    # 1/x bisects toward x = 0 until a panel is near 1000 tiny wide, 1/(1 - x)
+    # toward x = 1 until one is near 2000 eps wide; without the floor an
+    # abscissa overflows 1/x or rounds onto x = 1, a non-finite value
+    batch = integrate_adaptive(_end_singular, 0.0, 1.0, TIGHT, batch=3)
+    assert batch.converged.tolist() == [False, True, False]
+    assert np.isfinite(batch.value).all()
+    assert batch.value[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    for j in range(3):
+        alone = integrate_adaptive(lambda x, j=j: _end_singular((x, np.full(x.size, j))),
+                                   0.0, 1.0, TIGHT)
+        assert batch.converged[j] == alone.converged
+        assert batch.evaluations[j] == alone.evaluations
+        assert batch.value[j] == alone.value
+    # floats are coarser just above 1 than below it: at QUADPACK's 100 eps
+    # an abscissa of the last halves rounds onto x = 1
+    res = integrate_adaptive(lambda x: 1.0 / (x - 1.0), 1.0, 1.1, TIGHT)
+    assert not res.converged and math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("spec", [TIGHT, SPEC])
+def test_integrable_endpoint_singularity_converges(spec):
+    # the panels next to x = 0 shrink far below eps before x^-1/2 meets its
+    # tolerance; floats are dense there, so the floor must not stop them
+    res = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec)
+    assert res.converged
+    assert res.value == pytest.approx(2.0, rel=10.0 * spec.rel_tol)
+
+
 def test_batch_nonfinite_value_reported_at_leftmost_abscissa():
     seen = []
 

@@ -356,6 +356,18 @@ def test_convolution_plan_matches_direct_simpson_rule():
     assert 513 < sizes[1600.0] < sizes[6400.0]
 
 
+def test_convolution_plan_pairs_the_nodes():
+    # one entry per pair +-u_j of the n-node grid, u_j = j du > 0
+    rs = synthetic_rate_spline()
+    for T in (50.0, 6400.0):
+        rs.probability(T)
+        n = rs.grid_size(T)
+        half_u, coef, _ = rs.plans[n]
+        assert half_u.shape == coef.shape == ((n - 1) // 2,)
+        du = 2.0 * rs.half_width / (n - 1)
+        assert np.allclose(half_u, 0.5 * du * np.arange(1, (n + 1) // 2), rtol=1e-14)
+
+
 def test_convolution_plan_reused_without_spline_evaluation():
     rs = synthetic_rate_spline()
     calls = []

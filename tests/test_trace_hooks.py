@@ -83,3 +83,30 @@ def test_traced_reciprocity_check_is_one_reflected_green_call():
     assert metrics["greens.reflected_green_calls"]["value"] == 1
     assert metrics["greens.dyad_calls"]["value"] > 0
     assert metrics["greens.kernel_calls"]["value"] > 0
+
+
+def test_traced_time_ladder_builds_once_and_times_the_hits():
+    """A T ladder on one spline: one build, a cache hit for every later T,
+    and convolution time of its own, so the golden-rule metrics still see
+    the hit path."""
+    tracer = load_tracer()
+    hooks = tracer.Tracer()
+    ladder = (0.5, 1.0, 50.0, 400.0, 1600.0, 6400.0)
+    args = (DetectorSpec(kappa=(0.8, 0.3, 1.1), omega=0.1, z0=1.0),
+            MotionFrame(beta=0.5), load_model("bundled:lorentz_dielectric"),
+            QuadratureSpec(rel_tol=0.1, abs_tol=1e-12, k_max=1.0))
+    vacdrag.rates._rate_spline.cache_clear()
+    hooks.install()
+    try:
+        probs = [vacdrag.rates.finite_time_probability(*args, T) for T in ladder]
+    finally:
+        hooks.uninstall()
+        vacdrag.rates._rate_spline.cache_clear()
+    assert all(p > 0.0 for p in probs)
+    arrays = hooks.arrays()
+    table = tracer.span_table(arrays["names"], arrays["name"], arrays["parent"],
+                              arrays["start"], arrays["end"])
+    metrics = tracer.layer_metrics(table, hooks.counts, hooks.absent)
+    assert metrics["rates.spline_builds"]["value"] == 1
+    assert metrics["rates.spline_cache_hits"]["value"] == len(ladder) - 1
+    assert metrics["rates.convolution_s"]["value"] > 0.0
