@@ -20,6 +20,20 @@ components (2, 15), s and p at every node. Each member still bisects, and
 each channel still meets its tolerance, as a lone integral would, while one
 density call per sweep serves the whole batch.
 
+Two changes of variable put the known singular points on panel edges.
+The outer integral runs over s in [0, 1], k = k_lo + (k_max - k_lo) s^2,
+dk = 2 (k_max - k_lo) s ds: the threshold onset, linear in k - k_lo for a
+dielectric and like its square root for a Drude metal (Im chi ~ 1/omega_m),
+is smooth in s. Beyond the medium's light cone (beta n > 1), xi_m^2 =
+k^2 + ky^2 - eps mu omega^2 has Re xi_m^2 < 0 at ky = 0 near the threshold,
+and the ky integrand has a square-root branch point at b = sqrt(Re(eps mu)
+omega^2 - k^2), clipped to ky_cut / 2. A batch member with b > 0 at any of
+its k-nodes integrates over t in [0, ky_cut] with [0, ky_cut / 2] mapped
+onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut], each piece squared
+toward b (_ky_split): its first bisection lands on b, and sqrt(|ky - b|)
+is smooth in t. Every other member, and every member when beta n < 1,
+integrates ky = t directly, and a sweep with no mapped member skips the map.
+
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
 with no terms give the exact zero, and otherwise z0 and a k_max beyond
@@ -83,6 +97,19 @@ def rate_free_space(det: DetectorSpec, frame: MotionFrame,
                       breakdown={"s": 0.0, "p": 0.0}, exact=True)
 
 
+def _ky_split(t, b, on, ky_cut):
+    """ky and dky/dt for the inner variable t in [0, ky_cut], with branch
+    points 0 <= b <= ky_cut / 2. Where `on`, t in [0, ky_cut / 2] goes onto
+    [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut], each piece squared
+    toward b, so that sqrt(|ky - b|) is smooth in t; elsewhere ky = t."""
+    half = 0.5 * ky_cut
+    u = (t - half) / half
+    width = np.where(u < 0.0, b, ky_cut - b)
+    ky = np.where(on, b + width * u * np.abs(u), t)
+    jac = np.where(on, 2.0 * width * np.abs(u) / half, 1.0)
+    return ky, jac
+
+
 def rate_surface(det: DetectorSpec, frame: MotionFrame,
                  model: SusceptibilityModel, quad: QuadratureSpec) -> RateResult:
     """Stationary-detector excitation rate above the moving half-space."""
@@ -94,21 +121,36 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     kx_c, ky_c, kz_c = det.kappa
     speed = abs(frame.beta)
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
+    span = quad.k_max - k_lo
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
 
-    def outer(karr):
-        # chi once on all k-nodes of a sweep, then one lockstep batch of
-        # (s, p) ky integrals: one member per outer panel, its 15 k-nodes
+    def outer(s):
+        # k = k_lo + span s^2: chi once on all k-nodes of a sweep, then one
+        # lockstep batch of (s, p) ky integrals: one member per outer panel,
+        # its 15 k-nodes
+        karr = k_lo + span * s * s
         cap = frame.gamma * (speed * karr - omega)
         k = karr.reshape(-1, 15).T
         eps = (1.0 + chi(model, "electric", cap)).reshape(-1, 15).T
         mu = (1.0 + chi(model, "magnetic", cap)).reshape(-1, 15).T
+        # Re xi_m^2 = k^2 + ky^2 - Re(eps mu) omega^2 vanishes at ky = b,
+        # b > 0 only beyond the medium's light cone (beta n > 1); a member
+        # with b > 0 at any of its nodes integrates through _ky_split
+        branch = np.sqrt(np.maximum((eps * mu).real * omega * omega - k * k, 0.0))
+        branch = np.minimum(branch, 0.5 * ky_cut)
+        mapped = branch.any(axis=0)
+        split = bool(mapped.any())
 
         def density(arg):
             # np.take gives C-order (15, n) arrays: no copy in quadrature
-            ky, member = arg
+            t, member = arg
             kn = np.take(k, member, axis=1)
+            if split:
+                ky, jac = _ky_split(t, np.take(branch, member, axis=1),
+                                    mapped[member], ky_cut)
+            else:
+                ky = t
             kpar2 = kn * kn + ky * ky
             xi = np.sqrt(kpar2 - omega * omega)
             e, m = np.take(eps, member, axis=1), np.take(mu, member, axis=1)
@@ -120,6 +162,8 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
                                  + (kx_c * kn + ky_c * ky) ** 2)
                       + 2.0 * kz_c ** 2 * kpar2 ** 2) / (kpar2 * omega ** 2)
             weight = np.exp(-2.0 * xi * z0) / xi / (2.0 * math.pi) ** 2
+            if split:
+                weight = weight * jac
             return np.stack((weight * fold_s * rs.imag, weight * fold_p * rp.imag))
 
         res = integrate_adaptive(density, 0.0, ky_cut, inner_quad,
@@ -130,9 +174,9 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
                 f"ky integral for the {'sp'[c]} channel failed at "
                 f"k = {k[j, i]:.6g}", residual=float(res.error_estimate[c, j, i]))
         # (2, 15, panels) -> (2, nodes), the nodes of each panel together
-        return res.value.transpose(0, 2, 1).reshape(2, -1)
+        return res.value.transpose(0, 2, 1).reshape(2, -1) * (2.0 * span * s)
 
-    res = integrate_adaptive(outer, k_lo, quad.k_max, quad)
+    res = integrate_adaptive(outer, 0.0, 1.0, quad)
     g_s, g_p = (float(v) for v in omega ** 2 * res.value)
     e_s, e_p = (float(e) for e in omega ** 2 * res.error_estimate)
     return RateResult(gamma=g_s + g_p, error_estimate=e_s + e_p,
@@ -242,11 +286,18 @@ class _RateSpline:
 def _rate_spline(model, frame, det, quad):
     """Cubic spline of the rate as a function of the detector gap over the
     window [0.2 omega, 1.8 omega] used by the finite-time kernel, with its
-    convolution plans (see _RateSpline)."""
+    convolution plans (see _RateSpline). A node whose rate did not converge
+    raises NonConvergenceError, naming its gap frequency."""
     omega = det.omega
     grid = np.linspace(0.2 * omega, 1.8 * omega, 65)
-    values = [rate_surface(replace(det, omega=float(w)), frame, model, quad).gamma
-              for w in grid]
+    values = []
+    for w in grid:
+        r = rate_surface(replace(det, omega=float(w)), frame, model, quad)
+        if not r.converged:
+            raise NonConvergenceError(
+                f"rate spline node at gap frequency {w:.6g} did not converge",
+                residual=r.error_estimate)
+        values.append(r.gamma)
     return _RateSpline(omega, _cubic_spline(grid, np.asarray(values)))
 
 

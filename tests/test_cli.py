@@ -526,6 +526,17 @@ def test_exit_two_on_non_convergence(tmp_path):
     assert out.exists() and len(out.read_text().strip().splitlines()) >= 2
 
 
+def test_exit_two_on_unconverged_finite_time_node(tmp_path, monkeypatch, capsys):
+    from test_rates import unconverged_above
+    from vacdrag import rates
+
+    unconverged_above(monkeypatch, 0.151)
+    path = write_scenario(tmp_path, FINITE_TIME)
+    assert run_cli(["run", "--scenario", path, "--output", tmp_path / "o.csv"]) == 2
+    assert "gap frequency 0.1525 did not converge" in capsys.readouterr().err
+    rates._rate_spline.cache_clear()
+
+
 def test_exit_three_on_unwritable_output(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE_RATE)
     assert run_cli(["run", "--scenario", path, "--output", tmp_path]) == 3

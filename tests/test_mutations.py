@@ -137,6 +137,14 @@ MUTATIONS = [
     ("rates", "rate_surface",
      rewritten("kz_fold_halved", "2.0 * kz_c ** 2", "kz_c ** 2"), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("rates", "rate_surface",
+     rewritten("outer_jacobian_dropped", " * (2.0 * span * s)", ""), {"rates"},
+     test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("rates", "_ky_split",
+     rewritten("upper_piece_jacobian_dropped", "2.0 * width * np.abs(u) / half",
+               "np.where(u < 0.0, 2.0 * width * np.abs(u) / half, 1.0)"),
+     {"rates"},
+     test_rates.test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle),
     ("rates", "_RateSpline._plan",
      rewritten("pair_one_sided", "rate[mid - 1::-1]", "rate[mid + 1:]"),
      {"rates"}, test_rates.test_convolution_plan_matches_direct_simpson_rule),

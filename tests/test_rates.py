@@ -10,7 +10,7 @@ import pytest
 import reference
 from vacdrag.greens import SurfaceGeometry, surface_green_coincident
 from vacdrag.kinematics import MotionFrame
-from vacdrag.medium import LorentzOscillator, SusceptibilityModel, load_model
+from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi, load_model
 from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
                                 integrate_adaptive)
 from vacdrag.rates import (
@@ -29,6 +29,7 @@ MAGNETIC_RESONANCE = SusceptibilityModel(
     electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
     magnetic_terms=(LorentzOscillator(0.4, 0.9, 0.1),),
     label="magnetic resonance")
+DRUDE = load_model("bundled:drude_metal")
 VACUUM = SusceptibilityModel(electric_terms=(), label="vacuum")
 KAPPA = (0.8, 0.3, 1.1)
 QUAD = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-16, k_max=50.0)
@@ -111,6 +112,42 @@ def test_surface_rate_with_magnetic_response_matches_dense_grid_oracle():
         assert r.breakdown[channel] == pytest.approx(ref_parts[channel], rel=1e-5)
 
 
+def test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle():
+    # beta n > 1: near the threshold Re xi_m^2 changes sign at a ky inside
+    # the domain, where the inner integrand has a sqrt branch point
+    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-18, k_max=12.0)
+    r = rate_surface(det(omega=0.5), MotionFrame(beta=0.9), LORENTZ, quad)
+    _, ref_parts = reference.rate_surface_dense(
+        ((1.0, 1.0, 0.1),), (), 0.9, KAPPA, 0.5, 1.0, 12.0, nk=1500, nky=1500,
+        ky_cut=25.0)
+    assert r.converged
+    for channel in ("s", "p"):
+        assert r.breakdown[channel] == pytest.approx(ref_parts[channel], rel=1e-4)
+
+
+@pytest.mark.parametrize("model, beta, cherenkov", [
+    (LORENTZ, 0.5, False),             # Im r_p rises linearly from k = omega/beta
+    (DRUDE, 0.5, False),               # Im chi ~ 1/omega_m: a sqrt onset
+    (LORENTZ, 0.9, True),              # beta n > 1: a ky branch point as well
+    (MAGNETIC_RESONANCE, 0.75, True),
+], ids=["lorentz-linear-onset", "drude-sqrt-onset", "lorentz-beyond-light-cone",
+        "magnetic-beyond-light-cone"])
+def test_surface_rate_threshold_accuracy(model, beta, cherenkov):
+    """At rel_tol 1e-5 the rate agrees with a rel_tol 1e-10 run within the
+    requested tolerance and within its own error estimate, on both kinds of
+    threshold onset and beyond the medium's light cone."""
+    n2 = ((1.0 + chi(model, "electric", 1e-3))
+          * (1.0 + chi(model, "magnetic", 1e-3))).real
+    assert (beta * beta * n2 > 1.0) == cherenkov
+    frame = MotionFrame(beta=beta)
+    loose, tight = (rate_surface(det(), frame, model, QuadratureSpec(
+        rel_tol=tol, abs_tol=1e-18, k_max=20.0)) for tol in (1e-5, 1e-10))
+    assert loose.converged and tight.converged
+    gap = abs(loose.gamma - tight.gamma)
+    assert gap <= 1e-5 * tight.gamma
+    assert gap <= loose.error_estimate
+
+
 def test_surface_rate_coupling_symmetry_and_scaling():
     frame = MotionFrame(beta=0.5)
     quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-16, k_max=20.0)
@@ -130,15 +167,17 @@ def test_surface_rate_starved_budget_names_channel_and_k():
     match = re.fullmatch(r"ky integral for the ([sp]) channel failed at k = (\S+)",
                          str(exc.value))
     assert match is not None, str(exc.value)
-    # the named k is one of the 15 Kronrod nodes of the first outer panel
+    # the named k is one of the 15 Kronrod nodes of the first outer panel,
+    # s in [0, 1], mapped to k = k_lo + (k_max - k_lo) s^2
     k = float(match.group(2))
     k_lo = 0.1 / 0.5
-    nodes = 0.5 * (k_lo + 20.0) + 0.5 * (20.0 - k_lo) * np.array(
+    s = 0.5 + 0.5 * np.array(
         [-0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
          -0.7415311855993944, -0.5860872354676911, -0.4058451513773972,
          -0.2077849550078985, 0.0, 0.2077849550078985, 0.4058451513773972,
          0.5860872354676911, 0.7415311855993944, 0.8648644233597691,
          0.9491079123427585, 0.9914553711208126])
+    nodes = k_lo + (20.0 - k_lo) * s * s
     assert np.min(np.abs(nodes - k) / nodes) < 1e-5
     assert exc.value.residual > 0.0
 
@@ -313,6 +352,35 @@ def test_rate_spline_matches_scipy_not_a_knot_spline():
     z = np.linspace(x[0], x[-1], 2001)
     ref = CubicSpline(x, y)(z)
     assert np.max(np.abs(_cubic_spline(x, y)(z) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def unconverged_above(monkeypatch, gap):
+    """rate_surface as a stand-in that flags every gap frequency above `gap`
+    unconverged: a smooth positive rate otherwise."""
+    from vacdrag import rates
+
+    def fake(det, frame, model, quad):
+        return RateResult(gamma=det.omega ** 3, error_estimate=1e-9 * det.omega,
+                          converged=det.omega <= gap, k_lower=det.omega / frame.beta,
+                          k_max=quad.k_max, breakdown={"s": 0.0, "p": det.omega ** 3})
+    monkeypatch.setattr(rates, "rate_surface", fake)
+    rates._rate_spline.cache_clear()
+
+
+def test_rate_spline_raises_on_an_unconverged_node(monkeypatch):
+    from vacdrag.rates import _rate_spline
+
+    unconverged_above(monkeypatch, 0.151)
+    grid = np.linspace(0.02, 0.18, 65)
+    first_bad = grid[grid > 0.151][0]
+    with pytest.raises(NonConvergenceError,
+                       match=f"gap frequency {first_bad:.6g} did not converge"):
+        finite_time_probability(det(), MotionFrame(beta=0.5), LORENTZ, FT_QUAD, 50.0)
+    assert _rate_spline.cache_info().currsize == 0
+    unconverged_above(monkeypatch, 1.0)
+    assert finite_time_probability(det(), MotionFrame(beta=0.5), LORENTZ,
+                                   FT_QUAD, 50.0) > 0.0
+    _rate_spline.cache_clear()
 
 
 def test_finite_time_requires_positive_time():
