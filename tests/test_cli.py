@@ -227,6 +227,103 @@ def test_validate_rejects_quad_eta(tmp_path, capsys):
     assert "'eta'" in capsys.readouterr().err
 
 
+# One malformed document per field rule, as (bundled scenario, update,
+# message): the update replaces top-level fields, and ... deletes one. The
+# message is the whole of what validate and run write to stderr, so the
+# wording and the "; " join order of several bad fields are pinned.
+FIELD_MESSAGES = [
+    ("rate_surface.json", {"frame": {"beta": 1.5}},
+     "frame.beta: |beta| must be < 1"),
+    ("rate_surface.json", {"frame": {}}, "frame.beta: required finite number"),
+    ("rate_surface.json", {"quad": [1.0]}, "quad: must be an object"),
+    ("rate_surface.json", {"quad": {"rel_tol": 0.0}}, "quad: rel_tol must be > 0"),
+    ("rate_surface.json", {"quad": {"k_max": -1.0}},
+     "quad: k_max must be > 0 when set"),
+    ("rate_surface.json", {"model_file": ...}, "model_file: required"),
+    ("fresnel.json", {"model_file": "no/such/model.json"},
+     "model_file: [Errno 2] No such file or directory: 'no/such/model.json'"),
+    ("sweep_beta.json", {"sweep_axis": [0.2, 0.6]},
+     "sweep_axis: required object with name/min/max/count"),
+    ("sweep_beta.json", {"sweep_axis": {"name": "T", "min": 1.0, "max": 2.0,
+                                        "count": 2}},
+     "sweep_axis.name: must be one of beta, z0, omega, kx"),
+    ("kk_check.json", {"sweep_axis": {"name": "kx", "min": 1.0, "max": 2.0,
+                                      "count": 2}},
+     "sweep_axis.name: must be one of omega"),
+    ("sweep_beta.json", {"sweep_axis": {"name": "beta", "min": 0.6, "max": 0.2,
+                                        "count": 3}},
+     "sweep_axis.min/max: need finite numbers with min <= max"),
+    ("sweep_z0.json", {"sweep_axis": {"name": "z0", "min": 0.5, "max": 2.0,
+                                      "count": 2.0}},
+     "sweep_axis.count: must be a positive integer"),
+    ("sweep_z0.json", {"sweep_axis": {"name": "z0", "min": 0.5, "max": 2.0,
+                                      "count": 3, "spacing": "cubic"}},
+     "sweep_axis.spacing: must be 'lin' or 'log'"),
+    ("kk_check.json", {"sweep_axis": {"name": "omega", "min": 0.0, "max": 2.0,
+                                      "count": 3, "spacing": "log"}},
+     "sweep_axis.min: must be > 0 for log spacing"),
+    ("sweep_beta.json", {"sweep_axis": {"name": "beta", "min": 0.2, "max": 1.0,
+                                        "count": 3}},
+     "sweep_axis: beta values must satisfy |beta| < 1"),
+    ("rate_surface.json", {"detector": ...},
+     "detector: required object with kappa/omega/z0"),
+    ("sweep_z0.json", {"detector": {"omega": 0.1, "z0": 1.0}}, "detector: 'kappa'"),
+    ("finite_time.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "omega": -0.1}},
+     "detector: omega must be > 0"),
+    ("rate_free.json", {"detector": {"kappa": [0.0, 0.0, 0.0], "omega": 1.0}},
+     "detector: kappa must be nonzero"),
+    ("fresnel.json", {"kx": ...}, "kx: required"),
+    ("fresnel.json", {"ky": "0.7"}, "ky: must be a finite number"),
+    ("fresnel.json", {"omega": 0.0}, "omega: must be nonzero"),
+    ("sweep_kx.json", {"ky": ...}, "ky: required"),
+    ("sweep_kx.json", {"omega": 0}, "omega: must be nonzero"),
+    ("identity_check.json", {"pairs": []},
+     "pairs: required nonempty list of [omega, omega'] pairs"),
+    ("identity_check.json", {"shift": None}, "shift: must be a finite number"),
+    ("dissipation_check.json", {"points": [[0.8, 0.3, 1.1]]},
+     "points: required nonempty list of [kx, ky, kz, omega]"),
+    ("reciprocity_check.json", {"omega": ...}, "omega: required"),
+    ("reciprocity_check.json", {"point_a": [0.0, 0.0]},
+     "point_a: height must be > 0"),
+    ("reciprocity_check.json", {"point_b": [0.4]},
+     "point_b: must be a list of 2 numbers"),
+    ("finite_time.json", {"T": [50.0, 0.0]},
+     "T: required positive number or nonempty list of positive numbers"),
+    ("rate_surface.json", {"kind": ...}, "kind: required"),
+    ("rate_surface.json", {"kind": "rate"},
+     "kind: 'rate' is not one of rate-free, rate-surface, fresnel, kk-check, "
+     "identity-check, dissipation-check, reciprocity-check, sweep, finite-time"),
+    # several bad fields: every message, in a fixed order
+    ("finite_time.json", {"frame": {"beta": -1.0}, "quad": None, "model_file": ...,
+                          "detector": {"kappa": [1.0], "omega": 0.1}, "T": True},
+     "frame.beta: |beta| must be < 1; quad: must be an object; model_file: "
+     "required; detector: kappa must have three components; T: required "
+     "positive number or nonempty list of positive numbers"),
+    ("reciprocity_check.json", {"frame": {"beta": "0.5"}, "kx": None,
+                                "point_a": [0.0, -0.8], "point_b": ...},
+     "frame.beta: required finite number; kx: required; point_a: height must "
+     "be > 0; point_b: must be a list of 2 numbers"),
+    ("sweep_kx.json", {"quad": {"max_subdivisions": 0}, "ky": "x", "omega": 0.0},
+     "quad: max_subdivisions must be >= 1; ky: must be a finite number; omega: "
+     "must be nonzero"),
+]
+
+
+@pytest.mark.parametrize("name, update, message", FIELD_MESSAGES)
+def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
+                                        name, update, message):
+    doc = json.loads((scenarios_dir / name).read_text())
+    for key, value in update.items():
+        if value is ...:
+            del doc[key]
+        else:
+            doc[key] = value
+    path = write_scenario(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert run_cli([command, "--scenario", path]) == 1
+        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # single-evaluation kinds
 # ---------------------------------------------------------------------------
