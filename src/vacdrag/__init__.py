@@ -26,7 +26,7 @@ _LAZY = {name: module for module, names in (
                     "integrate_semi_infinite", "principal_value")),
     ("tensors", ("ComplexTensor3",)),
     ("greens", ("DissipationReport", "ReciprocityReport",
-                "ReflectionCoefficients", "SurfaceGeometry", "free_green_k",
+                "ReflectionCoefficients", "SurfaceGeometry",
                 "green_dissipation_identity", "im_free_green_coincident",
                 "reciprocity_check", "reflection_coefficients",
                 "surface_green_coincident")),
@@ -72,7 +72,6 @@ __all__ = [
     "coupling_tensors",
     "doppler",
     "finite_time_probability",
-    "free_green_k",
     "green_dissipation_identity",
     "im_free_green_coincident",
     "integrate_adaptive",

@@ -9,18 +9,17 @@ sha256 of the normalized scenario, the resolved model content, and the
 package and numpy versions; unreadable cache entries are recomputed and
 rewritten, never trusted.
 
-Validation needs no numerics: at top level this module imports only the
-standard library and `specs`, and the functions of the run path import what
-only they use (the numeric modules, hashlib, datetime) and look the numeric
-functions up through their modules at call time. Validation applies the
-computations' own input checks, the numpy-free predicates in `specs`, to
-every input a scenario computes, each sweep row included, so it rejects
-every input that `run` would reject: `check_rate_inputs` to every rate,
-`check_not_grazing` to a reciprocity check, `check_reflected_mode` to a
-Fresnel mode and every kx sweep row, `check_kk_frequency` to every kk-check
-frequency, `check_pole_pair` to every identity-check pair and
-`check_not_comoving` to every dissipation-check point. So `vacdrag
-validate` loads no numpy, except for the rows of a log-spaced kx sweep.
+One table, `_KINDS`, drives validation and runs alike: each kind's entry
+declares its field rules, its rows, the `specs` predicate and computation
+of one row, its columns and the cells of a row that does not converge. A
+kind run along a `sweep_axis` has one entry per axis (a beta, z0 or omega
+sweep reuses the rate row, a kx sweep the Fresnel row). Validation applies
+the predicate to the rows that `run_scenario` computes, so it rejects every
+input that `run` would; the exception is a log axis whose predicate holds
+between its end points (rate, kk-check), checked at those ends so that
+validation loads no numpy. Only a log kx sweep, whose light cone may fall on
+any row, loads numpy to validate; the run path reaches the numeric modules
+through the package at call time.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -34,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -56,10 +56,9 @@ __all__ = [
     "scenario_from_dict",
 ]
 
-_KINDS = ("rate-free", "rate-surface", "fresnel", "kk-check", "identity-check",
-          "dissipation-check", "reciprocity-check", "sweep", "finite-time")
-
-_RATE_AXES = ("beta", "z0", "omega")
+# The package imports its numeric modules on first access (PEP 562): the
+# run path reaches them through it, at call time, and validation never does.
+_pkg = sys.modules[__package__]
 
 
 class ScenarioValidationError(ValueError):
@@ -100,65 +99,325 @@ def _is_number(v) -> bool:
         and math.isfinite(v)
 
 
-def _check_vector(errors, doc, name, length):
-    v = doc.get(name)
-    if not (isinstance(v, (list, tuple)) and len(v) == length
-            and all(_is_number(c) for c in v)):
-        errors.append(f"{name}: must be a list of {length} numbers")
-        return None
-    return v
+# Field rules: rule(errors, doc, name) appends a message for each thing
+# wrong with doc[name].
 
-
-def _check_number(errors, doc, name, required=True):
+def _number(errors, doc, name):
+    """A required finite number: returned, or None after a message."""
     v = doc.get(name)
     if v is None:
-        if required:
-            errors.append(f"{name}: required")
-        return None
-    if not _is_number(v):
+        errors.append(f"{name}: required")
+    elif not _is_number(v):
         errors.append(f"{name}: must be a finite number")
-        return None
-    return v
+    return v if _is_number(v) else None
+
+
+def _nonzero(errors, doc, name):
+    if _number(errors, doc, name) == 0.0:
+        errors.append(f"{name}: must be nonzero")
+
+
+def _optional_number(errors, doc, name):
+    if name in doc and not _is_number(doc[name]):
+        errors.append(f"{name}: must be a finite number")
+
+
+def _point(errors, doc, name):
+    """A point (y, z) above the surface."""
+    v = doc.get(name)
+    if not (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(_is_number(c) for c in v)):
+        errors.append(f"{name}: must be a list of 2 numbers")
+    elif not v[1] > 0.0:
+        errors.append(f"{name}: height must be > 0")
+
+
+def _number_lists(length, what):
+    """A nonempty list of lists of `length` finite numbers."""
+    def rule(errors, doc, name):
+        v = doc.get(name)
+        if not (isinstance(v, list) and v
+                and all(isinstance(p, (list, tuple)) and len(p) == length
+                        and all(_is_number(c) for c in p) for p in v)):
+            errors.append(f"{name}: required nonempty list of {what}")
+    return rule
+
+
+def _detector(errors, doc, name):
+    if not isinstance(doc.get(name), dict):
+        errors.append(f"{name}: required object with kappa/omega/z0")
+        return
+    try:
+        Scenario(kind=doc["kind"], doc=doc).detector()
+    except (KeyError, TypeError, ValueError) as exc:
+        errors.append(f"{name}: {exc}")
+
+
+def _times(errors, doc, name):
+    T = doc.get(name)
+    times = T if isinstance(T, list) else [T]
+    if not (times and all(_is_number(t) and t > 0.0 for t in times)):
+        errors.append(f"{name}: required positive number or nonempty list of "
+                      "positive numbers")
 
 
 def _validate_sweep_axis(errors, doc, allowed):
+    """The first thing wrong with doc["sweep_axis"]: returns whether nothing is."""
     axis = doc.get("sweep_axis")
     if not isinstance(axis, dict):
         errors.append("sweep_axis: required object with name/min/max/count")
-        return None
-    name = axis.get("name")
-    if name not in allowed:
-        errors.append(f"sweep_axis.name: must be one of {', '.join(allowed)}")
-        return None
-    lo, hi = axis.get("min"), axis.get("max")
-    if not (_is_number(lo) and _is_number(hi) and lo <= hi):
-        errors.append("sweep_axis.min/max: need finite numbers with min <= max")
-        return None
-    count = axis.get("count")
-    if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
-        errors.append("sweep_axis.count: must be a positive integer")
-        return None
+        return False
+    lo, hi, count = axis.get("min"), axis.get("max"), axis.get("count")
     spacing = axis.get("spacing", "lin")
-    if spacing not in ("lin", "log"):
+    if axis.get("name") not in allowed:
+        errors.append(f"sweep_axis.name: must be one of {', '.join(allowed)}")
+    elif not (_is_number(lo) and _is_number(hi) and lo <= hi):
+        errors.append("sweep_axis.min/max: need finite numbers with min <= max")
+    elif not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
+        errors.append("sweep_axis.count: must be a positive integer")
+    elif spacing not in ("lin", "log"):
         errors.append("sweep_axis.spacing: must be 'lin' or 'log'")
-        return None
-    if spacing == "log" and lo <= 0.0:
+    elif spacing == "log" and lo <= 0.0:
         errors.append("sweep_axis.min: must be > 0 for log spacing")
-        return None
-    if name == "beta" and not (-1.0 < lo and hi < 1.0):
+    elif axis["name"] == "beta" and not (-1.0 < lo and hi < 1.0):
         errors.append("sweep_axis: beta values must satisfy |beta| < 1")
-        return None
-    return axis
+    else:
+        return True
+    return False
+
+
+# Rows: each row is a dict of the cells known before computing it. A
+# predicate check(scenario, model, row) raises ValueError as the row's
+# computation would; compute(scenario, model, row) fills in its other cells.
+
+def _axis_values(axis: dict) -> list:
+    """Row values of a sweep axis. Lin spacing is numpy.linspace's own
+    formula, i * step + min with the last row set to max, so only log
+    spacing needs numpy."""
+    lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
+    if count == 1:
+        return [lo]
+    if axis.get("spacing", "lin") == "log":
+        import numpy as np
+
+        return [float(v) for v in np.geomspace(lo, hi, count)]
+    step = (hi - lo) / (count - 1)
+    return [i * step + lo for i in range(count - 1)] + [hi]
+
+
+def _rate_inputs(scenario: Scenario, row: dict):
+    """Detector and frame of a rate row: the scenario's own, with the row's
+    beta, z0 or omega in place of the scenario's."""
+    det = replace(scenario.detector(),
+                  **{k: row[k] for k in ("z0", "omega") if k in row})
+    frame = MotionFrame(beta=row["beta"]) if "beta" in row else scenario.frame()
+    return det, frame
+
+
+def _check_rate(scenario, model, row, finite_time=False):
+    check_rate_inputs(*_rate_inputs(scenario, row), model, scenario.quad(),
+                      finite_time=finite_time)
+
+
+def _rate_free(scenario, model, row):
+    r = _pkg.rates.rate_free_space(scenario.detector(), scenario.frame(),
+                                   scenario.quad())
+    row.update(gamma=r.gamma, error_estimate=r.error_estimate,
+               exact=bool(r.exact))
+
+
+def _rate(scenario, model, row):
+    r = _pkg.rates.rate_surface(*_rate_inputs(scenario, row), model,
+                                scenario.quad())
+    row.update(gamma=r.gamma, error_estimate=r.error_estimate,
+               converged=bool(r.converged), k_lower=r.k_lower, k_max=r.k_max,
+               s=r.breakdown["s"], p=r.breakdown["p"])
+
+
+def _probability(scenario, model, row):
+    row["probability"] = _pkg.rates.finite_time_probability(
+        *_rate_inputs(scenario, row), model, scenario.quad(), row["T"])
+
+
+def _mode(scenario, row):
+    """kx (from the row), ky and omega of a reflected mode."""
+    return row["kx"], float(scenario.doc["ky"]), float(scenario.doc["omega"])
+
+
+def _check_mode(scenario, model, row):
+    check_reflected_mode(*_mode(scenario, row))
+
+
+def _fresnel(scenario, model, row):
+    rc = _pkg.greens.reflection_coefficients(model, scenario.frame(),
+                                             *_mode(scenario, row))
+    row.update(re_r11=rc.r11.real, im_r11=rc.r11.imag,
+               re_r22=rc.r22.real, im_r22=rc.r22.imag)
+
+
+def _kk(scenario, model, row):
+    exact = _pkg.medium.chi(model, "electric", row["omega"])
+    row.update(re_chi=exact.real, im_chi=exact.imag)
+    rec = _pkg.medium.kk_reconstruct(model, "electric", row["omega"], scenario.quad())
+    row.update(re_reconstructed=rec.real, rel_error=abs(rec - exact) / abs(exact),
+               converged=True)
+
+
+def _identity(scenario, model, row):
+    lhs, rhs, resid = _pkg.medium.verify_identity_1(
+        model, row["omega_minus"], row["omega_plus"], scenario.quad(),
+        numerator_shift=float(scenario.doc.get("shift", 0.0)))
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    row.update(re_lhs=lhs.real, im_lhs=lhs.imag, re_rhs=rhs.real,
+               im_rhs=rhs.imag, relative_residual=resid / scale, converged=True)
+
+
+def _dissipation(scenario, model, row):
+    rep = _pkg.greens.green_dissipation_identity(
+        model, scenario.frame(), row["kx"], (row["ky"], row["kz"]), row["omega"],
+        scenario.quad())
+    row.update(residual=rep.residual, relative_residual=rep.relative_residual)
+
+
+def _reciprocity(scenario, model, row):
+    rep = _pkg.greens.reciprocity_check(
+        model, scenario.frame(), row["kx"], row["omega"],
+        tuple(scenario.doc["point_a"]), tuple(scenario.doc["point_b"]),
+        scenario.quad())
+    row.update(transpose_residual=rep.transpose_residual,
+               naive_residual=rep.naive_residual)
+
+
+def _all_converged(rows) -> dict:
+    return {"all_converged": all(r.get("converged", True) for r in rows)}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of scenario, or one axis of a kind run along a sweep axis."""
+
+    columns: tuple = ()
+    compute: Callable | None = None     # fills in one row's cells
+    fields: tuple = ()              # (name, rule) pairs, checked in order
+    rows: Callable | None = None    # rows(doc); None: one per sweep-axis value
+    check: Callable | None = None   # the specs predicate of one row
+    failed: dict | None = None      # cells of an unconverged row; None: raise
+    summary: Callable | None = None     # summary(rows): fields of the outputs
+    log_ends: bool = False          # its predicate holds between a log axis's ends
+    model: bool = True              # model_file required
+    axes: dict | None = None        # run along sweep_axis: its entry per name
+
+
+_RATE = ("gamma", "error_estimate", "converged")
+_REFLECTION = ("re_r11", "im_r11", "re_r22", "im_r22")
+_DETECTOR = (("detector", _detector),)
+_MODE = (("kx", _number), ("ky", _number), ("omega", _nonzero))
+
+
+def _rate_axis(name: str) -> _Kind:
+    """A beta, z0 or omega axis: one rate per row, unconverged rows kept."""
+    return _Kind(columns=(name,) + _RATE, compute=_rate, fields=_DETECTOR,
+                 check=_check_rate, summary=_all_converged, log_ends=True,
+                 failed={"gamma": math.nan, "error_estimate": math.inf,
+                         "converged": False})
+
+
+_KINDS = {
+    "rate-free": _Kind(
+        columns=("gamma", "error_estimate", "exact"), compute=_rate_free,
+        fields=_DETECTOR, rows=lambda doc: [{}], model=False),
+    "rate-surface": _Kind(
+        columns=_RATE + ("k_lower", "k_max", "s", "p"), compute=_rate,
+        fields=_DETECTOR, rows=lambda doc: [{}], check=_check_rate,
+        summary=_all_converged),
+    "fresnel": _Kind(
+        columns=_REFLECTION, compute=_fresnel, fields=_MODE,
+        rows=lambda doc: [{"kx": float(doc["kx"])}], check=_check_mode),
+    "kk-check": _Kind(axes={"omega": _Kind(
+        columns=("omega", "re_chi", "im_chi", "re_reconstructed", "rel_error",
+                 "converged"),
+        compute=_kk, check=lambda s, m, row: check_kk_frequency(row["omega"]),
+        summary=lambda rows: {"max_rel_error": max(r["rel_error"] for r in rows),
+                              **_all_converged(rows)},
+        log_ends=True,
+        failed={"re_reconstructed": math.nan, "rel_error": math.inf,
+                "converged": False})}),
+    "identity-check": _Kind(
+        columns=("omega_minus", "omega_plus", "re_lhs", "im_lhs", "re_rhs",
+                 "im_rhs", "relative_residual", "converged"),
+        compute=_identity,
+        fields=(("pairs", _number_lists(2, "[omega, omega'] pairs")),
+                ("shift", _optional_number)),
+        rows=lambda doc: [{"omega_minus": float(om), "omega_plus": float(op)}
+                          for om, op in doc["pairs"]],
+        check=lambda s, m, row: check_pole_pair(row["omega_minus"],
+                                                row["omega_plus"]),
+        summary=_all_converged,
+        failed={"re_lhs": math.nan, "im_lhs": math.nan, "re_rhs": math.nan,
+                "im_rhs": math.nan, "relative_residual": math.inf,
+                "converged": False}),
+    "dissipation-check": _Kind(
+        columns=("kx", "ky", "kz", "omega", "residual", "relative_residual"),
+        compute=_dissipation,
+        fields=(("points", _number_lists(4, "[kx, ky, kz, omega]")),),
+        rows=lambda doc: [dict(zip(("kx", "ky", "kz", "omega"), map(float, p)))
+                          for p in doc["points"]],
+        check=lambda s, m, row: check_not_comoving(s.frame().beta, row["kx"],
+                                                   row["omega"])),
+    "reciprocity-check": _Kind(
+        columns=("kx", "omega", "transpose_residual", "naive_residual"),
+        compute=_reciprocity,
+        fields=(("kx", _number), ("omega", _number), ("point_a", _point),
+                ("point_b", _point)),
+        rows=lambda doc: [{"kx": float(doc["kx"]), "omega": float(doc["omega"])}],
+        check=lambda s, m, row: check_not_grazing(row["kx"], row["omega"])),
+    "sweep": _Kind(axes={
+        **{name: _rate_axis(name) for name in ("beta", "z0", "omega")},
+        # not log_ends: the light cone may fall between the ends of a log axis
+        "kx": _Kind(columns=("kx",) + _REFLECTION, compute=_fresnel,
+                    fields=_MODE[1:], check=_check_mode,
+                    summary=_all_converged)}),
+    "finite-time": _Kind(
+        columns=("T", "probability"), compute=_probability,
+        fields=_DETECTOR + (("T", _times),),
+        rows=lambda doc: [{"T": float(t)} for t in (
+            doc["T"] if isinstance(doc["T"], list) else [doc["T"]])],
+        check=lambda s, m, row: _check_rate(s, m, row, finite_time=True)),
+}
+
+
+def _entry(kind: str, doc: dict) -> _Kind:
+    """The entry whose rows a document computes: its kind's, or for a kind
+    run along a sweep axis, the entry of its axis."""
+    entry = _KINDS[kind]
+    return entry if entry.axes is None else entry.axes[doc["sweep_axis"]["name"]]
+
+
+def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
+    """The rows of a validated scenario: the entry's own, or one per value of
+    the sweep axis. With `ends`, a log axis of an entry whose predicate holds
+    between its end points gives just those two, which geomspace returns
+    exactly, so that validation loads no numpy."""
+    if entry.rows is not None:
+        return entry.rows(scenario.doc)
+    axis = scenario.doc["sweep_axis"]
+    if ends and entry.log_ends and axis.get("spacing", "lin") == "log":
+        values = [float(axis["min"]), float(axis["max"])][:axis["count"]]
+    else:
+        values = _axis_values(axis)
+    return [{axis["name"]: v} for v in values]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Validate a scenario document; the error message names every bad field."""
+    """Validate a scenario document: the error message names every bad
+    field; then its entry's predicate runs on every row the run computes,
+    in order, so the first failure is the one run reports."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError("scenario must be a JSON object")
     kind = doc.get("kind")
     if kind is None:
         raise ScenarioValidationError("kind: required")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ScenarioValidationError(
             f"kind: '{kind}' is not one of {', '.join(_KINDS)}")
 
@@ -180,9 +439,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 QuadratureSpec(**doc["quad"])
             except (TypeError, ValueError) as exc:
                 errors.append(f"quad: {exc}")
-
     model = None
-    if kind != "rate-free":
+    if _KINDS[kind].model:
         if "model_file" not in doc:
             errors.append("model_file: required")
         else:
@@ -190,323 +448,61 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 model = load_model(doc["model_file"])
             except Exception as exc:
                 errors.append(f"model_file: {exc}")
-
-    axis = None
-    if kind == "sweep":
-        axis = _validate_sweep_axis(errors, doc, _RATE_AXES + ("kx",))
-    elif kind == "kk-check":
-        axis = _validate_sweep_axis(errors, doc, ("omega",))
-
-    needs_detector = kind in ("rate-free", "rate-surface", "finite-time") \
-        or (kind == "sweep" and axis is not None and axis["name"] in _RATE_AXES)
-    if needs_detector:
-        det_doc = doc.get("detector")
-        if not isinstance(det_doc, dict):
-            errors.append("detector: required object with kappa/omega/z0")
-        else:
-            try:
-                Scenario(kind=kind, doc={"detector": det_doc}).detector()
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"detector: {exc}")
-
-    if kind == "fresnel" or (kind == "sweep" and axis is not None
-                             and axis["name"] == "kx"):
-        if kind == "fresnel":
-            _check_number(errors, doc, "kx")
-        _check_number(errors, doc, "ky")
-        omega = _check_number(errors, doc, "omega")
-        if omega is not None and omega == 0.0:
-            errors.append("omega: must be nonzero")
-    if kind == "identity-check":
-        pairs = doc.get("pairs")
-        if not (isinstance(pairs, list) and pairs
-                and all(isinstance(p, (list, tuple)) and len(p) == 2
-                        and all(_is_number(c) for c in p) for p in pairs)):
-            errors.append("pairs: required nonempty list of [omega, omega'] pairs")
-        if "shift" in doc and not _is_number(doc["shift"]):
-            errors.append("shift: must be a finite number")
-    if kind == "dissipation-check":
-        points = doc.get("points")
-        if not (isinstance(points, list) and points
-                and all(isinstance(p, (list, tuple)) and len(p) == 4
-                        and all(_is_number(c) for c in p) for p in points)):
-            errors.append("points: required nonempty list of [kx, ky, kz, omega]")
-    if kind == "reciprocity-check":
-        _check_number(errors, doc, "kx")
-        _check_number(errors, doc, "omega")
-        for name in ("point_a", "point_b"):
-            pt = _check_vector(errors, doc, name, 2)
-            if pt is not None and not pt[1] > 0.0:
-                errors.append(f"{name}: height must be > 0")
-    if kind == "finite-time":
-        T = doc.get("T")
-        times = T if isinstance(T, list) else [T]
-        if not (times and all(_is_number(t) and t > 0.0 for t in times)):
-            errors.append("T: required positive number or nonempty list of "
-                          "positive numbers")
-
+    axes = _KINDS[kind].axes
+    if axes is None or _validate_sweep_axis(errors, doc, tuple(axes)):
+        for name, rule in _entry(kind, doc).fields:
+            rule(errors, doc, name)
     if errors:
         raise ScenarioValidationError("; ".join(errors))
+
     known = ("kind", "model_file", "frame", "detector", "quad", "sweep_axis",
              "kx", "ky", "omega", "pairs", "points", "point_a", "point_b",
              "shift", "T")
-    norm = {k: doc[k] for k in known if k in doc}
-    scenario = Scenario(kind=kind, doc=norm)
+    scenario = Scenario(kind=kind, doc={k: doc[k] for k in known if k in doc})
+    entry = _entry(kind, doc)
     try:
-        _check_inputs(scenario, model)
+        for row in _rows(scenario, entry, ends=True):
+            if entry.check is not None:
+                entry.check(scenario, model, row)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from None
     return scenario
 
 
-def _check_inputs(scenario: Scenario, model) -> None:
-    """The computations' own input checks, on every input the run computes
-    and in the order it computes them, so the first failure is the one run
-    reports."""
-    kind, doc = scenario.kind, scenario.doc
-    for det, frame in _rate_inputs(scenario):
-        check_rate_inputs(det, frame, model, scenario.quad(),
-                          finite_time=kind == "finite-time")
-    if kind == "fresnel":
-        check_reflected_mode(float(doc["kx"]), float(doc["ky"]), float(doc["omega"]))
-    elif kind == "sweep" and doc["sweep_axis"]["name"] == "kx":
-        # a log kx axis needs numpy's rows: the light cone may fall on one
-        for kx in _axis_values(doc["sweep_axis"]):
-            check_reflected_mode(kx, float(doc["ky"]), float(doc["omega"]))
-    elif kind == "kk-check" and doc["sweep_axis"].get("spacing", "lin") == "lin":
-        # (log rows are positive: a log axis needs min > 0)
-        for omega in _axis_values(doc["sweep_axis"]):
-            check_kk_frequency(omega)
-    elif kind == "identity-check":
-        for om, op in doc["pairs"]:
-            check_pole_pair(float(om), float(op))
-    elif kind == "dissipation-check":
-        beta = scenario.frame().beta
-        for kx, _, _, omega in doc["points"]:
-            check_not_comoving(beta, float(kx), float(omega))
-    elif kind == "reciprocity-check":
-        check_not_grazing(float(doc["kx"]), float(doc["omega"]))
-
-
-def _rate_inputs(scenario: Scenario) -> list:
-    """(detector, frame) of every rate a validated scenario computes: one
-    for rate-surface and finite-time, one per row of a lin rate sweep, and
-    for a log rate sweep one per end point, which geomspace returns exactly
-    and between which every other (positive) row lies; none otherwise."""
-    if scenario.kind in ("rate-surface", "finite-time"):
-        return [(scenario.detector(), scenario.frame())]
-    if scenario.kind == "sweep":
-        axis = scenario.doc["sweep_axis"]
-        if axis["name"] in _RATE_AXES:
-            if axis.get("spacing", "lin") == "log":
-                values = [float(axis["min"]), float(axis["max"])][:axis["count"]]
-            else:
-                values = _axis_values(axis)
-            return [_row_inputs(scenario, axis["name"], v) for v in values]
-    return []
-
-
-def _axis_values(axis: dict) -> list:
-    """Row values of a sweep axis. Lin spacing is numpy.linspace's own
-    formula, i * step + min with the last row set to max, so only log
-    spacing needs numpy."""
-    lo, hi, count = float(axis["min"]), float(axis["max"]), int(axis["count"])
-    if count == 1:
-        return [lo]
-    if axis.get("spacing", "lin") == "log":
-        import numpy as np
-
-        return [float(v) for v in np.geomspace(lo, hi, count)]
-    step = (hi - lo) / (count - 1)
-    return [i * step + lo for i in range(count - 1)] + [hi]
-
-
-def _row_inputs(scenario: Scenario, axis_name: str, value: float):
-    """Detector and frame of one row of a beta, z0 or omega sweep."""
-    frame = scenario.frame()
-    det = scenario.detector()
-    if axis_name == "beta":
-        frame = MotionFrame(beta=value)
-    elif axis_name == "z0":
-        det = replace(det, z0=value)
-    else:
-        det = replace(det, omega=value)
-    return det, frame
-
-
-def _rate_surface_row(scenario: Scenario, axis_name: str, value: float) -> dict:
-    from . import rates
-
-    det, frame = _row_inputs(scenario, axis_name, value)
-    row = {axis_name: value}
-    try:
-        r = rates.rate_surface(det, frame, scenario.model(), scenario.quad())
-        row.update(gamma=r.gamma, error_estimate=r.error_estimate,
-                   converged=bool(r.converged))
-    except NonConvergenceError:
-        row.update(gamma=math.nan, error_estimate=math.inf, converged=False)
-    return row
-
-
-def _fresnel_row_values(model, frame, kx, ky, omega) -> dict:
-    from . import greens
-
-    rc = greens.reflection_coefficients(model, frame, kx, ky, omega)
-    return {"re_r11": rc.r11.real, "im_r11": rc.r11.imag,
-            "re_r22": rc.r22.real, "im_r22": rc.r22.imag}
-
-
-def _sweep_row(scenario: Scenario, value: float) -> dict:
-    axis_name = scenario.doc["sweep_axis"]["name"]
-    if axis_name in _RATE_AXES:
-        return _rate_surface_row(scenario, axis_name, value)
-    row = {"kx": value}
-    row.update(_fresnel_row_values(scenario.model(), scenario.frame(), value,
-                                   float(scenario.doc["ky"]),
-                                   float(scenario.doc["omega"])))
-    return row
+def _run_rows(scenario: Scenario, entry: _Kind):
+    """Columns, rows and summary of an entry's rows, computed serially in
+    order. A row whose computation does not converge gets the entry's
+    failed cells, or, if it has none, stops the run."""
+    model = scenario.model() if entry.model else None
+    rows = []
+    for row in _rows(scenario, entry):
+        try:
+            entry.compute(scenario, model, row)
+        except NonConvergenceError:
+            if entry.failed is None:
+                raise
+            row.update(entry.failed)
+        rows.append({c: row[c] for c in entry.columns})
+    return list(entry.columns), rows, entry.summary(rows) if entry.summary else {}
 
 
 def _run_sweep(scenario: Scenario, workers: int):
-    """Sweep rows in axis order. `workers` is accepted for compatibility and
-    has no effect: rows are computed serially."""
+    """Rows along the sweep axis, in axis order. `workers` is accepted for
+    compatibility and has no effect: rows are computed serially."""
     del workers
-    axis = scenario.doc["sweep_axis"]
-    rows = [_sweep_row(scenario, v) for v in _axis_values(axis)]
-    if axis["name"] in _RATE_AXES:
-        columns = [axis["name"], "gamma", "error_estimate", "converged"]
-        summary = {"all_converged": all(r["converged"] for r in rows)}
-    else:
-        columns = ["kx", "re_r11", "im_r11", "re_r22", "im_r22"]
-        summary = {"all_converged": True}
-    return columns, rows, summary
-
-
-def _run_kk_check(scenario: Scenario):
-    from . import medium
-
-    model = scenario.model()
-    quad = scenario.quad()
-    rows = []
-    for omega in _axis_values(scenario.doc["sweep_axis"]):
-        exact = medium.chi(model, "electric", omega)
-        row = {"omega": omega, "re_chi": exact.real, "im_chi": exact.imag}
-        try:
-            rec = medium.kk_reconstruct(model, "electric", omega, quad)
-            row.update(re_reconstructed=rec.real,
-                       rel_error=abs(rec - exact) / abs(exact), converged=True)
-        except NonConvergenceError:
-            row.update(re_reconstructed=math.nan, rel_error=math.inf,
-                       converged=False)
-        rows.append(row)
-    columns = ["omega", "re_chi", "im_chi", "re_reconstructed", "rel_error",
-               "converged"]
-    summary = {"max_rel_error": max(r["rel_error"] for r in rows),
-               "all_converged": all(r["converged"] for r in rows)}
-    return columns, rows, summary
-
-
-def _run_identity_check(scenario: Scenario):
-    from . import medium
-
-    model = scenario.model()
-    quad = scenario.quad()
-    shift = float(scenario.doc.get("shift", 0.0))
-    rows = []
-    for om, op in scenario.doc["pairs"]:
-        row = {"omega_minus": float(om), "omega_plus": float(op)}
-        try:
-            lhs, rhs, resid = medium.verify_identity_1(
-                model, float(om), float(op), quad, numerator_shift=shift)
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            row.update(re_lhs=lhs.real, im_lhs=lhs.imag, re_rhs=rhs.real,
-                       im_rhs=rhs.imag, relative_residual=resid / scale,
-                       converged=True)
-        except NonConvergenceError:
-            row.update(re_lhs=math.nan, im_lhs=math.nan, re_rhs=math.nan,
-                       im_rhs=math.nan, relative_residual=math.inf,
-                       converged=False)
-        rows.append(row)
-    columns = ["omega_minus", "omega_plus", "re_lhs", "im_lhs", "re_rhs",
-               "im_rhs", "relative_residual", "converged"]
-    summary = {"all_converged": all(r["converged"] for r in rows)}
-    return columns, rows, summary
+    return _run_rows(scenario, _entry(scenario.kind, scenario.doc))
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
     """Execute a validated scenario and return the full result record."""
     from datetime import datetime, timezone
 
-    from . import greens, rates
-
     t0 = time.perf_counter()
-    kind = scenario.kind
-    summary = {}
-    if kind == "rate-free":
-        r = rates.rate_free_space(scenario.detector(), scenario.frame(),
-                                  scenario.quad())
-        columns = ["gamma", "error_estimate", "exact"]
-        rows = [{"gamma": r.gamma, "error_estimate": r.error_estimate,
-                 "exact": bool(r.exact)}]
-    elif kind == "rate-surface":
-        r = rates.rate_surface(scenario.detector(), scenario.frame(),
-                               scenario.model(), scenario.quad())
-        columns = ["gamma", "error_estimate", "converged", "k_lower", "k_max",
-                   "s", "p"]
-        rows = [{"gamma": r.gamma, "error_estimate": r.error_estimate,
-                 "converged": bool(r.converged), "k_lower": r.k_lower,
-                 "k_max": r.k_max, "s": r.breakdown["s"],
-                 "p": r.breakdown["p"]}]
-        summary = {"all_converged": bool(r.converged)}
-    elif kind == "fresnel":
-        vals = _fresnel_row_values(scenario.model(), scenario.frame(),
-                                   float(scenario.doc["kx"]),
-                                   float(scenario.doc["ky"]),
-                                   float(scenario.doc["omega"]))
-        columns = list(vals)
-        rows = [vals]
-    elif kind == "kk-check":
-        columns, rows, summary = _run_kk_check(scenario)
-    elif kind == "identity-check":
-        columns, rows, summary = _run_identity_check(scenario)
-    elif kind == "dissipation-check":
-        model, frame, quad = scenario.model(), scenario.frame(), scenario.quad()
-        rows = []
-        for kx, ky, kz, omega in scenario.doc["points"]:
-            rep = greens.green_dissipation_identity(model, frame, float(kx),
-                                                    (float(ky), float(kz)),
-                                                    float(omega), quad)
-            rows.append({"kx": float(kx), "ky": float(ky), "kz": float(kz),
-                         "omega": float(omega), "residual": rep.residual,
-                         "relative_residual": rep.relative_residual})
-        columns = ["kx", "ky", "kz", "omega", "residual", "relative_residual"]
-    elif kind == "reciprocity-check":
-        rep = greens.reciprocity_check(scenario.model(), scenario.frame(),
-                                       float(scenario.doc["kx"]),
-                                       float(scenario.doc["omega"]),
-                                       tuple(scenario.doc["point_a"]),
-                                       tuple(scenario.doc["point_b"]),
-                                       scenario.quad())
-        columns = ["kx", "omega", "transpose_residual", "naive_residual"]
-        rows = [{"kx": float(scenario.doc["kx"]),
-                 "omega": float(scenario.doc["omega"]),
-                 "transpose_residual": rep.transpose_residual,
-                 "naive_residual": rep.naive_residual}]
-    elif kind == "sweep":
-        columns, rows, summary = _run_sweep(scenario, workers)
+    if _KINDS[scenario.kind].axes is None:
+        columns, rows, summary = _run_rows(scenario, _KINDS[scenario.kind])
     else:
-        # one rate-spline build serves every T of the list
-        det, frame = scenario.detector(), scenario.frame()
-        model, quad = scenario.model(), scenario.quad()
-        T = scenario.doc["T"]
-        columns = ["T", "probability"]
-        rows = [{"T": float(t),
-                 "probability": rates.finite_time_probability(
-                     det, frame, model, quad, float(t))}
-                for t in (T if isinstance(T, list) else [T])]
-
-    outputs = {"columns": columns, "rows": rows}
-    outputs.update(summary)
+        columns, rows, summary = _run_sweep(scenario, workers)
+    outputs = {"columns": columns, "rows": rows, **summary}
     provenance = {"version": __version__, **_libraries(),
                   "timestamp": datetime.now(timezone.utc).isoformat(),
                   "quad": asdict(scenario.quad())}
@@ -527,11 +523,9 @@ def record_from_dict(doc: dict) -> ResultRecord:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return "%.17g" % value
-    return str(value)
+    return str(value)       # True, False
 
 
 def emit_results(record: ResultRecord, fmt: str, path=None) -> None:

@@ -1,17 +1,17 @@
 """Dyadic Green functions for vacuum above a uniformly moving half-space.
 
-The free-space tensor is closed form in k-space. The half-space enters
-through reflection coefficients: rest-frame Fresnel amplitudes evaluated at
-the Doppler-shifted frequency gamma (omega - beta kx) while the wave equation
-keeps the lab frequency (the first-order-in-velocity scheme), with the
-polarization-mixing off-diagonal amplitudes dropped at the same order. A
-reflected Green function integrates the closed-form dyad over ky segments:
-plain, light-circle substitutions that cancel the 1/xi edge factor, a 1/u
-tail; every segment a check needs is a member of one lockstep batch. Two
-structural checks live here as operations: the k-space dissipation identity
-relating G W G-dagger to the anti-Hermitian part of G, and the
-velocity-reversal transpose relation that replaces reciprocity for moving
-media.
+The free-space part enters only at coincident points, in closed form. The
+half-space enters through reflection coefficients: rest-frame Fresnel
+amplitudes evaluated at the Doppler-shifted frequency gamma (omega - beta kx)
+while the wave equation keeps the lab frequency (the first-order-in-velocity
+scheme), with the polarization-mixing off-diagonal amplitudes dropped at the
+same order. A reflected Green function integrates the closed-form dyad over
+ky segments: plain, light-circle substitutions that cancel the 1/xi edge
+factor, a 1/u tail; every segment a check needs is a member of one lockstep
+batch. Two structural checks live here as operations: the k-space
+dissipation identity relating G W G-dagger to the anti-Hermitian part of G,
+and the velocity-reversal transpose relation that replaces reciprocity for
+moving media.
 
 Branch conventions: xi = sqrt(kpar^2 - omega^2) is real positive in the
 evanescent sector and -i sign(omega) sqrt(omega^2 - kpar^2) in the
@@ -43,7 +43,6 @@ __all__ = [
     "ReciprocityReport",
     "ReflectionCoefficients",
     "SurfaceGeometry",
-    "free_green_k",
     "green_dissipation_identity",
     "im_free_green_coincident",
     "reciprocity_check",
@@ -92,18 +91,6 @@ def _cross_matrix(k):
     return np.array([[0.0, -k[2], k[1]],
                      [k[2], 0.0, -k[0]],
                      [-k[1], k[0], 0.0]])
-
-
-def free_green_k(kvec, omega: float, eta: float) -> ComplexTensor3:
-    """Free-space dyadic Green function at a k-space point."""
-    omega = float(omega)
-    if omega == 0.0:
-        raise ValueError("free-space Green function is singular at omega = 0")
-    k = np.asarray(kvec, dtype=float)
-    knorm = float(np.linalg.norm(k))
-    denom = omega ** 2 * (knorm - omega - 1j * eta) * (knorm + omega + 1j * eta)
-    g = -(np.outer(k, k) - omega ** 2 * np.eye(3)) / denom
-    return ComplexTensor3(g)
 
 
 def im_free_green_coincident(kx: float, omega: float) -> ComplexTensor3:

@@ -66,6 +66,8 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
         if self.k_max is not None and not self.k_max > 0.0:
             raise ValueError("k_max must be > 0 when set")
+        if self.k_max is not None and not math.isfinite(self.k_max):
+            raise ValueError("k_max must be finite when set")
         if not self.tail_switch > 0.0:
             raise ValueError("tail_switch must be > 0")
 
@@ -100,6 +102,8 @@ class DetectorSpec:
         kappa = tuple(float(c) for c in self.kappa)
         if len(kappa) != 3:
             raise ValueError("kappa must have three components")
+        if not all(math.isfinite(c) for c in kappa):
+            raise ValueError("kappa components must be finite")
         object.__setattr__(self, "kappa", kappa)
         if not self.omega > 0.0:
             raise ValueError("omega must be > 0")

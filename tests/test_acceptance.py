@@ -1,11 +1,15 @@
 """Acceptance gate: each test enforces one published behavior at its stated
 tolerance and runtime budget, and prints a single PASS line when it holds."""
 
+import csv
+import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import reference
 from vacdrag.cli import main
@@ -180,9 +184,66 @@ def test_10_golden_rule_convergence():
         print(f"golden-rule T* = {t_star:g}")
 
 
+# The committed outputs of the bundled scenarios. A change that moves a
+# value on purpose updates its file and says why in CHANGES.md.
+REFERENCE_CSV = Path(__file__).resolve().parent / "reference_csv"
+
+
+def assert_matches_reference(text, reference_text):
+    """A CSV against its reference: the header and the True/False cells
+    exactly; in a rate row (one with an error_estimate) every number within
+    the reference row's error_estimate; elsewhere every number within 1e-12
+    relative. Non-finite numbers must match exactly."""
+    got = list(csv.reader(io.StringIO(text)))
+    ref = list(csv.reader(io.StringIO(reference_text)))
+    assert got[0] == ref[0], f"header {got[0]} is not {ref[0]}"
+    assert len(got) == len(ref), f"{len(got) - 1} rows, not {len(ref) - 1}"
+    header = ref[0]
+    for row, ref_row in zip(got[1:], ref[1:]):
+        bound = None
+        if "error_estimate" in header:
+            bound = float(ref_row[header.index("error_estimate")])
+        for column, cell, ref_cell in zip(header, row, ref_row):
+            if ref_cell in ("True", "False"):
+                assert cell == ref_cell, (column, cell, ref_cell)
+                continue
+            value, expected = float(cell), float(ref_cell)
+            if not math.isfinite(expected):
+                assert cell == ref_cell, (column, cell, ref_cell)
+            elif bound is not None:
+                assert abs(value - expected) <= bound, (column, value, expected)
+            else:
+                assert abs(value - expected) <= 1e-12 * abs(expected), \
+                    (column, value, expected)
+
+
+def test_reference_comparison_can_fail():
+    rate = (REFERENCE_CSV / "rate_surface.csv").read_text()
+    header, row = rate.splitlines()
+    cells = row.split(",")
+    gamma, bound = float(cells[0]), float(cells[1])
+
+    def with_gamma(shift):
+        cells[0] = "%.17g" % (gamma + shift * bound)
+        return f"{header}\n{','.join(cells)}\n"
+
+    assert_matches_reference(with_gamma(0.5), rate)
+    kx = (REFERENCE_CSV / "sweep_kx.csv").read_text()
+    moved = [(with_gamma(2.0), rate),                  # twice its error
+             (rate.replace("True", "False"), rate),    # a boolean
+             (rate.replace("converged", "ok"), rate),  # the header
+             # a reflection coefficient, by 4.3e-12 relative
+             (kx.replace("0.023242787495544794", "0.023242787495644794"), kx)]
+    for text, reference_text in moved:
+        with pytest.raises(AssertionError):
+            assert_matches_reference(text, reference_text)
+
+
 def test_11_cli_byte_determinism(tmp_path, scenarios_dir):
     scenario_files = sorted(scenarios_dir.glob("*.json"))
     assert scenario_files, "no bundled scenarios found"
+    assert sorted(p.stem for p in REFERENCE_CSV.glob("*.csv")) == \
+        [p.stem for p in scenario_files]
     digests = []
     for run in ("first", "second"):
         outdir = tmp_path / run
@@ -193,6 +254,9 @@ def test_11_cli_byte_determinism(tmp_path, scenarios_dir):
             code = main(["run", "--scenario", str(sc), "--output", str(out)])
             assert code == 0, f"{sc.name} exited {code}"
             blobs[sc.name] = out.read_bytes()
+            if run == "first":
+                assert_matches_reference(
+                    out.read_text(), (REFERENCE_CSV / out.name).read_text())
         digests.append(blobs)
     assert digests[0] == digests[1]
     print(f"[criterion 11 determinism] PASS ({len(scenario_files)} scenarios)")

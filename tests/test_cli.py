@@ -1,6 +1,7 @@
 """Scenario runner and CLI: validation, emission, caching, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from vacdrag.cli import (
     run_scenario,
     scenario_from_dict,
 )
+from vacdrag.specs import DetectorSpec, QuadratureSpec
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -293,6 +295,9 @@ FIELD_MESSAGES = [
     ("rate_surface.json", {"kind": "rate"},
      "kind: 'rate' is not one of rate-free, rate-surface, fresnel, kk-check, "
      "identity-check, dissipation-check, reciprocity-check, sweep, finite-time"),
+    ("rate_surface.json", {"kind": ["sweep"]},
+     "kind: '['sweep']' is not one of rate-free, rate-surface, fresnel, kk-check, "
+     "identity-check, dissipation-check, reciprocity-check, sweep, finite-time"),
     # several bad fields: every message, in a fixed order
     ("finite_time.json", {"frame": {"beta": -1.0}, "quad": None, "model_file": ...,
                           "detector": {"kappa": [1.0], "omega": 0.1}, "T": True},
@@ -322,6 +327,40 @@ def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
     for command in ("validate", "run"):
         assert run_cli([command, "--scenario", path]) == 1
         assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
+# JSON NaN and Infinity parse; fields the computations need finite are
+# rejected by name, by validate and by the spec constructors alike.
+NON_FINITE = [
+    ({"detector": {"kappa": [0.8, math.nan, 1.1], "omega": 0.1, "z0": 1.0}},
+     "detector: kappa components must be finite"),
+    ({"detector": {"kappa": [-math.inf, 0.3, 1.1], "omega": 0.1, "z0": 1.0}},
+     "detector: kappa components must be finite"),
+    ({"quad": {"rel_tol": 1e-5, "abs_tol": 1e-18, "k_max": math.inf}},
+     "quad: k_max must be finite when set"),
+]
+
+
+@pytest.mark.parametrize("update, message", NON_FINITE)
+def test_validate_rejects_non_finite_inputs(tmp_path, capsys, scenarios_dir,
+                                            update, message):
+    doc = dict(json.loads((scenarios_dir / "rate_surface.json").read_text()),
+               **update)
+    path = write_scenario(tmp_path, doc)
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    for command in ("validate", "run"):
+        assert run_cli([command, "--scenario", path]) == 1
+        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
+def test_specs_reject_non_finite_inputs():
+    for kappa in ((0.8, math.nan, 1.1), (math.inf, 0.3, 1.1)):
+        with pytest.raises(ValueError, match="kappa components must be finite"):
+            DetectorSpec(kappa=kappa, omega=0.1, z0=1.0)
+    for k_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k_max must be"):
+            QuadratureSpec(k_max=k_max)
+    assert QuadratureSpec(k_max=None).k_max is None
 
 
 # ---------------------------------------------------------------------------

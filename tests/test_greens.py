@@ -11,7 +11,6 @@ import reference
 from vacdrag.greens import (
     ComplexTensor3,
     SurfaceGeometry,
-    free_green_k,
     green_dissipation_identity,
     im_free_green_coincident,
     reciprocity_check,
@@ -42,48 +41,6 @@ REST = MotionFrame(beta=0.0)
 
 def entries(t):
     return np.asarray(t)
-
-
-def cross_matrix(v):
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
-
-
-# ---------------------------------------------------------------------------
-# free_green_k
-# ---------------------------------------------------------------------------
-
-def test_free_green_at_zero_wavevector():
-    g = free_green_k(np.zeros(3), 1.0, 0.0)
-    assert entries(g) == pytest.approx(-np.eye(3), rel=1e-14)
-
-
-def test_free_green_rejects_zero_frequency():
-    with pytest.raises(ValueError):
-        free_green_k(np.array([1.0, 0.0, 0.0]), 0.0, 0.0)
-
-
-def test_free_green_satisfies_wave_equation():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        k = rng.uniform(-3.0, 3.0, size=3)
-        omega = float(rng.uniform(0.3, 2.0))
-        if abs(np.linalg.norm(k) - omega) < 0.1:
-            k = k * 2.0
-        g = entries(free_green_k(k, omega, 0.0))
-        kc = cross_matrix(k)
-        residual = (kc @ kc + omega ** 2 * np.eye(3)) @ g + np.eye(3)
-        assert np.max(np.abs(residual)) < 1e-12
-
-
-def test_free_green_large_wavevector_limits():
-    omega = 1.3
-    g = entries(free_green_k(np.array([1e4, 0.0, 0.0]), omega, 0.0))
-    # transverse entries decay, longitudinal tends to -1/omega^2
-    assert abs(g[1, 1]) < 2e-8
-    assert abs(g[2, 2]) < 2e-8
-    assert g[0, 0] == pytest.approx(-1.0 / omega ** 2, rel=1e-6)
 
 
 def test_tensor_part_helpers():

@@ -11,9 +11,14 @@ what they check. A row whose oracle passes under its mutant is a fault the
 suite cannot see, and fails here. A mutant is a wrapper around the original
 function or, where the fault sits inside a longer function (`rate_surface`),
 an edit of its source compiled again in its module. A dotted name
-(`_RateSpline._plan`) is a method, bound only on its class.
+(`_RateSpline._plan`) is a method, bound only on its class, and a
+subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
+oracle may be a parametrized test bound to one of its rows: the fixtures it
+still names are the mutation test's own.
 """
 
+import dataclasses
+import functools
 import importlib
 import inspect
 import sys
@@ -22,6 +27,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import test_cli
 import test_greens
 import test_kinematics
 import test_medium
@@ -93,6 +99,24 @@ def odd_entries_with_cos(original):
     return mutant
 
 
+def predicate_dropped(original):
+    """A CLI kind's entry keeps its fields, rows and computation but loses
+    its row predicate, so validate no longer applies the input check that
+    run applies."""
+    return dataclasses.replace(original, check=None)
+
+
+def kind_rejects(scenario):
+    """test_cli's test_validate_rejects_what_each_kind_rejects, bound to its
+    row for the bundled `scenario`."""
+    test = test_cli.test_validate_rejects_what_each_kind_rejects
+    name, update, reason = next(row for row in test_cli.KIND_REJECTS
+                                if row[0] == scenario)
+    oracle = functools.partial(test, name=name, update=update, reason=reason)
+    oracle.__name__ = test.__name__
+    return oracle
+
+
 def rewritten(name, old, new):
     """A mutant made by an edit of the source: `old`, which must occur once
     in the function, becomes `new`, and the function is compiled again in
@@ -152,6 +176,8 @@ MUTATIONS = [
      rewritten("chi_ee_yz_term_with_chi_e", "g2 * b2 * yz * cb", "g2 * b2 * yz * ce"),
      {"kinematics", "greens"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
+    ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
+     kind_rejects("dissipation_check.json")),
 ]
 
 
@@ -169,6 +195,12 @@ def patch_every_binding(monkeypatch, module, name, make):
     vacdrag modules patched."""
     importlib.import_module("vacdrag.rates")       # load every numeric module
     owner = importlib.import_module(f"vacdrag.{module}")
+    name, _, key = name.partition("[")
+    if key:
+        table = getattr(owner, name)
+        key = key.removesuffix("]")
+        monkeypatch.setitem(table, key, make(table[key]))
+        return {module}
     cls, _, name = name.rpartition(".")
     if cls:
         owner = getattr(owner, cls)
@@ -191,9 +223,13 @@ def patch_every_binding(monkeypatch, module, name, make):
     "module, name, make, bindings, oracle", MUTATIONS,
     ids=[f"{make.__name__}-{oracle.__name__.removeprefix('test_')}"
          for _, _, make, _, oracle in MUTATIONS])
-def test_oracle_catches_mutant(monkeypatch, module, name, make, bindings, oracle):
-    oracle()
+def test_oracle_catches_mutant(monkeypatch, request, module, name, make, bindings,
+                               oracle):
+    fixtures = {p: request.getfixturevalue(p)
+                for p, v in inspect.signature(oracle).parameters.items()
+                if v.default is v.empty}
+    oracle(**fixtures)
     assert patch_every_binding(monkeypatch, module, name, make) == bindings
     failure, match = FAILURES.get(make.__name__, (AssertionError, None))
     with pytest.raises(failure, match=match):
-        oracle()
+        oracle(**fixtures)

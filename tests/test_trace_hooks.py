@@ -110,3 +110,25 @@ def test_traced_time_ladder_builds_once_and_times_the_hits():
     assert metrics["rates.spline_builds"]["value"] == 1
     assert metrics["rates.spline_cache_hits"]["value"] == len(ladder) - 1
     assert metrics["rates.convolution_s"]["value"] > 0.0
+
+
+def test_traced_cli_run_records_the_cli_spans(tmp_path, scenarios_dir):
+    """An in-process `vacdrag run` of a rate sweep with two workers, traced:
+    the CLI calls validation, the run and the sweep through the module's
+    globals, where the tracer rebinds them, so cli.validate_s,
+    cli.run_scenario_s and cli.pool_s are not silently zero."""
+    tracer = load_tracer()
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        code = vacdrag.cli.main(["run", "--scenario",
+                                 str(scenarios_dir / "sweep_beta.json"),
+                                 "--workers", "2", "--output",
+                                 str(tmp_path / "sweep.csv")])
+    finally:
+        hooks.uninstall()
+    assert code == 0
+    for name in ("cli.main", "cli.scenario_from_dict", "cli.run_scenario",
+                 "cli._run_sweep[pool]"):
+        assert name in hooks.names, name
+        assert hooks.name.count(hooks.names.index(name)) == 1, name
