@@ -314,6 +314,14 @@ FIELD_MESSAGES = [
 ]
 
 
+def assert_rejected(tmp_path, capsys, doc, message):
+    """validate and run both exit 1, writing exactly this message."""
+    path = write_scenario(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert run_cli([command, "--scenario", path]) == 1
+        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+
+
 @pytest.mark.parametrize("name, update, message", FIELD_MESSAGES)
 def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
                                         name, update, message):
@@ -323,10 +331,7 @@ def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
             del doc[key]
         else:
             doc[key] = value
-    path = write_scenario(tmp_path, doc)
-    for command in ("validate", "run"):
-        assert run_cli([command, "--scenario", path]) == 1
-        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+    assert_rejected(tmp_path, capsys, doc, message)
 
 
 # JSON NaN and Infinity parse; fields the computations need finite are
@@ -346,11 +351,8 @@ def test_validate_rejects_non_finite_inputs(tmp_path, capsys, scenarios_dir,
                                             update, message):
     doc = dict(json.loads((scenarios_dir / "rate_surface.json").read_text()),
                **update)
-    path = write_scenario(tmp_path, doc)
-    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
-    for command in ("validate", "run"):
-        assert run_cli([command, "--scenario", path]) == 1
-        assert capsys.readouterr().err == f"invalid scenario: {message}\n"
+    assert "NaN" in json.dumps(doc) or "Infinity" in json.dumps(doc)
+    assert_rejected(tmp_path, capsys, doc, message)
 
 
 def test_specs_reject_non_finite_inputs():
