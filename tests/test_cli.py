@@ -146,6 +146,14 @@ def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys,
     assert message == f"invalid scenario: {exc.value}\n"
 
 
+# A log kx axis whose middle row, kx = 0.3, lies on the light cone: unlike a
+# rate axis, it cannot be validated at its ends alone.
+LOG_KX_MIDDLE = ("sweep_kx.json",
+                 {"ky": 0.4, "omega": 0.5,
+                  "sweep_axis": {"name": "kx", "min": 0.1, "max": 0.9, "count": 3,
+                                 "spacing": "log"}},
+                 "mode lies on the light cone (xi = 0)")
+
 # Bundled scenarios of the other kinds, changed (by update) to an input that
 # the computation rejects, with the message it rejects it with.
 KIND_REJECTS = [
@@ -167,6 +175,7 @@ KIND_REJECTS = [
                        "sweep_axis": {"name": "kx", "min": 0.1, "max": 0.3,
                                       "count": 3, "spacing": "log"}},
      "mode lies on the light cone (xi = 0)"),
+    LOG_KX_MIDDLE,
 ]
 
 

@@ -106,12 +106,18 @@ def predicate_dropped(original):
     return dataclasses.replace(original, check=None)
 
 
-def kind_rejects(scenario):
-    """test_cli's test_validate_rejects_what_each_kind_rejects, bound to its
-    row for the bundled `scenario`."""
+def kx_axis_checked_at_ends(original):
+    """The sweep's kx axis is validated like a rate axis, at the two ends of
+    a log axis only, so a light-cone row between them passes validate."""
+    kx = dataclasses.replace(original.axes["kx"], log_ends=True)
+    return dataclasses.replace(original, axes=dict(original.axes, kx=kx))
+
+
+def kind_rejects(row):
+    """test_cli's test_validate_rejects_what_each_kind_rejects, bound to one
+    of its rows."""
     test = test_cli.test_validate_rejects_what_each_kind_rejects
-    name, update, reason = next(row for row in test_cli.KIND_REJECTS
-                                if row[0] == scenario)
+    name, update, reason = row
     oracle = functools.partial(test, name=name, update=update, reason=reason)
     oracle.__name__ = test.__name__
     return oracle
@@ -177,7 +183,10 @@ MUTATIONS = [
      {"kinematics", "greens"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
     ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
-     kind_rejects("dissipation_check.json")),
+     kind_rejects(next(row for row in test_cli.KIND_REJECTS
+                       if row[0] == "dissipation_check.json"))),
+    ("cli", "_KINDS[sweep]", kx_axis_checked_at_ends, {"cli"},
+     kind_rejects(test_cli.LOG_KX_MIDDLE)),
 ]
 
 
