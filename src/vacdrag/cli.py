@@ -39,9 +39,10 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_kk_frequency, check_not_comoving,
-                    check_not_grazing, check_pole_pair, check_rate_inputs,
-                    check_reflected_mode, load_model, model_to_dict)
+                    QuadratureSpec, check_identity_shift, check_kk_frequency,
+                    check_not_comoving, check_not_grazing, check_pole_pair,
+                    check_rate_inputs, check_reflected_mode, load_model,
+                    model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -272,6 +273,12 @@ def _identity(scenario, model, row):
                im_rhs=rhs.imag, relative_residual=resid / scale, converged=True)
 
 
+def _check_pair(scenario, model, row):
+    om, op = row["omega_minus"], row["omega_plus"]
+    check_pole_pair(om, op)
+    check_identity_shift(model, om, op, float(scenario.doc.get("shift", 0.0)))
+
+
 def _dissipation(scenario, model, row):
     rep = _pkg.greens.green_dissipation_identity(
         model, scenario.frame(), row["kx"], (row["ky"], row["kz"]), row["omega"],
@@ -350,8 +357,7 @@ _KINDS = {
                 ("shift", _optional_number)),
         rows=lambda doc: [{"omega_minus": float(om), "omega_plus": float(op)}
                           for om, op in doc["pairs"]],
-        check=lambda s, m, row: check_pole_pair(row["omega_minus"],
-                                                row["omega_plus"]),
+        check=_check_pair,
         summary=_all_converged,
         failed={"re_lhs": math.nan, "im_lhs": math.nan, "re_rhs": math.nan,
                 "im_rhs": math.nan, "relative_residual": math.inf,

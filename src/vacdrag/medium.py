@@ -22,8 +22,9 @@ import numpy as np
 
 from .quadrature import integrate_semi_infinite, principal_value
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
-                    SusceptibilityModel, check_kk_frequency, check_pole_pair,
-                    load_model, model_from_dict, model_to_dict)
+                    SusceptibilityModel, check_identity_shift,
+                    check_kk_frequency, check_pole_pair, load_model,
+                    lorentz_chi, model_from_dict, model_to_dict)
 
 __all__ = [
     "IdentityReport",
@@ -82,12 +83,7 @@ def chi(model: SusceptibilityModel, kind: str, omega):
         raise ValueError("frequency must be finite")
     if om.imag < 0.0:
         raise ValueError("frequency must lie on the real axis or above")
-    total = 0j
-    for t in terms:
-        if t.resonance == 0.0 and om == 0:
-            raise ValueError("free-carrier term is singular at zero frequency")
-        total += t.plasma_strength / (t.resonance ** 2 - om * om - 1j * t.damping * om)
-    return total
+    return lorentz_chi(terms, om)
 
 
 def coupling_amplitude(model: SusceptibilityModel, kind: str, omega: float) -> float:
@@ -145,12 +141,15 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     explicit residue terms plus a principal-value remainder. RHS: the closed
     form [(om^2 - a) chi(om) - (op^2 - a) chi(op)] / (om^2 - op^2). Returns
     IdentityReport(lhs, rhs, residual); the identity holds for any real
-    shift a.
+    shift a. The shift enters the LHS after integration, as -a times the
+    integral of w Im chi, so no shift that specs.check_identity_shift admits
+    overflows an integrand value.
     """
     om = float(omega_minus)
     op = float(omega_plus_prime)
     a = float(numerator_shift)
     check_pole_pair(om, op)
+    check_identity_shift(model, om, op, a)
     dm2 = om * om - op * op
     terms = model.electric_terms
 
@@ -162,22 +161,29 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     if not terms:
         return IdentityReport(0j, 0j, 0.0)
 
-    def h(w):
-        im = _chi_terms_array(terms, w).imag
-        return (2.0 / math.pi) * w * (w * w - a) * im / \
-            ((w * w - om * om) * (w * w - op * op))
-
     p_lo, p_hi = sorted((abs(om), op))
     mid = 0.5 * (p_lo + p_hi)
     cut = max(4.0 * _frequency_scale(terms), 2.0 * p_hi)
-    pieces = [
-        principal_value(h, p_lo, 0.0, mid, quad),
-        principal_value(h, p_hi, mid, cut, quad),
-        integrate_semi_infinite(h, cut, quad),
-    ]
-    if not all(p.converged for p in pieces):
-        raise NonConvergenceError(
-            "two-pole integral did not converge",
-            residual=sum(p.error_estimate for p in pieces))
-    lhs = residue + sum(p.value for p in pieces)
+
+    def regulated(cube):
+        # of (2/pi) w^3 Im chi / ((w^2 - om^2)(w^2 - op^2)), or w for w^3
+        def h(w):
+            im = _chi_terms_array(terms, w).imag
+            return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
+                ((w * w - om * om) * (w * w - op * op))
+
+        pieces = [
+            principal_value(h, p_lo, 0.0, mid, quad),
+            principal_value(h, p_hi, mid, cut, quad),
+            integrate_semi_infinite(h, cut, quad),
+        ]
+        if not all(p.converged for p in pieces):
+            raise NonConvergenceError(
+                "two-pole integral did not converge",
+                residual=sum(p.error_estimate for p in pieces))
+        return sum(p.value for p in pieces)
+
+    lhs = residue + regulated(True)
+    if a:
+        lhs -= a * regulated(False)
     return IdentityReport(lhs, rhs, abs(lhs - rhs))

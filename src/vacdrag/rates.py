@@ -29,10 +29,15 @@ k^2 + ky^2 - eps mu omega^2 has Re xi_m^2 < 0 at ky = 0 near the threshold,
 and the ky integrand has a square-root branch point at b = sqrt(Re(eps mu)
 omega^2 - k^2), clipped to ky_cut / 2. A batch member with b > 0 at any of
 its k-nodes integrates over t in [0, ky_cut] with [0, ky_cut / 2] mapped
-onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut], each piece squared
-toward b (_ky_split): its first bisection lands on b, and sqrt(|ky - b|)
-is smooth in t. Every other member, and every member when beta n < 1,
-integrates ky = t directly, and a sweep with no mapped member skips the map.
+onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] (_ky_split): its
+first bisection lands on b. Each piece is graded toward b, ky = b +- width
+e(a)^2 with e(a) = expm1(lambda a) / expm1(lambda): squared at b, so that
+sqrt(|ky - b|) is smooth in t, and near b finer than a plain square by
+(lambda / expm1(lambda))^2, about 2e-4 at lambda = 6, which resolves the
+width that loss gives the branch point. lambda is a constant, not a knob:
+it moves only where the panels fall, not the integral. Every other member,
+and every member when beta n < 1, integrates ky = t directly, and a sweep
+with no mapped member skips the map.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -97,16 +102,24 @@ def rate_free_space(det: DetectorSpec, frame: MotionFrame,
                       breakdown={"s": 0.0, "p": 0.0}, exact=True)
 
 
+_GRADE = 6.0                        # lambda of the graded ky map
+_GRADE_NORM = math.expm1(_GRADE)
+_GRADE_SLOPE = 2.0 * _GRADE / _GRADE_NORM
+
+
 def _ky_split(t, b, on, ky_cut):
     """ky and dky/dt for the inner variable t in [0, ky_cut], with branch
     points 0 <= b <= ky_cut / 2. Where `on`, t in [0, ky_cut / 2] goes onto
-    [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut], each piece squared
-    toward b, so that sqrt(|ky - b|) is smooth in t; elsewhere ky = t."""
+    [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] by the graded map ky =
+    b +- width e(a)^2, a = |t - ky_cut / 2| / (ky_cut / 2) (see the module
+    docstring); elsewhere ky = t."""
     half = 0.5 * ky_cut
     u = (t - half) / half
     width = np.where(u < 0.0, b, ky_cut - b)
-    ky = np.where(on, b + width * u * np.abs(u), t)
-    jac = np.where(on, 2.0 * width * np.abs(u) / half, 1.0)
+    grow = np.expm1(_GRADE * np.abs(u))
+    e = grow / _GRADE_NORM
+    ky = np.where(on, b + np.copysign(width * e * e, u), t)
+    jac = np.where(on, (_GRADE_SLOPE / half) * width * e * (grow + 1.0), 1.0)
     return ky, jac
 
 
@@ -118,12 +131,21 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     k_lo = _k_lower(det.omega, frame.beta)
     omega = det.omega
     z0 = det.z0
-    kx_c, ky_c, kz_c = det.kappa
     speed = abs(frame.beta)
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
+
+    # kappa's folds with the s and p dyads, summed over both signs of ky,
+    #   fold_s = 2 (kappa_x^2 ky^2 + kappa_y^2 k^2) / kpar^2,
+    #   fold_p = 2 (xi^2 (kappa_x^2 k^2 + kappa_y^2 ky^2) + kappa_z^2 kpar^4)
+    #            / (kpar^2 omega^2),
+    # with 1 / (2 pi)^2 (and 1 / omega^2 for p) in the coefficients
+    norm = 2.0 / (2.0 * math.pi) ** 2
+    sx, sy, sz = (norm * c * c for c in det.kappa)
+    px, py, pz = (c / (omega * omega) for c in (sx, sy, sz))
+    decay = -2.0 * z0
 
     def outer(s):
         # k = k_lo + span s^2: chi once on all k-nodes of a sweep, then one
@@ -132,12 +154,15 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         karr = k_lo + span * s * s
         cap = frame.gamma * (speed * karr - omega)
         k = karr.reshape(-1, 15).T
+        ksq = k * k
         eps = (1.0 + chi(model, "electric", cap)).reshape(-1, 15).T
-        mu = (1.0 + chi(model, "magnetic", cap)).reshape(-1, 15).T
+        # mu = 1 stays a scalar: no complex products with it in the kernel
+        mu = (1.0 + chi(model, "magnetic", cap)).reshape(-1, 15).T \
+            if model.magnetic_terms else 1.0
         # Re xi_m^2 = k^2 + ky^2 - Re(eps mu) omega^2 vanishes at ky = b,
         # b > 0 only beyond the medium's light cone (beta n > 1); a member
         # with b > 0 at any of its nodes integrates through _ky_split
-        branch = np.sqrt(np.maximum((eps * mu).real * omega * omega - k * k, 0.0))
+        branch = np.sqrt(np.maximum((eps * mu).real * omega * omega - ksq, 0.0))
         branch = np.minimum(branch, 0.5 * ky_cut)
         mapped = branch.any(axis=0)
         split = bool(mapped.any())
@@ -145,26 +170,28 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         def density(arg):
             # np.take gives C-order (15, n) arrays: no copy in quadrature
             t, member = arg
-            kn = np.take(k, member, axis=1)
+            k2 = np.take(ksq, member, axis=1)
             if split:
                 ky, jac = _ky_split(t, np.take(branch, member, axis=1),
                                     mapped[member], ky_cut)
             else:
                 ky = t
-            kpar2 = kn * kn + ky * ky
-            xi = np.sqrt(kpar2 - omega * omega)
-            e, m = np.take(eps, member, axis=1), np.take(mu, member, axis=1)
+            ky2 = ky * ky
+            kpar2 = k2 + ky2
+            xi2 = kpar2 - omega * omega
+            xi = np.sqrt(xi2)
+            e = np.take(eps, member, axis=1)
+            m = np.take(mu, member, axis=1) if model.magnetic_terms else 1.0
             xim = _xi_medium(kpar2, e, m, omega)
             rs, rp = _fresnel_amplitudes(e, m, xi, xim)
-            fold_s = ((kx_c * ky + ky_c * kn) ** 2
-                      + (-kx_c * ky + ky_c * kn) ** 2) / kpar2
-            fold_p = (xi * xi * ((kx_c * kn - ky_c * ky) ** 2
-                                 + (kx_c * kn + ky_c * ky) ** 2)
-                      + 2.0 * kz_c ** 2 * kpar2 ** 2) / (kpar2 * omega ** 2)
-            weight = np.exp(-2.0 * xi * z0) / xi / (2.0 * math.pi) ** 2
+            weight = np.exp(decay * xi) / (xi * kpar2)
             if split:
-                weight = weight * jac
-            return np.stack((weight * fold_s * rs.imag, weight * fold_p * rp.imag))
+                weight *= jac
+            out = np.empty((2,) + kpar2.shape)
+            np.multiply(weight * (sx * ky2 + sy * k2), rs.imag, out=out[0])
+            np.multiply(weight * (xi2 * (px * k2 + py * ky2) + pz * kpar2 * kpar2),
+                        rp.imag, out=out[1])
+            return out
 
         res = integrate_adaptive(density, 0.0, ky_cut, inner_quad,
                                  batch=k.shape[1])

@@ -12,13 +12,16 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 `rates.finite_time_probability` and the scenario validator apply, so
 validation rejects exactly the rate inputs that a run rejects.
 `check_not_grazing` plays the same part for the reflected-Green integrals
-of `greens.surface_green_coincident` and `greens.reciprocity_check`.
+of `greens.surface_green_coincident` and `greens.reciprocity_check`, and
+`check_pole_pair` with `check_identity_shift` for
+`medium.verify_identity_1`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -29,10 +32,12 @@ __all__ = [
     "NonConvergenceError",
     "QuadratureSpec",
     "SusceptibilityModel",
+    "check_identity_shift",
     "check_not_grazing",
     "check_rate_inputs",
     "load_model",
     "lorentz_gamma",
+    "max_identity_shift",
     "model_from_dict",
     "model_to_dict",
 ]
@@ -170,9 +175,13 @@ def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
 
 
 def check_not_grazing(kx: float, omega: float) -> None:
-    """Raise ValueError for a grazing mode, kx^2 = omega^2 to 1e-12
-    relative: there the light circle shrinks to ky = 0 and the reflected
-    ky integral is not integrable."""
+    """Raise ValueError for a reflected-Green mode that cannot be
+    integrated: omega = 0, where the p dyad's 1 / omega^2 diverges, or a
+    grazing mode, kx^2 = omega^2 to 1e-12 relative, where the light circle
+    shrinks to ky = 0 and the reflected ky integral is not integrable."""
+    if omega == 0.0:
+        raise ValueError("omega must be nonzero: the reflected p dyad divides "
+                         "by omega^2")
     if abs(kx * kx - omega * omega) <= 1e-12 * max(kx * kx, omega * omega):
         raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
 
@@ -205,6 +214,43 @@ def check_pole_pair(omega_minus: float, omega_plus: float) -> None:
     if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
                               omega_plus * omega_plus, 1.0):
         raise ValueError("pole frequencies are degenerate")
+
+
+def lorentz_chi(terms, omega: complex) -> complex:
+    """The sum of the Lorentz terms at one frequency, in exact complex
+    arithmetic; raises ValueError for a free-carrier term at omega = 0."""
+    total = 0j
+    for t in terms:
+        if t.resonance == 0.0 and omega == 0:
+            raise ValueError("free-carrier term is singular at zero frequency")
+        total += t.plasma_strength / (t.resonance ** 2 - omega * omega
+                                      - 1j * t.damping * omega)
+    return total
+
+
+_SHIFT_HEADROOM = sys.float_info.max / 64.0
+
+
+def max_identity_shift(model: SusceptibilityModel, omega_minus: float,
+                       omega_plus: float) -> float:
+    """The largest numerator shift |a| the two-pole identity takes at these
+    poles. Each side is linear in a, whose coefficient is at most 2
+    (|chi(om)| + |chi(op)|) / |om^2 - op^2|; keeping |a| (|chi(om)| +
+    |chi(op)|) / min(|om^2 - op^2|, 1) below float max / 64 keeps every
+    shifted term finite."""
+    terms = model.electric_terms
+    size = abs(lorentz_chi(terms, omega_minus)) + abs(lorentz_chi(terms, omega_plus))
+    gap = abs(omega_minus * omega_minus - omega_plus * omega_plus)
+    return _SHIFT_HEADROOM * min(gap, 1.0) / size if size else math.inf
+
+
+def check_identity_shift(model: SusceptibilityModel, omega_minus: float,
+                         omega_plus: float, shift: float) -> None:
+    """Raise ValueError for a numerator shift beyond max_identity_shift, or
+    for a free-carrier model with a pole at zero frequency."""
+    if abs(shift) > max_identity_shift(model, omega_minus, omega_plus):
+        raise ValueError(f"shift {shift:g} overflows the two-pole identity at "
+                         f"poles ({omega_minus:g}, {omega_plus:g})")
 
 
 def check_not_comoving(beta: float, kx: float, omega: float) -> None:

@@ -10,6 +10,7 @@ code under test).
 import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import k0e, k1e
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +336,37 @@ def rate_surface_dense(e_terms, b_terms, beta, kappa, omega, z0, k_max,
             g = np.trapezoid(np.trapezoid(w * fac * np.imag(r), ky, axis=1), k)
             total[name] += omega ** 2 * g
     return total["s"] + total["p"], total
+
+
+# ---------------------------------------------------------------------------
+# Near-field (nonretarded) rate, closed form in ky
+# ---------------------------------------------------------------------------
+
+def rate_nonretarded(e_terms, beta, kappa, omega, z0, k_max=np.inf):
+    """Gamma_NR, the omega -> 0 limit of the surface rate at fixed z0, mu = 1.
+
+    With xi -> kpar the s channel drops out, r_p -> (eps - 1) / (eps + 1)
+    at the Doppler frequency Omega = gamma (beta k - omega), and the ky
+    integral of the p density closes in Bessel functions (x = 2 z0 k):
+
+        Gamma_NR = 2 / (2 pi)^2 int_{omega/beta}^{k_max} dk Im r_p(Omega) k^2
+                   [kappa_x^2 K0(x) + kappa_y^2 K1(x) / x
+                    + kappa_z^2 (K0(x) + K1(x) / x)].
+
+    The k integral runs through scipy's QUADPACK, with K0 and K1 scaled by
+    e^x (k0e, k1e) so that the far tail does not underflow.
+    """
+    gamma = 1.0 / np.sqrt(1.0 - beta ** 2)
+    cx, cy, cz = (c * c for c in kappa)
+
+    def density(k):
+        eps = 1.0 + chi_np(e_terms, gamma * (beta * k - omega))
+        im_rp = ((eps - 1.0) / (eps + 1.0)).imag
+        x = 2.0 * z0 * k
+        k0, k1 = k0e(x), k1e(x) / x
+        bessel = cx * k0 + cy * k1 + cz * (k0 + k1)
+        return 2.0 / (2.0 * np.pi) ** 2 * float(im_rp) * k * k * bessel * np.exp(-x)
+
+    value, _ = quad(density, omega / beta, k_max, epsabs=0.0, epsrel=1e-12,
+                    limit=1000)
+    return value

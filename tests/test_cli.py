@@ -20,7 +20,8 @@ from vacdrag.cli import (
     run_scenario,
     scenario_from_dict,
 )
-from vacdrag.specs import DetectorSpec, QuadratureSpec
+from vacdrag.specs import (DetectorSpec, QuadratureSpec, load_model,
+                           max_identity_shift)
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -176,6 +177,13 @@ KIND_REJECTS = [
                                       "count": 3, "spacing": "log"}},
      "mode lies on the light cone (xi = 0)"),
     LOG_KX_MIDDLE,
+    ("reciprocity_check.json", {"omega": 0.0},
+     "omega must be nonzero: the reflected p dyad divides by omega^2"),
+    ("identity_check.json", {"shift": 1e308},
+     "shift 1e+308 overflows the two-pole identity at poles (0.7, 1.3)"),
+    ("identity_check.json", {"model_file": "bundled:drude_metal",
+                             "pairs": [[0.7, 1.3], [0.0, 1.3]]},
+     "free-carrier term is singular at zero frequency"),
 ]
 
 
@@ -189,6 +197,31 @@ def test_validate_rejects_what_each_kind_rejects(tmp_path, capsys, scenarios_dir
     assert message == f"invalid scenario: {reason}\n"
     assert run_cli(["run", "--scenario", path]) == 1
     assert capsys.readouterr().err == message
+
+
+def test_identity_check_takes_the_largest_admitted_shift(tmp_path, capsys,
+                                                        scenarios_dir):
+    """The largest shift specs admits for the bundled pole pairs runs to
+    finite cells that satisfy the identity; the next float up is rejected by
+    validate and run alike."""
+    doc = json.loads((scenarios_dir / "identity_check.json").read_text())
+    model = load_model(doc["model_file"])
+    bounds = [max_identity_shift(model, om, op) for om, op in doc["pairs"]]
+    doc["shift"] = min(bounds)
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert run_cli(["validate", "--scenario", path]) == 0
+    assert run_cli(["run", "--scenario", path, "--output", out]) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    residual = header.index("relative_residual")
+    for row in rows:
+        assert all(math.isfinite(float(cell)) for cell in row[:-1])
+        assert float(row[residual]) < 1e-12
+    doc["shift"] = math.nextafter(min(bounds), math.inf)
+    om, op = doc["pairs"][bounds.index(min(bounds))]
+    assert_rejected(tmp_path, capsys, doc,
+                    f"shift {doc['shift']:g} overflows the two-pole identity at "
+                    f"poles ({om:g}, {op:g})")
 
 
 def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
@@ -320,6 +353,8 @@ FIELD_MESSAGES = [
     ("sweep_kx.json", {"quad": {"max_subdivisions": 0}, "ky": "x", "omega": 0.0},
      "quad: max_subdivisions must be >= 1; ky: must be a finite number; omega: "
      "must be nonzero"),
+    ("reciprocity_check.json", {"omega": 0},
+     "omega must be nonzero: the reflected p dyad divides by omega^2"),
 ]
 
 

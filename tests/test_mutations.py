@@ -123,6 +123,15 @@ def kind_rejects(row):
     return oracle
 
 
+def near_field(name, z0):
+    """test_rates' test_surface_rate_approaches_the_near_field_limit, bound
+    to one model and height."""
+    test = test_rates.test_surface_rate_approaches_the_near_field_limit
+    oracle = functools.partial(test, name=name, z0=z0)
+    oracle.__name__ = test.__name__
+    return oracle
+
+
 def rewritten(name, old, new):
     """A mutant made by an edit of the source: `old`, which must occur once
     in the function, becomes `new`, and the function is compiled again in
@@ -165,14 +174,19 @@ MUTATIONS = [
      rewritten("ky_cut_4_over_z0", "max(25.0 / z0,", "max(4.0 / z0,"), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
     ("rates", "rate_surface",
-     rewritten("kz_fold_halved", "2.0 * kz_c ** 2", "kz_c ** 2"), {"rates"},
+     rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2", "+ 0.5 * pz * kpar2 * kpar2"),
+     {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("rates", "rate_surface",
+     rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2", "+ 0.5 * pz * kpar2 * kpar2"),
+     {"rates"}, near_field("lorentz_dielectric", 1.0)),
     ("rates", "rate_surface",
      rewritten("outer_jacobian_dropped", " * (2.0 * span * s)", ""), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
     ("rates", "_ky_split",
-     rewritten("upper_piece_jacobian_dropped", "2.0 * width * np.abs(u) / half",
-               "np.where(u < 0.0, 2.0 * width * np.abs(u) / half, 1.0)"),
+     rewritten("upper_piece_jacobian_dropped",
+               "(_GRADE_SLOPE / half) * width * e * (grow + 1.0)",
+               "np.where(u < 0.0, (_GRADE_SLOPE / half) * width * e * (grow + 1.0), 1.0)"),
      {"rates"},
      test_rates.test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle),
     ("rates", "_RateSpline._plan",

@@ -16,6 +16,7 @@ from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
+    _ky_split,
     finite_time_probability,
     rate_free_space,
     rate_surface,
@@ -146,6 +147,60 @@ def test_surface_rate_threshold_accuracy(model, beta, cherenkov):
     gap = abs(loose.gamma - tight.gamma)
     assert gap <= 1e-5 * tight.gamma
     assert gap <= loose.error_estimate
+
+
+def test_ky_split_maps_onto_both_pieces():
+    """The graded ky map: t = 0, ky_cut / 2 and ky_cut go to 0, b and ky_cut,
+    ky rises with t, jac is dky/dt, each half of t integrates jac to the
+    length of its piece, and a member without a branch point keeps ky = t."""
+    ky_cut = 25.0
+    b = np.array([[0.0], [1e-3], [0.7], [12.5], [3.0]])
+    on = np.array([[True], [True], [True], [True], [False]])
+    ky, jac = _ky_split(np.array([0.0, 0.5 * ky_cut, ky_cut]), b, on, ky_cut)
+    assert ky[:4] == pytest.approx(
+        np.hstack((np.zeros((4, 1)), b[:4], np.full((4, 1), ky_cut))),
+        rel=1e-15, abs=1e-15)
+    t = np.linspace(0.0, ky_cut, 4001)[1:-1]
+    ky, jac = _ky_split(t, b, on, ky_cut)
+    assert (np.diff(ky, axis=1) >= 0.0).all()
+    assert (np.diff(ky[1:], axis=1) > 0.0).all()   # b = 0 flattens [0, b]
+    h = 1e-6
+    slope = (_ky_split(t + h, b, on, ky_cut)[0]
+             - _ky_split(t - h, b, on, ky_cut)[0]) / (2.0 * h)
+    assert jac == pytest.approx(slope, rel=1e-6, abs=1e-9)
+    assert (ky[4] == t).all() and (jac[4] == 1.0).all()
+    # Gauss-Legendre on each half: e(a)^2 is smooth, 64 nodes are exact to
+    # rounding
+    x, w = np.polynomial.legendre.leggauss(64)
+    for lo, hi, length in ((0.0, 0.5 * ky_cut, b[:, 0]),
+                           (0.5 * ky_cut, ky_cut, ky_cut - b[:, 0])):
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        total = 0.5 * (hi - lo) * (_ky_split(nodes, b, on, ky_cut)[1] @ w)
+        assert total[:4] == pytest.approx(length[:4], rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("z0", [0.2, 1.0])
+@pytest.mark.parametrize("name", ["lorentz_dielectric", "drude_metal"])
+def test_surface_rate_approaches_the_near_field_limit(name, z0):
+    """Gamma / Gamma_NR - 1, with Gamma_NR the closed-form nonretarded rate
+    of reference.rate_nonretarded, is the retardation correction, O(omega^2)
+    at fixed z0: it falls by 3.5 to 4.2 times per halving of omega. The
+    factors measured on this grid at beta 0.5 run from 3.66 (Drude, z0 1,
+    omega 0.05 -> 0.025) to 3.95, approaching 4."""
+    model = load_model(f"bundled:{name}")
+    terms = tuple((t.plasma_strength, t.resonance, t.damping)
+                  for t in model.electric_terms)
+    gaps = []
+    for omega in (0.05, 0.025, 0.0125):
+        k_max = omega / 0.5 + 40.0 / z0
+        r = rate_surface(det(omega=omega, z0=z0), MotionFrame(beta=0.5), model,
+                         QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300, k_max=k_max))
+        assert r.converged
+        near = reference.rate_nonretarded(terms, 0.5, KAPPA, omega, z0, k_max)
+        gaps.append(abs(r.gamma / near - 1.0))
+    for wide, narrow in zip(gaps, gaps[1:]):
+        assert 3.5 * narrow <= wide <= 4.2 * narrow, gaps
+    assert gaps[-1] < 1e-3
 
 
 def test_surface_rate_coupling_symmetry_and_scaling():
