@@ -121,13 +121,15 @@ def _xi_vacuum(kpar2, omega):
 def _xi_medium(kpar2, eps, mu, omega):
     """Medium-side decay constant with the branch continuous in the loss:
     numpy's complex sqrt is the principal branch, Re >= 0."""
-    rad = np.asarray(kpar2 - eps * mu * omega * omega, dtype=complex)
+    # mu omega^2 first: for a scalar mu = 1 one complex product per point
+    rad = np.asarray(kpar2 - eps * (mu * omega * omega), dtype=complex)
     out = np.sqrt(rad)
-    lossless_prop = (rad.imag == 0.0) & (rad.real < 0.0)
-    if np.any(lossless_prop):
-        out = np.where(lossless_prop,
-                       -1j * np.copysign(1.0, omega) * np.sqrt(np.abs(rad.real)),
-                       out)
+    if not rad.imag.all():      # only a lossless radicand needs the scan
+        lossless_prop = (rad.imag == 0.0) & (rad.real < 0.0)
+        if lossless_prop.any():
+            out = np.where(lossless_prop,
+                           -1j * np.copysign(1.0, omega) * np.sqrt(np.abs(rad.real)),
+                           out)
     return out
 
 

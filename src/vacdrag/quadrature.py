@@ -35,11 +35,17 @@ integrand singular at an end). A batch integrand is called with one
 argument, the pair (x, member) of abscissae and the index of the integral
 each belongs to; a single integral is the loop with one member.
 
-Integrands are evaluated with floating-point warnings suppressed, and their
-values are taken in C order, so the panel sums run in one order whatever
-memory layout an integrand returns. Any non-finite result aborts with the
-leftmost offending abscissa of the sweep. QuadratureSpec and
-NonConvergenceError are defined in specs and re-exported here.
+A panel's four sums per component (the Kronrod and Gauss estimates, and
+QUADPACK's resabs and resasc) are matrix products: its values y, taken in
+C order as a row of 15, and |y| and |y - mean|, times a constant (15, 2)
+matrix of the Kronrod and Gauss weights. BLAS gemm rounds a row the same
+way however many rows share the call; a lone row, which numpy would send
+to gemv, goes in twice. The integrand and the sums run with floating-point
+warnings suppressed. Every Kronrod weight is positive, so a non-finite
+value makes resabs non-finite: only then are the values scanned, and a
+non-finite one aborts with the leftmost offending abscissa of the sweep.
+QuadratureSpec and NonConvergenceError are defined in specs and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _TINY_RESABS = _TINY / (50.0 * _EPS)
-_sum = np.add.reduce
 
 # 15-point Kronrod abscissae (positive half) with the embedded 7-point Gauss
 # rule on the odd indices; weights follow QUADPACK's dqk15.
@@ -87,6 +92,9 @@ _NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # ascending, 15 nodes
 _W_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1][:4]))
+# columns: the Kronrod and the Gauss weights, so K15 and G7 are one product
+_WEIGHTS = np.stack((_W_KRONROD, _W_GAUSS), axis=1)
+_TWICE = np.zeros(2, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -115,17 +123,22 @@ def worst_component(result: IntegralResult, spec: QuadratureSpec) -> tuple:
 
 
 def _eval(f, x, member=None):
-    with np.errstate(all="ignore"):
-        # C order fixes the order of the panel sums whatever layout f returns
-        y = np.ascontiguousarray(f(x if member is None else (x, member)))
+    # C order fixes the order of the panel sums whatever layout f returns
+    y = np.ascontiguousarray(f(x if member is None else (x, member)))
     if y.shape[-1:] != x.shape:
         raise ValueError("integrand must return values of shape (..., n) "
                          "for n abscissae")
-    if not np.isfinite(y).all():
-        bad = ~np.isfinite(y).reshape(-1, x.size).all(axis=0)
+    return y
+
+
+def _scan(x, y):
+    """Raise for the leftmost abscissa of x at which a value of y (..., n)
+    is not finite; return if every value is finite, as where a sum
+    overflows."""
+    bad = ~np.isfinite(y).reshape(-1, x.size).all(axis=0)
+    if bad.any():
         raise ValueError(f"integrand returned a non-finite value at "
                          f"x = {float(x[bad].min()):.6g}")
-    return y
 
 
 def _panel(f, a, b, member=None):
@@ -140,18 +153,35 @@ def _panel(f, a, b, member=None):
     width = b - a
     half = 0.5 * width
     mid = 0.5 * (a + b)
-    if np.ndim(a):
-        x = (mid[:, None] + half[:, None] * _NODES).ravel()
-        y = _eval(f, x, None if member is None else np.repeat(member, 15))
-        y = y.reshape(y.shape[:-1] + (a.size, 15))
-    else:
-        y = _eval(f, mid + half * _NODES)
-    k15 = half * _sum(_W_KRONROD * y, axis=-1)
-    g7 = half * _sum(_W_GAUSS * y, axis=-1)
-    scale = abs(half)
-    resabs = scale * _sum(_W_KRONROD * np.abs(y), axis=-1)
-    mean = k15 / width
-    resasc = scale * _sum(_W_KRONROD * np.abs(y - mean[..., None]), axis=-1)
+    with np.errstate(all="ignore"):
+        if np.ndim(a):
+            x = (mid[:, None] + half[:, None] * _NODES).ravel()
+            y = _eval(f, x, None if member is None else np.repeat(member, 15))
+            shape = y.shape[:-1] + (a.size,)
+        else:
+            x = mid + half * _NODES
+            y = _eval(f, x)
+            shape = y.shape[:-1]
+        # row r: component r // m at panel r % m, its 15 values in C order
+        rows = y.reshape(-1, 15)
+        n = rows.shape[0]
+        if n == 1:
+            # numpy sends a lone row to BLAS gemv, which rounds otherwise
+            # than gemm: the row goes in twice, to get the bits of any other
+            rows = rows.take(_TWICE, axis=0)
+        sums = (rows @ _WEIGHTS)[:n].reshape(shape + (2,))
+        k15 = half * sums[..., 0]
+        g7 = half * sums[..., 1]
+        absum = (np.abs(rows) @ _WEIGHTS)[:n, 0]
+        # every Kronrod weight is positive: a non-finite value makes its
+        # row's sum of |y| non-finite
+        if not np.isfinite(absum).all():
+            _scan(x, y)
+        scale = abs(half)
+        resabs = scale * absum.reshape(shape)
+        mean = k15 / width
+        dev = np.abs(rows - mean.reshape(-1, 1))
+        resasc = scale * (dev @ _WEIGHTS)[:n, 0].reshape(shape)
     err = np.abs(k15 - g7)
     # where resasc == 0 the integrand is constant and the floor below wins
     err = resasc * np.minimum(1.0, (200.0 * err / (resasc + (resasc == 0.0))) ** 1.5)

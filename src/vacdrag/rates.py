@@ -294,7 +294,7 @@ class _RateSpline:
         pos = u[mid + 1:]
         pair = rate[mid + 1:] + rate[mid - 1::-1]   # Gamma(omega -+ u_j)
         coef = du / 3.0 * weights[mid + 1:] * (0.5 * pair) / math.pi
-        centre = du / 3.0 * weights[mid] * (0.5 * rate[mid]) / math.pi
+        centre = float(du / 3.0 * weights[mid] * (0.5 * rate[mid]) / math.pi)
         return 0.5 * pos, coef * (4.0 / (pos * pos)), centre
 
     def probability(self, T):
@@ -306,7 +306,8 @@ class _RateSpline:
                 del self.plans[next(iter(self.plans))]
         half_u, coef, centre = plan
         s = np.sin(T * half_u)
-        return float(np.dot(coef, s * s) + centre * T * T)
+        s *= s
+        return float(coef @ s) + centre * T * T
 
 
 @lru_cache(maxsize=32)

@@ -28,6 +28,7 @@ from importlib import resources
 __all__ = [
     "DetectorSpec",
     "LorentzOscillator",
+    "MAX_POLE_FREQUENCY",
     "MotionFrame",
     "NonConvergenceError",
     "QuadratureSpec",
@@ -204,12 +205,23 @@ def check_kk_frequency(omega: float) -> None:
         raise ValueError("reconstruction frequency must be > 0")
 
 
+# The two-pole integrand forms w^4 in its denominator, at abscissae w up to
+# about 2^20 times the larger pole (its tail maps w = 1/u onto small u):
+# keeping (2^20 |omega|)^4 below float max / 64 keeps every product finite.
+MAX_POLE_FREQUENCY = (sys.float_info.max / 64.0) ** 0.25 / 2.0 ** 20
+
+
 def check_pole_pair(omega_minus: float, omega_plus: float) -> None:
     """Raise ValueError for pole frequencies of the two-pole identity that
-    are not finite or are degenerate, omega_minus^2 = omega_plus^2 to 1e-9
-    relative (the identity divides by their difference)."""
+    are not finite, overflow its integrand (beyond MAX_POLE_FREQUENCY), or
+    are degenerate, omega_minus^2 = omega_plus^2 to 1e-9 relative (the
+    identity divides by their difference)."""
     if not (math.isfinite(omega_minus) and math.isfinite(omega_plus)):
         raise ValueError("pole frequencies must be finite")
+    if max(abs(omega_minus), abs(omega_plus)) > MAX_POLE_FREQUENCY:
+        raise ValueError(f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
+                         f"overflow the two-pole integrand: |omega| must be "
+                         f"<= {MAX_POLE_FREQUENCY:.6g}")
     dm2 = omega_minus * omega_minus - omega_plus * omega_plus
     if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
                               omega_plus * omega_plus, 1.0):

@@ -20,8 +20,8 @@ from vacdrag.cli import (
     run_scenario,
     scenario_from_dict,
 )
-from vacdrag.specs import (DetectorSpec, QuadratureSpec, load_model,
-                           max_identity_shift)
+from vacdrag.specs import (MAX_POLE_FREQUENCY, DetectorSpec, QuadratureSpec,
+                           load_model, max_identity_shift)
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -184,6 +184,10 @@ KIND_REJECTS = [
     ("identity_check.json", {"model_file": "bundled:drude_metal",
                              "pairs": [[0.7, 1.3], [0.0, 1.3]]},
      "free-carrier term is singular at zero frequency"),
+    # w^3 overflows the integrand before the poles' squares do
+    ("identity_check.json", {"pairs": [[1e200, 2e200]]},
+     "pole frequencies (1e+200, 2e+200) overflow the two-pole integrand: "
+     "|omega| must be <= 3.90422e+70"),
 ]
 
 
@@ -222,6 +226,29 @@ def test_identity_check_takes_the_largest_admitted_shift(tmp_path, capsys,
     assert_rejected(tmp_path, capsys, doc,
                     f"shift {doc['shift']:g} overflows the two-pole identity at "
                     f"poles ({om:g}, {op:g})")
+
+
+def test_identity_check_takes_the_largest_admitted_pole(tmp_path, capsys,
+                                                       scenarios_dir):
+    """Poles at MAX_POLE_FREQUENCY run to finite cells that satisfy the
+    identity; the next float up is rejected by validate and run alike."""
+    doc = json.loads((scenarios_dir / "identity_check.json").read_text())
+    top = MAX_POLE_FREQUENCY
+    doc["pairs"] = [[0.5 * top, top], [-top, 0.7 * top]]
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert run_cli(["validate", "--scenario", path]) == 0
+    assert run_cli(["run", "--scenario", path, "--output", out]) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    residual = header.index("relative_residual")
+    for row in rows:
+        assert all(math.isfinite(float(cell)) for cell in row[:-1])
+        assert float(row[residual]) < 1e-6
+    doc["pairs"] = [[0.7, 1.3], [0.5 * top, math.nextafter(top, math.inf)]]
+    assert_rejected(tmp_path, capsys, doc,
+                    f"pole frequencies ({0.5 * top:g}, "
+                    f"{math.nextafter(top, math.inf):g}) overflow the two-pole "
+                    f"integrand: |omega| must be <= {top:.6g}")
 
 
 def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
@@ -355,6 +382,10 @@ FIELD_MESSAGES = [
      "must be nonzero"),
     ("reciprocity_check.json", {"omega": 0},
      "omega must be nonzero: the reflected p dyad divides by omega^2"),
+    # squares that overflow: the degeneracy test alone would compare nan
+    ("identity_check.json", {"pairs": [[0.7, 1.3], [-1e155, 2e155]]},
+     "pole frequencies (-1e+155, 2e+155) overflow the two-pole integrand: "
+     "|omega| must be <= 3.90422e+70"),
 ]
 
 

@@ -9,8 +9,9 @@ Every binding means what an edit of the source would reach: `rates` imports
 `moving_susceptibility_tensors` from `kinematics`, and test modules import
 what they check. A row whose oracle passes under its mutant is a fault the
 suite cannot see, and fails here. A mutant is a wrapper around the original
-function or, where the fault sits inside a longer function (`rate_surface`),
-an edit of its source compiled again in its module. A dotted name
+function, a changed copy of a module constant (`_WEIGHTS`) or, where the
+fault sits inside a longer function (`rate_surface`), an edit of its source
+compiled again in its module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -31,6 +32,7 @@ import test_cli
 import test_greens
 import test_kinematics
 import test_medium
+import test_quadrature
 import test_rates
 from vacdrag import greens
 from vacdrag.specs import NonConvergenceError
@@ -97,6 +99,13 @@ def odd_entries_with_cos(original):
             out[i, j] = -1j * shifted[i, j]
         return out
     return mutant
+
+
+def gauss_column_kronrod(original):
+    """The panel weight matrix's Gauss column holds the Kronrod weights, so
+    G7 = K15 and every panel's error estimate falls to its round-off floor:
+    the first panel passes as converged."""
+    return np.stack((original[:, 0], original[:, 0]), axis=1)
 
 
 def predicate_dropped(original):
@@ -196,6 +205,8 @@ MUTATIONS = [
      rewritten("chi_ee_yz_term_with_chi_e", "g2 * b2 * yz * cb", "g2 * b2 * yz * ce"),
      {"kinematics", "greens"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
+    ("quadrature", "_WEIGHTS", gauss_column_kronrod, {"quadrature"},
+     test_quadrature.test_oscillatory_bessel_integrand_matches_fixed_rule_oracle),
     ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
      kind_rejects(next(row for row in test_cli.KIND_REJECTS
                        if row[0] == "dissipation_check.json"))),

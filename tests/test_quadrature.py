@@ -12,8 +12,12 @@ from scipy.special import j0
 
 import reference
 from vacdrag.quadrature import (
+    _NODES,
+    _W_GAUSS,
+    _W_KRONROD,
     IntegralResult,
     QuadratureSpec,
+    _panel,
     _split,
     integrate_adaptive,
     integrate_semi_infinite,
@@ -71,6 +75,7 @@ def test_complex_integrand_supported():
     assert res.value == pytest.approx(complex(0.0, 2.0), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_integrand_reported_with_location():
     with pytest.raises(ValueError, match="x = 0"):
         integrate_adaptive(lambda x: 1.0 / x, -1.0, 1.0, SPEC)
@@ -117,10 +122,30 @@ def test_vector_integrand_meets_tolerance_per_component():
     assert again.evaluations == res.evaluations
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_vector_integrand_nonfinite_reported_with_location():
     with pytest.raises(ValueError, match="x = 0"):
         integrate_adaptive(lambda x: np.stack((np.ones_like(x), 1.0 / x)),
                            -1.0, 1.0, SPEC)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_complex_nonfinite_integrand_reported_with_location():
+    # the first panel's leftmost node right of 0.5: 0.5 (1 + 0.2077849550078985)
+    with pytest.raises(ValueError, match="x = 0.603892$"):
+        integrate_adaptive(lambda x: np.where(x > 0.5, complex(1.0, math.nan), 1j),
+                           0.0, 1.0, SPEC)
+
+
+def test_finite_values_whose_sums_overflow_are_not_reported():
+    # +-1.7e308 at every node: |y| sums past float max, so the panel's
+    # resabs is inf although every value is finite
+    def f(x):
+        return np.where(x < 0.0, -1.7e308, 1.7e308)
+
+    with np.errstate(all="ignore"):
+        res = integrate_adaptive(f, -1.0, 1.0, QuadratureSpec(max_subdivisions=1))
+    assert not res.converged
 
 
 def test_integrand_shape_must_end_with_abscissae():
@@ -198,6 +223,7 @@ def test_starved_budget_never_exceeds_max_subdivisions(budget):
     assert (held <= budget).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_value_reported_at_leftmost_abscissa_of_the_sweep():
     seen = []
 
@@ -226,13 +252,20 @@ P = np.array([0.7, 0.2, 1.3, 1.9, 1.0])
 W = np.array([1e-2, 3e-3, 5.0, 1e-4, 1e-1])
 
 
+def _params(j):
+    # member j >= 5 repeats member j - 5 with its peak moved right by 0.05
+    i = j % A.size
+    return A[i], P[i] + 0.05 * (j // A.size), W[i]
+
+
 def _members(arg):
     x, j = arg
-    return np.stack((A[j] * x * x, 1e-3 / (W[j] + (x - P[j]) ** 2)))
+    a, p, w = _params(j)
+    return np.stack((a * x * x, 1e-3 / (w + (x - p) ** 2)))
 
 
-def _member(j):
-    return lambda x: _members((x, j))
+def _member(j, members=_members):
+    return lambda x: members((x, j))
 
 
 def _members_fortran(arg):
@@ -240,26 +273,48 @@ def _members_fortran(arg):
     return np.asfortranarray(_members(arg))
 
 
+def _members_plain(arg):
+    # one component: a lone first panel is a single row of 15 values
+    return _members(arg)[1]
+
+
+# the rate's component shape (2, 15): two channels at 15 k-nodes
+K_NODES = np.linspace(0.6, 1.4, 15)[:, None]
+
+
+def _members_rate_shaped(arg):
+    x, j = arg
+    a, p, w = _params(j)
+    return np.stack((a * x * x * K_NODES, 1e-3 / (w * K_NODES + (x - p) ** 2)))
+
+
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
 
 
-@pytest.mark.parametrize("members", [_members, _members_fortran])
-def test_batch_members_match_lone_integrals(members):
-    batch = integrate_adaptive(members, 0.0, 2.0, TIGHT, batch=A.size)
-    assert batch.value.shape == batch.error_estimate.shape == (2, A.size)
-    assert batch.evaluations.shape == batch.converged.shape == (A.size,)
+# The panel sums are BLAS products, and BLAS may round a row otherwise by the
+# number of rows, so each batch size and component shape is its own case.
+@pytest.mark.parametrize("size", range(1, 10))
+@pytest.mark.parametrize("members", [_members, _members_fortran, _members_plain,
+                                     _members_rate_shaped])
+def test_batch_members_match_lone_integrals(members, size):
+    batch = integrate_adaptive(members, 0.0, 2.0, TIGHT, batch=size)
+    shape = members((np.zeros(1), np.zeros(1, dtype=int))).shape[:-1]
+    assert batch.value.shape == batch.error_estimate.shape == shape + (size,)
+    assert batch.evaluations.shape == batch.converged.shape == (size,)
     # ndarrays, not an int and a bool: callers test batch.converged.all()
     assert isinstance(batch.converged, np.ndarray)
     assert isinstance(batch.evaluations, np.ndarray)
-    for j in range(A.size):
-        alone = integrate_adaptive(_member(j), 0.0, 2.0, TIGHT)
+    for j in range(size):
+        alone = integrate_adaptive(_member(j, members), 0.0, 2.0, TIGHT)
         assert type(alone.converged) is bool and type(alone.evaluations) is int
-        assert np.array_equal(batch.value[:, j], alone.value)
-        assert np.array_equal(batch.error_estimate[:, j], alone.error_estimate)
+        assert np.array_equal(batch.value[..., j], alone.value)
+        assert np.array_equal(batch.error_estimate[..., j], alone.error_estimate)
         assert batch.evaluations[j] == alone.evaluations
         assert batch.converged[j] == alone.converged
-    # the members do differ: one panel for the broad peak, many for the narrow
-    assert batch.evaluations[2] < batch.evaluations[1] < batch.evaluations[3]
+    if size >= 4:
+        # the members do differ: one panel for the broad peak, many for the
+        # narrow
+        assert batch.evaluations[2] < batch.evaluations[1] < batch.evaluations[3]
 
 
 def test_batch_makes_one_integrand_call_per_sweep():
@@ -338,6 +393,7 @@ def test_integrable_endpoint_singularity_converges(spec):
     assert res.value == pytest.approx(2.0, rel=10.0 * spec.rel_tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_nonfinite_value_reported_at_leftmost_abscissa():
     seen = []
 
@@ -358,6 +414,39 @@ def test_batch_nonfinite_value_reported_at_leftmost_abscissa():
     leftmost = x[(j == 1) & (x > 0.9)].min()
     assert leftmost < x[(j == 0) & (x > 1.5)].min()
     assert str(exc.value).endswith(f"x = {leftmost:.6g}")
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 15)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_panel_sums_match_plain_weighted_sums(shape, kind):
+    # _panel's BLAS products against QUADPACK's dqk15 written as weighted
+    # numpy sums: the order of the sums differs, the results by round-off
+    c = np.random.default_rng(5).uniform(0.5, 2.0, shape + (1,))
+    c = c * (1.0 + 0.5j) if kind is complex else c
+
+    def f(x):
+        return c * np.exp(np.sin(8.0 * x)) - 1.0
+
+    a, b = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 5.0])
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+    y = f(x.ravel()).reshape(shape + x.shape)
+    k15 = half * np.sum(_W_KRONROD * y, axis=-1)
+    g7 = half * np.sum(_W_GAUSS * y, axis=-1)
+    resabs = half * np.sum(_W_KRONROD * np.abs(y), axis=-1)
+    mean = k15 / (b - a)
+    resasc = half * np.sum(_W_KRONROD * np.abs(y - mean[..., None]), axis=-1)
+    err = resasc * np.minimum(1.0, (200.0 * np.abs(k15 - g7) / resasc) ** 1.5)
+    value, error = _panel(f, a, b)
+    assert value.shape == error.shape == shape + (3,)
+    assert np.allclose(value, k15, rtol=0.0, atol=1e-14 * resabs.max())
+    # every panel's error is far above round-off, so it agrees to round-off
+    assert (err > 1e-6 * resabs).all()
+    assert np.allclose(error, err, rtol=1e-10, atol=0.0)
+    # the first panel alone, with float ends
+    value, error = _panel(f, 0.0, 1.0)
+    assert np.allclose(value, k15[..., 0], rtol=0.0, atol=1e-14 * resabs.max())
+    assert np.allclose(error, err[..., 0], rtol=1e-10, atol=0.0)
 
 
 def test_prefix_error_is_an_exact_sum_best_first():
