@@ -41,8 +41,8 @@ from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     QuadratureSpec, check_identity_shift, check_kk_frequency,
                     check_not_comoving, check_not_grazing, check_pole_pair,
-                    check_rate_inputs, check_reflected_mode, load_model,
-                    model_to_dict)
+                    check_pole_windows, check_rate_inputs, check_reflected_mode,
+                    load_model, model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -277,6 +277,7 @@ def _check_pair(scenario, model, row):
     om, op = row["omega_minus"], row["omega_plus"]
     check_pole_pair(om, op)
     check_identity_shift(model, om, op, float(scenario.doc.get("shift", 0.0)))
+    check_pole_windows(model, om, op)
 
 
 def _dissipation(scenario, model, row):

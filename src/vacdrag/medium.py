@@ -23,8 +23,9 @@ import numpy as np
 from .quadrature import integrate_semi_infinite, principal_value
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
                     SusceptibilityModel, check_identity_shift,
-                    check_kk_frequency, check_pole_pair, load_model,
-                    lorentz_chi, model_from_dict, model_to_dict)
+                    check_kk_frequency, check_pole_pair, check_pole_windows,
+                    frequency_scale, load_model, lorentz_chi, model_from_dict,
+                    model_to_dict, pole_windows)
 
 __all__ = [
     "IdentityReport",
@@ -98,11 +99,6 @@ def coupling_amplitude(model: SusceptibilityModel, kind: str, omega: float) -> f
     return math.sqrt(2.0 * omega * im / math.pi)
 
 
-def _frequency_scale(terms) -> float:
-    scale = max((t.resonance + t.damping for t in terms), default=1.0)
-    return max(scale, 1.0)
-
-
 def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
                    quad: QuadratureSpec) -> complex:
     """Rebuild chi(omega) from its absorptive part alone.
@@ -120,7 +116,7 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
         im = _chi_terms_array(terms, w).imag
         return (2.0 / math.pi) * w * im / (w * w - omega * omega)
 
-    cut = max(4.0 * _frequency_scale(terms), 2.0 * omega)
+    cut = max(4.0 * frequency_scale(terms), 2.0 * omega)
     pv = principal_value(g, omega, 0.0, cut, quad)
     tail = integrate_semi_infinite(g, cut, quad)
     err = pv.error_estimate + tail.error_estimate
@@ -150,6 +146,7 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     a = float(numerator_shift)
     check_pole_pair(om, op)
     check_identity_shift(model, om, op, a)
+    check_pole_windows(model, om, op)
     dm2 = om * om - op * op
     terms = model.electric_terms
 
@@ -161,9 +158,7 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     if not terms:
         return IdentityReport(0j, 0j, 0.0)
 
-    p_lo, p_hi = sorted((abs(om), op))
-    mid = 0.5 * (p_lo + p_hi)
-    cut = max(4.0 * _frequency_scale(terms), 2.0 * p_hi)
+    lower, upper = pole_windows(model, om, op)
 
     def regulated(cube):
         # of (2/pi) w^3 Im chi / ((w^2 - om^2)(w^2 - op^2)), or w for w^3
@@ -173,9 +168,9 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
                 ((w * w - om * om) * (w * w - op * op))
 
         pieces = [
-            principal_value(h, p_lo, 0.0, mid, quad),
-            principal_value(h, p_hi, mid, cut, quad),
-            integrate_semi_infinite(h, cut, quad),
+            principal_value(h, *lower, quad),
+            principal_value(h, *upper, quad),
+            integrate_semi_infinite(h, upper[2], quad),
         ]
         if not all(p.converged for p in pieces):
             raise NonConvergenceError(

@@ -20,7 +20,7 @@ components (2, 15), s and p at every node. Each member still bisects, and
 each channel still meets its tolerance, as a lone integral would, while one
 density call per sweep serves the whole batch.
 
-Two changes of variable put the known singular points on panel edges.
+Three changes of variable put the known singular points on panel edges.
 The outer integral runs over s in [0, 1], k = k_lo + (k_max - k_lo) s^2,
 dk = 2 (k_max - k_lo) s ds: the threshold onset, linear in k - k_lo for a
 dielectric and like its square root for a Drude metal (Im chi ~ 1/omega_m),
@@ -29,7 +29,7 @@ k^2 + ky^2 - eps mu omega^2 has Re xi_m^2 < 0 at ky = 0 near the threshold,
 and the ky integrand has a square-root branch point at b = sqrt(Re(eps mu)
 omega^2 - k^2), clipped to ky_cut / 2. A batch member with b > 0 at any of
 its k-nodes integrates over t in [0, ky_cut] with [0, ky_cut / 2] mapped
-onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] (_ky_split): its
+onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] (_split_map): its
 first bisection lands on b. Each piece is graded toward b, ky = b +- width
 e(a)^2 with e(a) = expm1(lambda a) / expm1(lambda): squared at b, so that
 sqrt(|ky - b|) is smooth in t, and near b finer than a plain square by
@@ -38,6 +38,19 @@ width that loss gives the branch point. lambda is a constant, not a knob:
 it moves only where the panels fall, not the integral. Every other member,
 and every member when beta n < 1, integrates ky = t directly, and a sweep
 with no mapped member skips the map.
+
+b closes where Delta(k) = k^2 - Re(eps mu) omega^2 changes sign, and the
+outer integrand has a kink at each such k*. _light_cone_crossings finds
+them from chi on a coarse grid of the outer variable, each narrowed in its
+bracket, and the outer map then goes through the same two-piece helper,
+with plain squares (e(a) = a): s = 1/2 goes onto k*, each piece squared
+toward it and the onset at k_lo still squared (_outer_map; m crossings take
+2^L >= m cells). In such a call, a member whose nodes all lie past a k*
+(b = 0) but with Delta < (ky_cut / 2)^2 has the branch point at ky = i
+sqrt(Delta) near the real axis, and its ky map is graded toward ky = 0
+(the helper at b = 0). A call with no crossing, every beta n < 1 call
+among them, keeps k = k_lo + span s^2 and the plain ky for every member
+with b = 0. A missed crossing costs sweeps, not accuracy.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -105,22 +118,86 @@ def rate_free_space(det: DetectorSpec, frame: MotionFrame,
 _GRADE = 6.0                        # lambda of the graded ky map
 _GRADE_NORM = math.expm1(_GRADE)
 _GRADE_SLOPE = 2.0 * _GRADE / _GRADE_NORM
+_COARSE, _FINE, _REFINE = 128, 255, 6   # the crossing search
 
 
-def _ky_split(t, b, on, ky_cut):
-    """ky and dky/dt for the inner variable t in [0, ky_cut], with branch
-    points 0 <= b <= ky_cut / 2. Where `on`, t in [0, ky_cut / 2] goes onto
-    [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] by the graded map ky =
-    b +- width e(a)^2, a = |t - ky_cut / 2| / (ky_cut / 2) (see the module
-    docstring); elsewhere ky = t."""
-    half = 0.5 * ky_cut
+def _split_map(t, b, on, length, graded=True):
+    """x and dx/dt for t in [0, length], with centre points 0 <= b <=
+    length. Where `on`, t in [0, length / 2] goes onto [0, b] and
+    [length / 2, length] onto [b, length] by x = b +- width e(a)^2, a =
+    |t - length / 2| / (length / 2): graded, e(a) = expm1(lambda a) /
+    expm1(lambda) (see the module docstring), or plain squares, e(a) = a;
+    elsewhere x = t. length may vary along t."""
+    half = 0.5 * length
     u = (t - half) / half
-    width = np.where(u < 0.0, b, ky_cut - b)
-    grow = np.expm1(_GRADE * np.abs(u))
-    e = grow / _GRADE_NORM
-    ky = np.where(on, b + np.copysign(width * e * e, u), t)
-    jac = np.where(on, (_GRADE_SLOPE / half) * width * e * (grow + 1.0), 1.0)
-    return ky, jac
+    width = np.where(u < 0.0, b, length - b)
+    if graded:
+        grow = np.expm1(_GRADE * np.abs(u))
+        e = grow / _GRADE_NORM
+        slope = (_GRADE_SLOPE / half) * width * e * (grow + 1.0)
+    else:
+        e = np.abs(u)
+        slope = (2.0 / half) * width * e
+    x = np.where(on, b + np.copysign(width * e * e, u), t)
+    return x, np.where(on, slope, 1.0)
+
+
+def _light_cone_crossings(model, frame, omega, k_lo, span):
+    """The zeros k* of Delta(k) = k^2 - Re(eps mu)(omega_m(k)) omega^2 on
+    the outer domain, as u in (0, 1) with k = k_lo + span u^2: the sign
+    changes on a grid of _COARSE cell midpoints of u (no node at the Drude
+    pole omega_m = 0), each bracket cut into _FINE + 1 parts _REFINE times,
+    to about 3e-17 in u. Two zeros within one coarse cell are missed, which
+    costs sweeps only."""
+    speed = abs(frame.beta)
+
+    def opened(u):
+        # b^2 > 0
+        k = k_lo + span * u * u
+        cap = frame.gamma * (speed * k - omega)
+        eps_mu = 1.0 + chi(model, "electric", cap)
+        if model.magnetic_terms:
+            eps_mu = eps_mu * (1.0 + chi(model, "magnetic", cap))
+        return eps_mu.real * omega * omega - k * k > 0.0
+
+    u = (np.arange(_COARSE) + 0.5) / _COARSE    # cap > 0: no Drude pole
+    inside = opened(u)
+    cut = np.flatnonzero(inside[1:] != inside[:-1])
+    if not cut.size:
+        return np.empty(0)
+    lo, hi, sign = u[cut], u[cut + 1], inside[cut]
+    rows = np.arange(cut.size)
+    frac = np.linspace(0.0, 1.0, _FINE + 2)
+    for _ in range(_REFINE):
+        grid = lo[:, None] + (hi - lo)[:, None] * frac
+        flip = opened(grid) != sign[:, None]
+        flip[:, 0], flip[:, -1] = False, True
+        j = flip.argmax(axis=1)
+        lo, hi = grid[rows, j - 1], grid[rows, j]
+    return 0.5 * (lo + hi)
+
+
+def _outer_map(s, crossings):
+    """u and du/ds for the outer variable s in [0, 1] (k = k_lo + span u^2)
+    with the crossings 0 < u_1 < ... < u_m < 1 on panel edges: s is cut
+    into 2^L >= m cells of equal width, the i-th mapped onto [e_i-1, e_i]
+    by _split_map's plain squares with its centre on u_i, where e_0 = 0,
+    e_i is the midpoint of u_i and u_i+1, and e_m is 1, or the midpoint of
+    u_m and 1 when 2^L > m; the remaining cells go linearly onto equal
+    parts of [e_m, 1]."""
+    m = crossings.size
+    cells = 1 << (m - 1).bit_length()
+    edges = np.zeros(cells + 1)
+    edges[1:m] = 0.5 * (crossings[1:] + crossings[:-1])
+    edges[m:] = np.linspace(0.5 * (crossings[-1] + 1.0) if cells > m else 1.0,
+                            1.0, cells - m + 1)
+    centres = np.concatenate((crossings, 0.5 * (edges[m:-1] + edges[m + 1:])))
+    j = np.minimum((s * cells).astype(np.intp), cells - 1)
+    lo = edges[j]
+    width = edges[j + 1] - lo
+    u, jac = _split_map((s * cells - j) * width, centres[j] - lo, j < m, width,
+                        graded=False)
+    return lo + u, jac * (width * cells)
 
 
 def rate_surface(det: DetectorSpec, frame: MotionFrame,
@@ -134,6 +211,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     speed = abs(frame.beta)
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
+    crossings = _light_cone_crossings(model, frame, omega, k_lo, span)
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
 
@@ -148,10 +226,11 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     decay = -2.0 * z0
 
     def outer(s):
-        # k = k_lo + span s^2: chi once on all k-nodes of a sweep, then one
+        # k = k_lo + span u^2: chi once on all k-nodes of a sweep, then one
         # lockstep batch of (s, p) ky integrals: one member per outer panel,
         # its 15 k-nodes
-        karr = k_lo + span * s * s
+        u, du = _outer_map(s, crossings) if crossings.size else (s, 1.0)
+        karr = k_lo + span * u * u
         cap = frame.gamma * (speed * karr - omega)
         k = karr.reshape(-1, 15).T
         ksq = k * k
@@ -161,10 +240,14 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
             if model.magnetic_terms else 1.0
         # Re xi_m^2 = k^2 + ky^2 - Re(eps mu) omega^2 vanishes at ky = b,
         # b > 0 only beyond the medium's light cone (beta n > 1); a member
-        # with b > 0 at any of its nodes integrates through _ky_split
-        branch = np.sqrt(np.maximum((eps * mu).real * omega * omega - ksq, 0.0))
+        # with b > 0 at any of its nodes integrates through _split_map, and
+        # so, in a call with a crossing, does one with b^2 > -(ky_cut / 2)^2
+        b2 = (eps * mu).real * omega * omega - ksq
+        branch = np.sqrt(np.maximum(b2, 0.0))
         branch = np.minimum(branch, 0.5 * ky_cut)
         mapped = branch.any(axis=0)
+        if crossings.size:
+            mapped |= (b2 > -(0.5 * ky_cut) ** 2).any(axis=0)
         split = bool(mapped.any())
 
         def density(arg):
@@ -172,8 +255,8 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
             t, member = arg
             k2 = np.take(ksq, member, axis=1)
             if split:
-                ky, jac = _ky_split(t, np.take(branch, member, axis=1),
-                                    mapped[member], ky_cut)
+                ky, jac = _split_map(t, np.take(branch, member, axis=1),
+                                     mapped[member], ky_cut)
             else:
                 ky = t
             ky2 = ky * ky
@@ -201,7 +284,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
                 f"ky integral for the {'sp'[c]} channel failed at "
                 f"k = {k[j, i]:.6g}", residual=float(res.error_estimate[c, j, i]))
         # (2, 15, panels) -> (2, nodes), the nodes of each panel together
-        return res.value.transpose(0, 2, 1).reshape(2, -1) * (2.0 * span * s)
+        return res.value.transpose(0, 2, 1).reshape(2, -1) * (2.0 * span * u * du)
 
     res = integrate_adaptive(outer, 0.0, 1.0, quad)
     g_s, g_p = (float(v) for v in omega ** 2 * res.value)

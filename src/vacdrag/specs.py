@@ -13,7 +13,7 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 validation rejects exactly the rate inputs that a run rejects.
 `check_not_grazing` plays the same part for the reflected-Green integrals
 of `greens.surface_green_coincident` and `greens.reciprocity_check`, and
-`check_pole_pair` with `check_identity_shift` for
+`check_pole_pair`, `check_identity_shift` and `check_pole_windows` for
 `medium.verify_identity_1`.
 """
 
@@ -35,6 +35,7 @@ __all__ = [
     "SusceptibilityModel",
     "check_identity_shift",
     "check_not_grazing",
+    "check_pole_windows",
     "check_rate_inputs",
     "load_model",
     "lorentz_gamma",
@@ -263,6 +264,38 @@ def check_identity_shift(model: SusceptibilityModel, omega_minus: float,
     if abs(shift) > max_identity_shift(model, omega_minus, omega_plus):
         raise ValueError(f"shift {shift:g} overflows the two-pole identity at "
                          f"poles ({omega_minus:g}, {omega_plus:g})")
+
+
+def frequency_scale(terms) -> float:
+    """The frequency past which the Lorentz terms have died away, at least
+    1: the largest resonance + damping."""
+    scale = max((t.resonance + t.damping for t in terms), default=1.0)
+    return max(scale, 1.0)
+
+
+def pole_windows(model: SusceptibilityModel, omega_minus: float,
+                 omega_plus: float) -> tuple:
+    """The two-pole identity's principal-value windows, as ((pole, a, b),
+    (pole, a, b)): the lower of |omega_minus| and omega_plus in [0, mid],
+    the upper in [mid, cut], mid their midpoint and cut = max(4
+    frequency_scale, 2 x the upper pole)."""
+    p_lo, p_hi = sorted((abs(omega_minus), omega_plus))
+    mid = 0.5 * (p_lo + p_hi)
+    cut = max(4.0 * frequency_scale(model.electric_terms), 2.0 * p_hi)
+    return (p_lo, 0.0, mid), (p_hi, mid, cut)
+
+
+def check_pole_windows(model: SusceptibilityModel, omega_minus: float,
+                       omega_plus: float) -> None:
+    """Raise ValueError unless omega_plus > 0 and each pole lies more than
+    1e-12 of its window's width inside its principal-value window (see
+    pole_windows), as quadrature.principal_value requires."""
+    if not omega_plus > 0.0:
+        raise ValueError(f"omega_plus must be > 0, got {omega_plus:g}")
+    for pole, a, b in pole_windows(model, omega_minus, omega_plus):
+        if min(pole - a, b - pole) <= 1e-12 * (b - a):
+            raise ValueError(f"pole {pole:g} lies within 1e-12 of an end of its "
+                             f"principal-value window [{a:g}, {b:g}]")
 
 
 def check_not_comoving(beta: float, kx: float, omega: float) -> None:

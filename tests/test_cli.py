@@ -188,6 +188,14 @@ KIND_REJECTS = [
     ("identity_check.json", {"pairs": [[1e200, 2e200]]},
      "pole frequencies (1e+200, 2e+200) overflow the two-pole integrand: "
      "|omega| must be <= 3.90422e+70"),
+    # the principal-value windows [0, mid] and [mid, cut] of the two poles
+    ("identity_check.json", {"pairs": [[0.7, 1.3], [0.7, 1e13]]},
+     "pole 0.7 lies within 1e-12 of an end of its principal-value window "
+     "[0, 5e+12]"),
+    ("identity_check.json", {"pairs": [[0.0, 1.3]]},
+     "pole 0 lies within 1e-12 of an end of its principal-value window [0, 0.65]"),
+    ("identity_check.json", {"pairs": [[0.7, -1.3]]},
+     "omega_plus must be > 0, got -1.3"),
 ]
 
 

@@ -190,12 +190,18 @@ MUTATIONS = [
      rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2", "+ 0.5 * pz * kpar2 * kpar2"),
      {"rates"}, near_field("lorentz_dielectric", 1.0)),
     ("rates", "rate_surface",
-     rewritten("outer_jacobian_dropped", " * (2.0 * span * s)", ""), {"rates"},
+     rewritten("outer_jacobian_dropped", " * (2.0 * span * u * du)", ""), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
-    ("rates", "_ky_split",
+    ("rates", "_split_map",
      rewritten("upper_piece_jacobian_dropped",
                "(_GRADE_SLOPE / half) * width * e * (grow + 1.0)",
                "np.where(u < 0.0, (_GRADE_SLOPE / half) * width * e * (grow + 1.0), 1.0)"),
+     {"rates"},
+     test_rates.test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle),
+    ("rates", "_split_map",
+     rewritten("outer_upper_piece_jacobian_dropped",
+               "slope = (2.0 / half) * width * e",
+               "slope = np.where(u < 0.0, (2.0 / half) * width * e, 1.0)"),
      {"rates"},
      test_rates.test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle),
     ("rates", "_RateSpline._plan",

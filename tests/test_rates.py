@@ -16,7 +16,9 @@ from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
-    _ky_split,
+    _light_cone_crossings,
+    _outer_map,
+    _split_map,
     finite_time_probability,
     rate_free_space,
     rate_surface,
@@ -156,17 +158,17 @@ def test_ky_split_maps_onto_both_pieces():
     ky_cut = 25.0
     b = np.array([[0.0], [1e-3], [0.7], [12.5], [3.0]])
     on = np.array([[True], [True], [True], [True], [False]])
-    ky, jac = _ky_split(np.array([0.0, 0.5 * ky_cut, ky_cut]), b, on, ky_cut)
+    ky, jac = _split_map(np.array([0.0, 0.5 * ky_cut, ky_cut]), b, on, ky_cut)
     assert ky[:4] == pytest.approx(
         np.hstack((np.zeros((4, 1)), b[:4], np.full((4, 1), ky_cut))),
         rel=1e-15, abs=1e-15)
     t = np.linspace(0.0, ky_cut, 4001)[1:-1]
-    ky, jac = _ky_split(t, b, on, ky_cut)
+    ky, jac = _split_map(t, b, on, ky_cut)
     assert (np.diff(ky, axis=1) >= 0.0).all()
     assert (np.diff(ky[1:], axis=1) > 0.0).all()   # b = 0 flattens [0, b]
     h = 1e-6
-    slope = (_ky_split(t + h, b, on, ky_cut)[0]
-             - _ky_split(t - h, b, on, ky_cut)[0]) / (2.0 * h)
+    slope = (_split_map(t + h, b, on, ky_cut)[0]
+             - _split_map(t - h, b, on, ky_cut)[0]) / (2.0 * h)
     assert jac == pytest.approx(slope, rel=1e-6, abs=1e-9)
     assert (ky[4] == t).all() and (jac[4] == 1.0).all()
     # Gauss-Legendre on each half: e(a)^2 is smooth, 64 nodes are exact to
@@ -175,8 +177,89 @@ def test_ky_split_maps_onto_both_pieces():
     for lo, hi, length in ((0.0, 0.5 * ky_cut, b[:, 0]),
                            (0.5 * ky_cut, ky_cut, ky_cut - b[:, 0])):
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-        total = 0.5 * (hi - lo) * (_ky_split(nodes, b, on, ky_cut)[1] @ w)
+        total = 0.5 * (hi - lo) * (_split_map(nodes, b, on, ky_cut)[1] @ w)
         assert total[:4] == pytest.approx(length[:4], rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("crossings", [[0.3], [0.1, 0.2, 0.5]],
+                         ids=["one-crossing", "three-crossings"])
+def test_outer_map_puts_each_crossing_on_a_panel_edge(crossings):
+    """The outer map: each crossing sits at the centre of its cell (s =
+    1/2 for one, 1/8, 3/8 and 5/8 for three in four cells), s = 0 and 1 go
+    to 0 and 1, u rises with s, jac is du/ds, and each half cell integrates
+    jac to the length of its piece of u."""
+    crossings = np.array(crossings)
+    cells = 1 if crossings.size == 1 else 4
+    centres = (np.arange(crossings.size) + 0.5) / cells
+    u, _ = _outer_map(np.hstack((0.0, centres, 1.0)), crossings)
+    assert u == pytest.approx(np.hstack((0.0, crossings, 1.0)), rel=1e-15, abs=1e-15)
+    s = np.linspace(0.0, 1.0, 4001)[1:-1]
+    u, jac = _outer_map(s, crossings)
+    assert (np.diff(u) > 0.0).all()
+    h = 1e-7
+    inner = np.abs(s * cells - np.round(s * cells)) > 2.0 * h * cells  # not on a cell edge
+    slope = (_outer_map(s + h, crossings)[0] - _outer_map(s - h, crossings)[0]) / (2.0 * h)
+    assert jac[inner] == pytest.approx(slope[inner], rel=1e-6, abs=1e-5)
+    # jac is linear on each half cell: 4-node Gauss-Legendre is exact
+    x, w = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(0.0, 1.0, 2 * cells + 1)
+    for lo, hi in zip(edges, edges[1:]):
+        nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        ends = _outer_map(np.array([lo, hi]), crossings)[0]
+        total = 0.5 * (hi - lo) * (_outer_map(nodes, crossings)[1] @ w)
+        assert total == pytest.approx(ends[1] - ends[0], rel=1e-13, abs=1e-15)
+
+
+def _delta(model, beta, omega, k):
+    """Delta(k) = k^2 - Re(eps mu)(omega_m) omega^2, omega_m = gamma (beta k
+    - omega)."""
+    frame = MotionFrame(beta=beta)
+    cap = frame.gamma * (beta * k - omega)
+    n2 = ((1.0 + chi(model, "electric", cap))
+          * (1.0 + chi(model, "magnetic", cap))).real
+    return k * k - n2 * omega * omega
+
+
+@pytest.mark.parametrize("model, beta", [(MAGNETIC_RESONANCE, 0.75), (LORENTZ, 0.9)],
+                         ids=["magnetic", "lorentz"])
+def test_crossing_search_finds_the_medium_light_cone(model, beta):
+    """Beyond the medium's light cone Delta < 0 at the threshold and
+    changes sign once on the threshold-accuracy domain: the search puts k*
+    where a dense grid of Delta changes sign, with Delta(k*) zero to
+    rounding."""
+    omega, k_max = 0.1, 20.0
+    k_lo = omega / beta
+    u = _light_cone_crossings(model, MotionFrame(beta=beta), omega, k_lo,
+                              k_max - k_lo)
+    assert u.shape == (1,)
+    k_star = k_lo + (k_max - k_lo) * u[0] ** 2
+    grid = np.linspace(k_lo * (1.0 + 1e-9), k_max, 200001)
+    sign = np.signbit(_delta(model, beta, omega, grid))
+    change = np.flatnonzero(sign[1:] != sign[:-1])
+    assert change.size == 1
+    assert grid[change[0]] <= k_star <= grid[change[0] + 1]
+    assert abs(_delta(model, beta, omega, k_star)) <= 1e-14 * k_star ** 2
+    assert _delta(model, beta, omega, k_star * (1.0 - 1e-12)) < 0.0
+    assert _delta(model, beta, omega, k_star * (1.0 + 1e-12)) > 0.0
+
+
+def test_no_crossing_keeps_the_plain_outer_map(monkeypatch):
+    """Below the medium's light cone there is no crossing: not at any node
+    of the finite-time rate spline of the bundled Lorentz model at beta 0.5,
+    nor on the beta sweep. Such a call never reaches the outer map."""
+    model = load_model("bundled:lorentz_dielectric")
+    for beta, omega in [(0.5, w) for w in np.linspace(0.02, 0.18, 65)] + [
+            (0.2, 0.1), (0.4, 0.1), (0.6, 0.1)]:
+        k_lo = omega / beta
+        assert _light_cone_crossings(model, MotionFrame(beta=beta), omega, k_lo,
+                                     12.0 - k_lo).size == 0
+
+    def refuse(s, crossings):
+        raise AssertionError("outer map called without a crossing")
+    monkeypatch.setattr("vacdrag.rates._outer_map", refuse)
+    r = rate_surface(det(), MotionFrame(beta=0.5), model,
+                     QuadratureSpec(rel_tol=1e-3, abs_tol=1e-15, k_max=12.0))
+    assert r.converged and r.gamma > 0.0
 
 
 @pytest.mark.parametrize("z0", [0.2, 1.0])
