@@ -39,7 +39,8 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_identity_shift, check_kk_frequency,
+                    QuadratureSpec, check_doppler_frequency,
+                    check_identity_shift, check_kk_frequency,
                     check_not_comoving, check_not_grazing, check_pole_pair,
                     check_pole_windows, check_rate_inputs, check_reflected_mode,
                     load_model, model_to_dict)
@@ -246,7 +247,9 @@ def _mode(scenario, row):
 
 
 def _check_mode(scenario, model, row):
-    check_reflected_mode(*_mode(scenario, row))
+    kx, ky, omega = _mode(scenario, row)
+    check_reflected_mode(kx, ky, omega)
+    check_doppler_frequency(model, scenario.frame().beta, kx, omega)
 
 
 def _fresnel(scenario, model, row):
@@ -285,6 +288,15 @@ def _dissipation(scenario, model, row):
         model, scenario.frame(), row["kx"], (row["ky"], row["kz"]), row["omega"],
         scenario.quad())
     row.update(residual=rep.residual, relative_residual=rep.relative_residual)
+
+
+def _check_reciprocity(scenario, model, row):
+    kx, omega, beta = row["kx"], row["omega"], scenario.frame().beta
+    check_not_grazing(kx, omega)
+    # the Green functions at (kx, beta) and (-kx, -beta) share a Doppler
+    # frequency; the third, at (-kx, beta), has its own
+    for sign in (1.0, -1.0):
+        check_doppler_frequency(model, beta, sign * kx, omega)
 
 
 def _reciprocity(scenario, model, row):
@@ -377,7 +389,7 @@ _KINDS = {
         fields=(("kx", _number), ("omega", _number), ("point_a", _point),
                 ("point_b", _point)),
         rows=lambda doc: [{"kx": float(doc["kx"]), "omega": float(doc["omega"])}],
-        check=lambda s, m, row: check_not_grazing(row["kx"], row["omega"])),
+        check=_check_reciprocity),
     "sweep": _Kind(axes={
         **{name: _rate_axis(name) for name in ("beta", "z0", "omega")},
         # not log_ends: the light cone may fall between the ends of a log axis

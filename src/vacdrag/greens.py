@@ -5,7 +5,10 @@ half-space enters through reflection coefficients: rest-frame Fresnel
 amplitudes evaluated at the Doppler-shifted frequency gamma (omega - beta kx)
 while the wave equation keeps the lab frequency (the first-order-in-velocity
 scheme), with the polarization-mixing off-diagonal amplitudes dropped at the
-same order. A reflected Green function integrates the closed-form dyad over
+same order. Only this module knows the scheme, in two stages that the rate
+density of `rates` calls too: _doppler_medium (eps, mu and the ky = 0 branch
+set b^2 at the Doppler frequency) and _reflection ((r_s, r_p) per abscissa).
+A reflected Green function integrates the closed-form dyad over
 ky segments: plain, light-circle substitutions that cancel the 1/xi edge
 factor, a 1/u tail; every segment a check needs is a member of one lockstep
 batch. Two structural checks live here as operations: the k-space
@@ -139,6 +142,22 @@ def _fresnel_amplitudes(eps, mu, xi, xim):
     return rs, rp
 
 
+def _doppler_medium(model, frame, kx, omega):
+    """eps and mu at the Doppler frequency of the modes (kx, omega), kx a
+    number or an ndarray, and b^2 = -Re xi_m^2 at ky = 0, positive only
+    beyond the medium's light cone. mu is the scalar 1.0 for a model with
+    no magnetic terms: no chi call and no complex products with it."""
+    om_minus, _ = doppler(frame, omega, kx)
+    eps = 1.0 + chi(model, "electric", om_minus)
+    mu = 1.0 + chi(model, "magnetic", om_minus) if model.magnetic_terms else 1.0
+    return eps, mu, (eps * mu).real * omega * omega - kx * kx
+
+
+def _reflection(eps, mu, kpar2, omega, xi):
+    """(r_s, r_p) at kpar^2 from _doppler_medium's eps, mu, all broadcast."""
+    return _fresnel_amplitudes(eps, mu, xi, _xi_medium(kpar2, eps, mu, omega))
+
+
 def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
                             kx: float, ky: float, omega: float) -> ReflectionCoefficients:
     """Half-space reflection amplitudes for a lab-frame mode (kx, ky, omega).
@@ -151,9 +170,8 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     kx, ky, omega = float(kx), float(ky), float(omega)
     check_reflected_mode(kx, ky, omega)
     kpar2 = kx * kx + ky * ky
-    om_minus, _ = doppler(frame, omega, kx)
-    eps = 1.0 + chi(model, "electric", om_minus)
-    mu = 1.0 + chi(model, "magnetic", om_minus)
+    eps, mu, _ = _doppler_medium(model, frame, kx, omega)
+    # Python scalars, as numpy's array division rounds differently
     xi = complex(_xi_vacuum(np.array([kpar2]), omega)[0])
     xim = complex(_xi_medium(np.array([kpar2]), eps, mu, omega)[0])
     rs, rp = _fresnel_amplitudes(eps, mu, xi, xim)
@@ -168,9 +186,8 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
 def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
     """Reflected dyad folded over +-ky, every argument broadcast: (3, 3, ...).
 
-    `eps` and `mu` are the medium's responses at the Doppler frequency of
-    (kx, omega); `xi` comes from the caller, so the light-circle
-    substitutions can pass the exact value. At one sign of ky the dyad
+    `eps` and `mu` are _doppler_medium's at (kx, omega); `xi` comes from
+    the caller, so the light-circle substitutions can pass the exact value. At one sign of ky the dyad
     r_s e_1 e_1 + r_p e_2(+i xi) e_2(-i xi) is, with a = r_s / kpar^2,
     p = r_p / omega^2, b = xi^2 p / kpar^2 and c = i xi p,
 
@@ -182,7 +199,7 @@ def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
     ky fold to 2 cos(ky dy) and the odd ones to 2i sin(ky dy).
     """
     kpar2 = kx * kx + ky * ky
-    rs, rp = _fresnel_amplitudes(eps, mu, xi, _xi_medium(kpar2, eps, mu, omega))
+    rs, rp = _reflection(eps, mu, kpar2, omega, xi)
     weight = np.exp(-xi * zsum) / (2.0 * xi) / (2.0 * math.pi)
     even, odd = 2.0 * weight * np.cos(ky * dy), 2j * weight * np.sin(ky * dy)
     a, p = rs / kpar2, rp / (omega * omega)
@@ -226,9 +243,7 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
     params, members = [], []    # per request; (request, kind, a, b)
     where = [f"kx = {kx:.6g}, beta = {frame.beta:.6g}" for frame, kx, *_ in requests]
     for r, (frame, kx, omega, dy, zsum) in enumerate(requests):
-        om_minus, _ = doppler(frame, omega, kx)
-        eps = 1.0 + chi(model, "electric", om_minus)
-        mu = 1.0 + chi(model, "magnetic", om_minus)
+        eps, mu, _ = _doppler_medium(model, frame, kx, omega)
         circle_sq = omega * omega - kx * kx
         params.append((eps, mu, kx, omega, dy, zsum, max(circle_sq, 0.0)))
         edge = 0.0

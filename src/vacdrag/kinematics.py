@@ -44,9 +44,11 @@ class CouplingTensors:
 
 
 def doppler(frame: MotionFrame, omega: float, kx: float):
-    """Doppler pair (omega_minus, omega_plus) = gamma (omega -+ beta kx)."""
-    omega, kx = float(omega), float(kx)
-    if not (math.isfinite(omega) and math.isfinite(kx)):
+    """Doppler pair (omega_minus, omega_plus) = gamma (omega -+ beta kx);
+    kx may be an ndarray."""
+    omega = float(omega)
+    kx = np.asarray(kx, dtype=float) if isinstance(kx, np.ndarray) else float(kx)
+    if not (math.isfinite(omega) and np.isfinite(kx).all()):
         raise ValueError("omega and kx must be finite")
     shift = frame.beta * kx
     return frame.gamma * (omega - shift), frame.gamma * (omega + shift)

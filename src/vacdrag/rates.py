@@ -11,46 +11,47 @@ integrates the evanescent-sector rate density
 over k in (omega/|V|, k_max), ky folded over both signs. Only modes with
 k > omega/|V| see a negative comoving frequency and contribute; the domain
 is therefore entirely evanescent (xi real) and the k_max truncation is the
-caller's resolution knob, not an error source tracked here. Both
-polarization channels come out of one pass: each sweep of the outer k
-integral evaluates chi once on the 15 k-nodes of every panel it bisects,
-and all those panels' ky integrals run as one lockstep batch
+caller's resolution knob, not an error source tracked here. The reflection
+physics is the greens kernel's: each sweep of the outer k integral calls
+its first stage, _doppler_medium, once on the 15 k-nodes of every panel it
+bisects, and all those panels' ky integrals run as one lockstep batch
 (`integrate_adaptive(..., batch=m)`), one member per outer panel with
-components (2, 15), s and p at every node. Each member still bisects, and
-each channel still meets its tolerance, as a lone integral would, while one
-density call per sweep serves the whole batch.
+components (2, 15), s and p at every node, whose density calls the second
+stage, _reflection. Each member still bisects, and each channel still
+meets its tolerance, as a lone integral would. This module adds only
+kappa's folds with the dyads and the maps.
 
 Three changes of variable put the known singular points on panel edges.
 The outer integral runs over s in [0, 1], k = k_lo + (k_max - k_lo) s^2,
 dk = 2 (k_max - k_lo) s ds: the threshold onset, linear in k - k_lo for a
 dielectric and like its square root for a Drude metal (Im chi ~ 1/omega_m),
-is smooth in s. Beyond the medium's light cone (beta n > 1), xi_m^2 =
-k^2 + ky^2 - eps mu omega^2 has Re xi_m^2 < 0 at ky = 0 near the threshold,
-and the ky integrand has a square-root branch point at b = sqrt(Re(eps mu)
-omega^2 - k^2), clipped to ky_cut / 2. A batch member with b > 0 at any of
-its k-nodes integrates over t in [0, ky_cut] with [0, ky_cut / 2] mapped
-onto [0, b] and [ky_cut / 2, ky_cut] onto [b, ky_cut] (_split_map): its
-first bisection lands on b. Each piece is graded toward b, ky = b +- width
-e(a)^2 with e(a) = expm1(lambda a) / expm1(lambda): squared at b, so that
-sqrt(|ky - b|) is smooth in t, and near b finer than a plain square by
-(lambda / expm1(lambda))^2, about 2e-4 at lambda = 6, which resolves the
-width that loss gives the branch point. lambda is a constant, not a knob:
-it moves only where the panels fall, not the integral. Every other member,
-and every member when beta n < 1, integrates ky = t directly, and a sweep
-with no mapped member skips the map.
+is smooth in s. Beyond the medium's light cone (beta n > 1) the kernel's
+b^2 = -Re xi_m^2 at ky = 0 is positive near the threshold, and the ky
+integrand has a square-root branch point at ky = b, clipped to ky_cut / 2.
+A batch member with b > 0 at any of its k-nodes integrates over t in [0,
+ky_cut] with [0, ky_cut / 2] mapped onto [0, b] and [ky_cut / 2, ky_cut]
+onto [b, ky_cut] (_split_map): its first bisection lands on b. Each piece
+is graded toward b, ky = b +- width e(a)^2 with e(a) = expm1(lambda a) /
+expm1(lambda): squared at b, so that sqrt(|ky - b|) is smooth in t, and
+near b finer than a plain square by (lambda / expm1(lambda))^2, about 2e-4
+at lambda = 6, which resolves the width that loss gives the branch point.
+lambda is a constant, not a knob: it moves only where the panels fall, not
+the integral. Every other member, and every member when beta n < 1,
+integrates ky = t directly, and a sweep with no mapped member skips the
+map.
 
-b closes where Delta(k) = k^2 - Re(eps mu) omega^2 changes sign, and the
-outer integrand has a kink at each such k*. _light_cone_crossings finds
-them from chi on a coarse grid of the outer variable, each narrowed in its
-bracket, and the outer map then goes through the same two-piece helper,
-with plain squares (e(a) = a): s = 1/2 goes onto k*, each piece squared
-toward it and the onset at k_lo still squared (_outer_map; m crossings take
-2^L >= m cells). In such a call, a member whose nodes all lie past a k*
-(b = 0) but with Delta < (ky_cut / 2)^2 has the branch point at ky = i
-sqrt(Delta) near the real axis, and its ky map is graded toward ky = 0
-(the helper at b = 0). A call with no crossing, every beta n < 1 call
-among them, keeps k = k_lo + span s^2 and the plain ky for every member
-with b = 0. A missed crossing costs sweeps, not accuracy.
+b closes at each k* where b^2 changes sign, and the outer integrand has a
+kink there. _light_cone_crossings finds them from the kernel's b^2 on a
+coarse grid of the outer variable, each narrowed in its bracket, and the
+outer map then goes through the same two-piece helper, with plain squares
+(e(a) = a): s = 1/2 goes onto k*, each piece squared toward it and the
+onset at k_lo still squared (_outer_map; m crossings take 2^L >= m cells).
+In such a call, a member whose nodes all lie past a k* (b = 0) but with
+b^2 > -(ky_cut / 2)^2 has the branch point at ky = i sqrt(-b^2) near the
+real axis, and its ky map is graded toward ky = 0 (the helper at b = 0). A
+call with no crossing, every beta n < 1 call among them, keeps k = k_lo +
+span s^2 and the plain ky for every member with b = 0. A missed crossing
+costs sweeps, not accuracy.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -74,8 +75,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from .greens import _fresnel_amplitudes, _xi_medium
-from .medium import chi
+from .greens import _doppler_medium, _reflection
 from .quadrature import integrate_adaptive, worst_component
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     QuadratureSpec, SusceptibilityModel, check_rate_inputs)
@@ -143,22 +143,16 @@ def _split_map(t, b, on, length, graded=True):
 
 
 def _light_cone_crossings(model, frame, omega, k_lo, span):
-    """The zeros k* of Delta(k) = k^2 - Re(eps mu)(omega_m(k)) omega^2 on
-    the outer domain, as u in (0, 1) with k = k_lo + span u^2: the sign
-    changes on a grid of _COARSE cell midpoints of u (no node at the Drude
-    pole omega_m = 0), each bracket cut into _FINE + 1 parts _REFINE times,
-    to about 3e-17 in u. Two zeros within one coarse cell are missed, which
-    costs sweeps only."""
-    speed = abs(frame.beta)
+    """The zeros k* of the kernel's b^2(k) on the outer domain, as u in (0,
+    1) with k = k_lo + span u^2: the sign changes on a grid of _COARSE cell
+    midpoints of u (no node at the Drude pole omega_m = 0), each bracket cut
+    into _FINE + 1 parts _REFINE times, to about 3e-17 in u. Two zeros
+    within one coarse cell are missed, which costs sweeps only."""
+    kx_sign = -math.copysign(1.0, frame.beta)
 
     def opened(u):
-        # b^2 > 0
         k = k_lo + span * u * u
-        cap = frame.gamma * (speed * k - omega)
-        eps_mu = 1.0 + chi(model, "electric", cap)
-        if model.magnetic_terms:
-            eps_mu = eps_mu * (1.0 + chi(model, "magnetic", cap))
-        return eps_mu.real * omega * omega - k * k > 0.0
+        return _doppler_medium(model, frame, kx_sign * k, -omega)[2] > 0.0
 
     u = (np.arange(_COARSE) + 0.5) / _COARSE    # cap > 0: no Drude pole
     inside = opened(u)
@@ -208,7 +202,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     k_lo = _k_lower(det.omega, frame.beta)
     omega = det.omega
     z0 = det.z0
-    speed = abs(frame.beta)
+    kx_sign = -math.copysign(1.0, frame.beta)  # the density's mode (-k, -omega)
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
     crossings = _light_cone_crossings(model, frame, omega, k_lo, span)
@@ -226,25 +220,17 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     decay = -2.0 * z0
 
     def outer(s):
-        # k = k_lo + span u^2: chi once on all k-nodes of a sweep, then one
-        # lockstep batch of (s, p) ky integrals: one member per outer panel,
-        # its 15 k-nodes
+        # k = k_lo + span u^2: the kernel's first stage once on all k-nodes
+        # of a sweep, then one lockstep batch of (s, p) ky integrals: one
+        # member per outer panel, its 15 k-nodes
         u, du = _outer_map(s, crossings) if crossings.size else (s, 1.0)
-        karr = k_lo + span * u * u
-        cap = frame.gamma * (speed * karr - omega)
-        k = karr.reshape(-1, 15).T
+        k = (k_lo + span * u * u).reshape(-1, 15).T
         ksq = k * k
-        eps = (1.0 + chi(model, "electric", cap)).reshape(-1, 15).T
-        # mu = 1 stays a scalar: no complex products with it in the kernel
-        mu = (1.0 + chi(model, "magnetic", cap)).reshape(-1, 15).T \
-            if model.magnetic_terms else 1.0
-        # Re xi_m^2 = k^2 + ky^2 - Re(eps mu) omega^2 vanishes at ky = b,
-        # b > 0 only beyond the medium's light cone (beta n > 1); a member
-        # with b > 0 at any of its nodes integrates through _split_map, and
-        # so, in a call with a crossing, does one with b^2 > -(ky_cut / 2)^2
-        b2 = (eps * mu).real * omega * omega - ksq
-        branch = np.sqrt(np.maximum(b2, 0.0))
-        branch = np.minimum(branch, 0.5 * ky_cut)
+        eps, mu, b2 = _doppler_medium(model, frame, kx_sign * k, -omega)
+        # Re xi_m^2 vanishes at ky = b; a member with b > 0 at any of its
+        # nodes integrates through _split_map, and so, in a call with a
+        # crossing, does one with b^2 > -(ky_cut / 2)^2
+        branch = np.minimum(np.sqrt(np.maximum(b2, 0.0)), 0.5 * ky_cut)
         mapped = branch.any(axis=0)
         if crossings.size:
             mapped |= (b2 > -(0.5 * ky_cut) ** 2).any(axis=0)
@@ -264,9 +250,8 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
             xi2 = kpar2 - omega * omega
             xi = np.sqrt(xi2)
             e = np.take(eps, member, axis=1)
-            m = np.take(mu, member, axis=1) if model.magnetic_terms else 1.0
-            xim = _xi_medium(kpar2, e, m, omega)
-            rs, rp = _fresnel_amplitudes(e, m, xi, xim)
+            m = np.take(mu, member, axis=1) if np.ndim(mu) else mu
+            rs, rp = _reflection(e, m, kpar2, omega, xi)
             weight = np.exp(decay * xi) / (xi * kpar2)
             if split:
                 weight *= jac

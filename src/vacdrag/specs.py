@@ -199,6 +199,16 @@ def check_reflected_mode(kx: float, ky: float, omega: float) -> None:
         raise ValueError("mode lies on the light cone (xi = 0)")
 
 
+def check_doppler_frequency(model: SusceptibilityModel, beta: float,
+                            kx: float, omega: float) -> None:
+    """Raise ValueError for a model with a free-carrier term at a mode whose
+    Doppler frequency gamma (omega - beta kx) is zero, formed as
+    kinematics.doppler forms it, where that term's chi is singular."""
+    if omega - beta * kx == 0.0 and any(
+            t.resonance == 0.0 for t in model.electric_terms + model.magnetic_terms):
+        raise ValueError("free-carrier term is singular at zero frequency")
+
+
 def check_kk_frequency(omega: float) -> None:
     """Raise ValueError unless the Kramers-Kronig reconstruction frequency
     is > 0: the dispersion integral runs over the positive axis."""

@@ -8,7 +8,7 @@ __all__ = ["ComplexTensor3"]
 
 
 class ComplexTensor3:
-    """Immutable 3x3 complex tensor, kept as bytes, with Hermitian helpers."""
+    """Immutable 3x3 complex tensor, kept as bytes."""
 
     __slots__ = ("_data",)
 
@@ -32,9 +32,3 @@ class ComplexTensor3:
 
     def __repr__(self):
         return f"ComplexTensor3({self.entries.tolist()!r})"
-
-    def hermitian_part(self) -> "ComplexTensor3":
-        return ComplexTensor3(0.5 * (self.entries + self.entries.conj().T))
-
-    def antihermitian_part(self) -> "ComplexTensor3":
-        return ComplexTensor3(0.5 * (self.entries - self.entries.conj().T))

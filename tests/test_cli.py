@@ -196,6 +196,18 @@ KIND_REJECTS = [
      "pole 0 lies within 1e-12 of an end of its principal-value window [0, 0.65]"),
     ("identity_check.json", {"pairs": [[0.7, -1.3]]},
      "omega_plus must be > 0, got -1.3"),
+    # a Drude term at a zero Doppler frequency, omega = beta kx
+    ("fresnel.json", {"model_file": "bundled:drude_metal", "kx": 0.8},
+     "free-carrier term is singular at zero frequency"),
+    ("sweep_kx.json", {"model_file": "bundled:drude_metal", "ky": 0.7, "omega": 0.4,
+                       "sweep_axis": {"name": "kx", "min": 0.0, "max": 1.6,
+                                      "count": 3}},
+     "free-carrier term is singular at zero frequency"),
+    ("reciprocity_check.json", {"model_file": "bundled:drude_metal", "kx": 0.8},
+     "free-carrier term is singular at zero frequency"),
+    # through the third Green function, at (-kx, beta)
+    ("reciprocity_check.json", {"model_file": "bundled:drude_metal", "kx": -0.8},
+     "free-carrier term is singular at zero frequency"),
 ]
 
 

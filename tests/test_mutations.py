@@ -5,7 +5,8 @@ A row first runs its oracle (a test of this suite) on the real code, where it
 must pass, then applies the mutant with monkeypatch to every binding of its
 target in the loaded modules, and runs the oracle again, where it must fail.
 Every binding means what an edit of the source would reach: `rates` imports
-`_fresnel_amplitudes` by name from `greens`, `greens` imports `doppler` and
+the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
+name from `greens`, `greens` imports `doppler` and
 `moving_susceptibility_tensors` from `kinematics`, and test modules import
 what they check. A row whose oracle passes under its mutant is a fault the
 suite cannot see, and fails here. A mutant is a wrapper around the original
@@ -141,6 +142,15 @@ def near_field(name, z0):
     return oracle
 
 
+def kernel_branch_points(model, beta):
+    """test_rates' test_branch_points_are_zeros_of_the_kernels_xi_medium,
+    bound to one model and velocity."""
+    test = test_rates.test_branch_points_are_zeros_of_the_kernels_xi_medium
+    oracle = functools.partial(test, model=model, beta=beta)
+    oracle.__name__ = test.__name__
+    return oracle
+
+
 def rewritten(name, old, new):
     """A mutant made by an edit of the source: `old`, which must occur once
     in the function, becomes `new`, and the function is compiled again in
@@ -158,10 +168,13 @@ def rewritten(name, old, new):
 
 # (module, name, mutant, modules that bind the target, oracle)
 MUTATIONS = [
-    ("greens", "_fresnel_amplitudes", rs_without_mu, {"greens", "rates"},
+    ("greens", "_fresnel_amplitudes", rs_without_mu, {"greens"},
      test_greens.test_fresnel_rest_frame_with_magnetic_response_matches_textbook_grid),
-    ("greens", "_fresnel_amplitudes", rs_without_mu, {"greens", "rates"},
+    ("greens", "_fresnel_amplitudes", rs_without_mu, {"greens"},
      test_rates.test_surface_rate_with_magnetic_response_matches_dense_grid_oracle),
+    ("greens", "_doppler_medium",
+     rewritten("b2_without_mu", "(eps * mu).real", "eps.real"), {"greens", "rates"},
+     kernel_branch_points(test_rates.MAGNETIC_RESONANCE, 0.75)),
     ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens"},
      test_greens.test_fresnel_doppler_argument_bookkeeping),
     ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens"},

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import reference
-from vacdrag.greens import SurfaceGeometry, surface_green_coincident
+from vacdrag.greens import (SurfaceGeometry, _doppler_medium, _xi_medium,
+                            surface_green_coincident)
 from vacdrag.kinematics import MotionFrame
 from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi, load_model
 from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
@@ -241,6 +242,41 @@ def test_crossing_search_finds_the_medium_light_cone(model, beta):
     assert abs(_delta(model, beta, omega, k_star)) <= 1e-14 * k_star ** 2
     assert _delta(model, beta, omega, k_star * (1.0 - 1e-12)) < 0.0
     assert _delta(model, beta, omega, k_star * (1.0 + 1e-12)) > 0.0
+
+
+@pytest.mark.parametrize("model, beta", [(MAGNETIC_RESONANCE, 0.75), (LORENTZ, 0.9)],
+                         ids=["magnetic", "lorentz"])
+def test_branch_points_are_zeros_of_the_kernels_xi_medium(model, beta):
+    """The rate's singular set comes from the greens kernel: each crossing
+    k* and each in-band branch point b of _doppler_medium's b^2 is a zero of
+    Re xi_m^2(k^2 + b^2), the square of the kernel's own _xi_medium at the
+    same eps and mu, to rounding."""
+    omega, k_max = 0.1, 20.0
+    k_lo = omega / beta
+    frame = MotionFrame(beta=beta)
+    u = _light_cone_crossings(model, frame, omega, k_lo, k_max - k_lo)
+    k_star = k_lo + (k_max - k_lo) * u ** 2
+    grid = np.linspace(k_lo * (1.0 + 1e-9), k_star[0], 2001)[:-1]
+    k = np.concatenate((grid, k_star))
+    eps, mu, b2 = _doppler_medium(model, frame, -k, -omega)
+    assert (b2[:grid.size] > 0.0).all()     # b opens below the first k*
+    b2[grid.size:] = 0.0                    # and closes at each k*
+    kpar2 = k * k + b2
+    re_xim2 = (_xi_medium(kpar2, eps, mu, omega) ** 2).real
+    assert np.all(np.abs(re_xim2) <= 1e-14 * (kpar2 + np.abs(eps * mu) * omega ** 2))
+
+
+@pytest.mark.parametrize("model, beta, gamma, error", [
+    (MAGNETIC_RESONANCE, 0.75, "0x1.cdcf41c2b128dp-8", "0x1.365f55895785ep-29"),
+    (LORENTZ, 0.9, "0x1.74d1a6d1e9a2dp-8", "0x1.23cbf3e0c2ed6p-26"),
+], ids=["magnetic", "lorentz"])
+def test_rate_beyond_the_medium_light_cone_keeps_its_bits(model, beta, gamma, error):
+    """Every pinned CSV is below the medium's light cone; these two rates
+    (the threshold-accuracy inputs at rel_tol 1e-5) pin the beta n > 1 path:
+    the crossing search, the outer break and the graded ky maps."""
+    r = rate_surface(det(), MotionFrame(beta=beta), model,
+                     QuadratureSpec(rel_tol=1e-5, abs_tol=1e-18, k_max=20.0))
+    assert (r.gamma.hex(), r.error_estimate.hex()) == (gamma, error)
 
 
 def test_no_crossing_keeps_the_plain_outer_map(monkeypatch):
