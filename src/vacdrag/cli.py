@@ -41,9 +41,9 @@ from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     QuadratureSpec, check_doppler_frequency,
                     check_identity_shift, check_kk_frequency,
-                    check_not_comoving, check_not_grazing, check_pole_pair,
-                    check_pole_windows, check_rate_inputs, check_reflected_mode,
-                    load_model, model_to_dict)
+                    check_light_circle, check_not_comoving, check_not_grazing,
+                    check_pole_pair, check_pole_windows, check_rate_inputs,
+                    check_reflected_mode, load_model, model_to_dict)
 
 __all__ = [
     "ResultRecord",
@@ -293,6 +293,7 @@ def _dissipation(scenario, model, row):
 def _check_reciprocity(scenario, model, row):
     kx, omega, beta = row["kx"], row["omega"], scenario.frame().beta
     check_not_grazing(kx, omega)
+    check_light_circle(kx, omega, scenario.quad().k_max)
     # the Green functions at (kx, beta) and (-kx, -beta) share a Doppler
     # frequency; the third, at (-kx, beta), has its own
     for sign in (1.0, -1.0):

@@ -35,9 +35,10 @@ import numpy as np
 from .kinematics import MotionFrame, doppler, moving_susceptibility_tensors
 from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
-                         _semi_infinite_split, _tail_map, integrate_adaptive,
+                         _semi_infinite_split, integrate_adaptive,
                          worst_component)
-from .specs import check_not_comoving, check_not_grazing, check_reflected_mode
+from .specs import (check_light_circle, check_not_comoving, check_not_grazing,
+                    check_reflected_mode)
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -226,18 +227,17 @@ def _segment_ky(kind, x, kc2):
     inside and outside the light circle (x/ky), where xi = -i sign(omega) x
     or x and the Jacobian cancels the 1/xi edge factor."""
     circle, tail = kind >= INSIDE, kind == TAIL
-    inverse, u2 = _tail_map(x)
     ky = np.where(circle, np.sqrt(kc2 + np.where(kind == INSIDE, -x * x, x * x)),
-                  np.where(tail, inverse, x))
-    return ky, np.where(circle, x / ky, np.where(tail, 1.0 / u2, 1.0))
+                  np.where(tail, 1.0 / x, x))
+    return ky, np.where(circle, x / ky, np.where(tail, 1.0 / x ** 2, 1.0))
 
 
 def _reflected_green(model, requests, quad: QuadratureSpec):
     """ky integrals of the reflected dyad between two points above the
     surface: a (3x3 matrix, error estimate) per request (frame, kx, omega,
-    dy = y - y', zsum = z + z'). Every ky segment of every request, [a, b]
-    mapped onto [0, 1] by x = a + (b - a) t, is one member of one lockstep
-    batch, with its own tolerances and budget; one dyad call per sweep.
+    dy = y - y', zsum = z + z'). Every ky segment of every request, over
+    its own [a, b], is one member of one lockstep batch, with its own
+    tolerances and budget; one dyad call per sweep.
     """
     k_max = quad.k_max
     params, members = [], []    # per request; (request, kind, a, b)
@@ -246,11 +246,10 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
         eps, mu, _ = _doppler_medium(model, frame, kx, omega)
         circle_sq = omega * omega - kx * kx
         params.append((eps, mu, kx, omega, dy, zsum, max(circle_sq, 0.0)))
+        check_light_circle(kx, omega, k_max)
         edge = 0.0
         if circle_sq > 0.0:
             kc = math.sqrt(circle_sq)
-            if k_max is not None and k_max <= kc:
-                raise ValueError("quad.k_max truncates inside the light circle")
             edge = 2.0 * kc if k_max is None else min(2.0 * kc, k_max)
             members += [(r, PLAIN, 0.0, 0.5 * kc),
                         (r, INSIDE, 0.0, 0.5 * math.sqrt(3.0) * kc),
@@ -265,20 +264,19 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
             members += [(r, PLAIN, edge, s), (r, TAIL, 0.0, 1.0 / s)]
         elif edge < k_max:
             members.append((r, PLAIN, edge, k_max))
-    table = np.array([params[r] + (a, b - a, kind) for r, kind, a, b in members],
+    table = np.array([params[r] + (kind,) for r, kind, _, _ in members],
                      dtype=complex).T
 
     def g(arg):
-        t, member = arg     # np.take gathers each abscissa's parameters
+        x, member = arg     # np.take gathers each abscissa's parameters
         col = np.take(table, member, axis=1)
-        kx, omega, dy, zsum, kc2, a, width, kind = col[2:].real
-        x = a + width * t
+        kx, omega, dy, zsum, kc2, kind = col[2:].real
         ky, jac = _segment_ky(kind, x, kc2)
         xi = np.where(kind == OUTSIDE, x + 0j,
                       np.where(kind == INSIDE, -1j * np.copysign(1.0, omega) * x,
                                _xi_vacuum(kx * kx + ky * ky, omega)))
         out = _dyad_pair(col[0], col[1], kx, omega, ky, xi, dy, zsum)
-        out *= width * jac
+        out *= jac
         bad = ~np.isfinite(out)
         if bad.any():
             q = np.flatnonzero(bad.any(axis=(0, 1)))[0]
@@ -287,7 +285,8 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
                              f"{where[r]}, {_SEGMENT[seg]} segment, ky = {ky[q]:.6g}")
         return out
 
-    res = integrate_adaptive(g, 0.0, 1.0, quad, batch=len(members))
+    lo, hi = np.array([m[2:] for m in members]).T
+    res = integrate_adaptive(g, lo, hi, quad, batch=len(members))
     if not res.converged.all():
         i, j, m = worst_component(res, quad)
         r, kind, a, b = members[m]

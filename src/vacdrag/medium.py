@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import integrate_semi_infinite, principal_value
+from .quadrature import _integrate_pieces, _pv_pieces, _semi_infinite_pieces
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
                     SusceptibilityModel, check_identity_shift,
                     check_kk_frequency, check_pole_pair, check_pole_windows,
@@ -105,8 +105,8 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
 
     The real part comes from the dispersion integral
     (2/pi) PV int_0^inf w' Im chi(w') / (w'^2 - omega^2) dw', evaluated as a
-    principal value on a finite window plus a mapped tail; the imaginary part
-    is taken from the model.
+    principal value on a finite window plus a mapped tail, all their pieces
+    one lockstep batch; the imaginary part is taken from the model.
     """
     terms = _terms(model, kind)
     omega = float(omega)
@@ -117,8 +117,8 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
         return (2.0 / math.pi) * w * im / (w * w - omega * omega)
 
     cut = max(4.0 * frequency_scale(terms), 2.0 * omega)
-    pv = principal_value(g, omega, 0.0, cut, quad)
-    tail = integrate_semi_infinite(g, cut, quad)
+    pv, tail = _integrate_pieces(g, [_pv_pieces(omega, 0.0, cut),
+                                     _semi_infinite_pieces(g, cut, quad)], quad)
     err = pv.error_estimate + tail.error_estimate
     if not (pv.converged and tail.converged):
         raise NonConvergenceError(
@@ -167,11 +167,10 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
             return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
                 ((w * w - om * om) * (w * w - op * op))
 
-        pieces = [
-            principal_value(h, *lower, quad),
-            principal_value(h, *upper, quad),
-            integrate_semi_infinite(h, upper[2], quad),
-        ]
+        # both principal values and the tail: one lockstep batch
+        pieces = _integrate_pieces(h, [_pv_pieces(*lower), _pv_pieces(*upper),
+                                       _semi_infinite_pieces(h, upper[2], quad)],
+                                   quad)
         if not all(p.converged for p in pieces):
             raise NonConvergenceError(
                 "two-pole integral did not converge",

@@ -4,7 +4,8 @@ Everything downstream (Green functions, reflection integrals, rates) funnels
 through the three entry points here: a finite-interval adaptive integrator
 built on an embedded Gauss/Kronrod pair, a principal-value integrator using
 symmetric pole folding, and a semi-infinite integrator with a 1/x tail map.
-All three share one adaptive loop (`_adapt`).
+All run on one adaptive loop (`_adapt`), in which every integral is a
+member of a lockstep batch over its own interval.
 
 Integrands receive a 1-D ndarray of n abscissae and return values of shape
 (..., n): a plain integrand returns shape (n,), a vector integrand stacks
@@ -14,34 +15,32 @@ the others still meets the relative tolerance. Vector integrands give
 ndarray values and error estimates of the component shape; plain ones give
 a float or complex and a float.
 
-The loop bisects in sweeps. Each sweep ranks the panels worst first
-(leftmost on a tie), bisects the shortest prefix whose error must go for
-every component to meet its tolerance, and evaluates all the children in
-one integrand call, so an integrand sees 15 abscissae per child panel and
-a sweep costs one call however many panels it bisects. Each panel's sums
-over its 15 abscissae and the totals over the panels, which run
-sequentially in spatial order, are the same as in a one-panel-at-a-time
-loop, so repeated runs are bit-identical.
+The loop bisects in sweeps. Each sweep ranks each integral's panels worst
+first (leftmost on a tie), bisects the shortest prefix whose error must go
+for every component to meet its tolerance, and evaluates the children of
+all the integrals in one integrand call, 15 abscissae per child. Each
+integral keeps its own panels, tolerances and max_subdivisions budget, and
+sums its panels sequentially in spatial order, so it gives the same bits
+alone or in a batch, run after run. It leaves the working set once it
+converges or runs out of budget, or unconverged when a panel it must bisect
+is at the width floor, its ends within 1000 eps of its midpoint, where the
+outer abscissae of its halves could round onto their ends (an integrand
+singular at an end).
 
-`integrate_adaptive(..., batch=m)` runs m independent integrals over one
-interval in lockstep, through the same loop: each keeps its own panels,
-per-component tolerances and max_subdivisions budget, and makes the
-bisections it would make alone, while one integrand call per sweep serves
-the children of all of them. An integral leaves the working set once it
-converges or runs out of budget, or unconverged when a panel it must
-bisect is at the width floor, its ends within 1000 eps of its midpoint,
-where the outer abscissae of its halves could round onto their ends (an
-integrand singular at an end). A batch integrand is called with one
-argument, the pair (x, member) of abscissae and the index of the integral
-each belongs to; a single integral is the loop with one member.
+A lone `integrate_adaptive` is a batch of one, its integrand called with
+the abscissae alone. With `batch=m` the integrand is called with the pair
+(x, member) of abscissae and the index of the integral each belongs to. A
+principal value and a semi-infinite integral are lists of pieces (plain, a
+window folded about the pole, the 1/u tail), and `_integrate_pieces` runs
+the pieces of any number of them as one batch.
 
 A panel's four sums per component (the Kronrod and Gauss estimates, and
-QUADPACK's resabs and resasc) are matrix products: its values y, taken in
-C order as a row of 15, and |y| and |y - mean|, times a constant (15, 2)
-matrix of the Kronrod and Gauss weights. BLAS gemm rounds a row the same
+QUADPACK's resabs and resasc) are matrix products of its values y, taken
+in C order as a row of 15, and of |y| and |y - mean|, with a constant (15,
+2) matrix of the Kronrod and Gauss weights. BLAS gemm rounds a row the same
 way however many rows share the call; a lone row, which numpy would send
-to gemv, goes in twice. The integrand and the sums run with floating-point
-warnings suppressed. Every Kronrod weight is positive, so a non-finite
+to gemv, goes in twice. Floating-point warnings are suppressed in the
+integrand and the sums. Every Kronrod weight is positive, so a non-finite
 value makes resabs non-finite: only then are the values scanned, and a
 non-finite one aborts with the leftmost offending abscissa of the sweep.
 QuadratureSpec and NonConvergenceError are defined in specs and
@@ -142,26 +141,19 @@ def _scan(x, y):
 
 
 def _panel(f, a, b, member=None):
-    """Kronrod estimates and QUADPACK-style error bounds, one per component.
-
-    With float ends, of the panel [a, b]: shape (...). With ndarray ends, of
-    the panels [a_i, b_i], all from one integrand call on their 15 m
-    abscissae: shape (..., m), the component shape and then one entry per
-    panel. With `member`, the batch member of each panel, the integrand is
-    called with the pair (abscissae, member of each abscissa).
+    """Kronrod estimates and QUADPACK-style error bounds of the panels
+    [a_i, b_i], all from one integrand call on their 15 m abscissae: shape
+    (..., m), the component shape and then one entry per panel. With
+    `member`, the batch member of each panel, the integrand is called with
+    the pair (abscissae, member of each abscissa).
     """
     width = b - a
     half = 0.5 * width
     mid = 0.5 * (a + b)
     with np.errstate(all="ignore"):
-        if np.ndim(a):
-            x = (mid[:, None] + half[:, None] * _NODES).ravel()
-            y = _eval(f, x, None if member is None else np.repeat(member, 15))
-            shape = y.shape[:-1] + (a.size,)
-        else:
-            x = mid + half * _NODES
-            y = _eval(f, x)
-            shape = y.shape[:-1]
+        x = (mid[:, None] + half[:, None] * _NODES).ravel()
+        y = _eval(f, x, None if member is None else np.repeat(member, 15))
+        shape = y.shape[:-1] + (a.size,)
         # row r: component r // m at panel r % m, its 15 values in C order
         rows = y.reshape(-1, 15)
         n = rows.shape[0]
@@ -177,23 +169,15 @@ def _panel(f, a, b, member=None):
         # row's sum of |y| non-finite
         if not np.isfinite(absum).all():
             _scan(x, y)
-        scale = abs(half)
-        resabs = scale * absum.reshape(shape)
+        resabs = half * absum.reshape(shape)       # half > 0: b > a
         mean = k15 / width
         dev = np.abs(rows - mean.reshape(-1, 1))
-        resasc = scale * (dev @ _WEIGHTS)[:n, 0].reshape(shape)
+        resasc = half * (dev @ _WEIGHTS)[:n, 0].reshape(shape)
     err = np.abs(k15 - g7)
     # where resasc == 0 the integrand is constant and the floor below wins
     err = resasc * np.minimum(1.0, (200.0 * err / (resasc + (resasc == 0.0))) ** 1.5)
     err = np.maximum(err, 50.0 * _EPS * resabs * (resabs > _TINY_RESABS))
     return k15, err
-
-
-def _finish(value, err, evals, converged):
-    if np.ndim(value) == 0:
-        value = complex(value) if np.iscomplexobj(value) else float(value)
-        err = float(err)
-    return IntegralResult(value, err, int(evals), bool(converged))
 
 
 def _rows(x, at, size, width):
@@ -224,6 +208,8 @@ def _split(errs, inv_scale, tol, slot, col, counts, budget):
     a prefix leaves is an exact sequential sum, best panel first.
     """
     size, n = inv_scale.shape[-1], errs.shape[-1]
+    if n == size:
+        return np.arange(n), 1      # each integral halves its one panel
     if errs.ndim > 1:
         scale = inv_scale if size == 1 else inv_scale[..., slot]
         bad = (errs * scale).reshape(-1, n).max(axis=0)
@@ -260,112 +246,79 @@ def _at_floor(lo, hi):
     return np.maximum(np.abs(lo), np.abs(hi)) <= (1.0 + 1000.0 * _EPS) * mid
 
 
-def _adapt(f, a, b, spec, batch=None):
-    """The adaptive loop, in sweeps, until every component of every
-    integral meets its own stop test, or the integral's panel budget runs
-    out or a panel it must bisect is at the width floor.
-
-    With batch=None, f is one integral over [a, b]. With batch=m, f holds m
-    independent integrals over [a, b], which advance in lockstep: a sweep
-    bisects each working integral's share of panels (see _split) and
-    evaluates all their children in one call of f, and an integral leaves
-    the working set once it converges or its budget runs out.
+def _adapt(f, a, b, spec):
+    """The adaptive loop for m integrals over their own intervals [a_i,
+    b_i], in lockstep: (value, error, evaluations, converged), each with a
+    trailing axis of m. With ndarray ends f is called with the pair (x,
+    member); with float ends it is one integral, called with x alone.
 
     The panels sit in flat arrays, grouped by integral and in spatial order
-    within each, and each integral's values and errors are summed
-    sequentially in that order. Badness scales a panel's error per
-    component by the tolerances of its integral's first estimate. So an
-    integral makes the same bisections and gives the same bits alone or in
-    a batch. These are the panels the one-at-a-time worst-first loop of
-    QUADPACK bisects, unless a child outranks a panel of its own prefix.
+    within each. Badness scales a panel's error per component by the
+    tolerances of its integral's first estimate. These are the panels the
+    one-at-a-time worst-first loop of QUADPACK bisects, unless a child
+    outranks a panel of its own prefix.
     """
     budget = spec.max_subdivisions
+    pair = np.ndim(a) > 0
+    pa, pb = np.atleast_1d(a), np.atleast_1d(b)
+    batch = size = pa.size
     # a panel at the floor (_at_floor) is at most 2000 (eps max(|a|, |b|) +
     # tiny) wide, and after s sweeps no panel is narrower than about
     # (b - a) / 2^s, so the sweeps before `deep` need not look for one
-    floor = 2000.0 * (_EPS * max(abs(a), abs(b)) + _TINY)
-    deep, level = math.log2((b - a) / floor) - 1.0, 0
-    if batch is None:
-        # one integral: its first panel with float ends, the cheapest call
-        value, err = _panel(f, a, b)
-        tol = _tolerance(value, spec)
-        converged = (err <= tol).all()
-        if converged or budget <= 1:
-            # 0.0 + turns a -0.0 total into 0.0, as a sum from zero would
-            return 0.0 + value, err, 15, converged
-        value, err, tol = value[..., None], err[..., None], tol[..., None]
-        size = 1
-        # no slots or places: a working set of one sums and ranks its
-        # panels directly (_sums, _split), without the per-integral rows.
-        # Run as a batch of one, green-checks, all single integrals, read
-        # 22% more op_s (10/10 pairs)
-        ids = slot = col = counts = None
-    else:
-        size = batch
-        # the integral in each working slot; each panel's slot and its
-        # place among its integral's panels; each integral's panel count
-        ids = slot = np.arange(size)
-        col = np.zeros(size, dtype=np.intp)
-        counts = np.ones(size, dtype=np.intp)
-        stuck = np.zeros(size, dtype=bool)
-        pa, pb = np.full(size, a), np.full(size, b)
-        value, err = _panel(f, pa, pb, ids)
-        tol = _tolerance(value, spec)
+    floor = 2000.0 * (_EPS * np.maximum(np.abs(pa), np.abs(pb)) + _TINY)
+    deep, level = math.log2(((pb - pa) / floor).min()) - 1.0, 0
+    # the integral in each working slot; each panel's slot and its place
+    # among its integral's panels; each integral's panel count
+    ids = slot = np.arange(size)
+    col = np.zeros(size, dtype=np.intp)
+    counts = np.ones(size, dtype=np.intp)
+    stuck = np.zeros(size, dtype=bool)
+    value, err = _panel(f, pa, pb, ids if pair else None)
+    tol = _tolerance(value, spec)
     vals, errs, inv_scale = value, err, 1.0 / tol
     while True:
-        if batch is not None:
-            ok = (err <= tol).reshape(-1, size).all(axis=0)
-            done = ok | (counts >= budget) | stuck
-            if done.any():
-                if size == batch:
-                    out = (np.empty_like(value), np.empty_like(err),
-                           np.empty(batch, dtype=np.intp),
-                           np.empty(batch, dtype=bool))
-                gone = ids[done]
-                out[0][..., gone] = 0.0 + value[..., done]
-                out[1][..., gone] = err[..., done]
-                out[2][gone] = 30 * counts[done] - 15
-                out[3][gone] = ok[done]
-                if done.all():
-                    return out
-                live = ~done
-                keep = live[slot]
-                slot = (np.cumsum(live) - 1)[slot[keep]]
-                pa, pb, col = pa[keep], pb[keep], col[keep]
-                vals, errs = vals[..., keep], errs[..., keep]
-                ids, counts = ids[live], counts[live]
-                tol, inv_scale = tol[..., live], inv_scale[..., live]
-                size = ids.size
-                stuck = np.zeros(size, dtype=bool)
+        ok = (err <= tol).reshape(-1, size).all(axis=0)
+        done = ok | (counts >= budget) | stuck
+        if done.any():
+            if size == batch:
+                out = (np.empty_like(value), np.empty_like(err),
+                       np.empty(batch, dtype=np.intp), np.empty(batch, dtype=bool))
+            gone = ids[done]
+            # 0.0 + turns a -0.0 total into 0.0, as a sum from zero would
+            out[0][..., gone] = 0.0 + value[..., done]
+            out[1][..., gone] = err[..., done]
+            out[2][gone] = 30 * counts[done] - 15
+            out[3][gone] = ok[done]
+            if done.all():
+                return out
+            live = ~done
+            keep = live[slot]
+            slot = (np.cumsum(live) - 1)[slot[keep]]
+            pa, pb, col = pa[keep], pb[keep], col[keep]
+            vals, errs = vals[..., keep], errs[..., keep]
+            ids, counts = ids[live], counts[live]
+            tol, inv_scale = tol[..., live], inv_scale[..., live]
+            size = ids.size
+            stuck = np.zeros(size, dtype=bool)
         n = errs.shape[-1]
-        if n == size:
-            # the first sweep: each integral halves its one panel [a, b]
-            pick, split, m = slice(None), 1, n
-            mid = 0.5 * (a + b)
-            ca, cb = np.array([a, mid] * n), np.array([mid, b] * n)
-        else:
-            pick, split = _split(errs, inv_scale, tol, slot, col, counts, budget)
-            m = pick.size
-            lo, hi = pa[pick], pb[pick]
-            if level >= deep:
-                narrow = _at_floor(lo, hi)
-                if narrow.any():
-                    # the integral stops unconverged, as on a spent budget
-                    if batch is None:
-                        return 0.0 + value[..., 0], err[..., 0], 30 * n - 15, False
-                    stuck[slot[pick[narrow]]] = True
-                    continue
-            mid = 0.5 * (lo + hi)
-            ca = np.repeat(lo, 2)
-            ca[1::2] = mid
-            cb = np.repeat(hi, 2)
-            cb[::2] = mid
-        cv, ce = _panel(f, ca, cb,
-                        None if batch is None else np.repeat(ids[slot[pick]], 2))
+        pick, split = _split(errs, inv_scale, tol, slot, col, counts, budget)
+        m = pick.size
+        lo, hi = pa[pick], pb[pick]
+        if level >= deep:
+            narrow = _at_floor(lo, hi)
+            if narrow.any():
+                # the integral stops unconverged, as on a spent budget
+                stuck[slot[pick[narrow]]] = True
+                continue
+        mid = 0.5 * (lo + hi)
+        ca = np.repeat(lo, 2)
+        ca[1::2] = mid
+        cb = np.repeat(hi, 2)
+        cb[::2] = mid
+        cv, ce = _panel(f, ca, cb, np.repeat(ids[slot[pick]], 2) if pair else None)
         if m == n:
             pa, pb, vals, errs = ca, cb, cv, ce
-            if batch is not None:
-                slot = np.repeat(slot, 2)
+            slot = np.repeat(slot, 2)
         else:
             # each parent's entry becomes its two children's, in place
             reps = np.ones(n, dtype=np.intp)
@@ -380,56 +333,62 @@ def _adapt(f, a, b, spec, batch=None):
             errs = np.repeat(errs, reps, axis=-1)
             vals[..., slots] = cv
             errs[..., slots] = ce
-            if batch is not None:
-                slot = np.repeat(slot, reps)
+            slot = np.repeat(slot, reps)
         n += m
         level += 1
-        if size > 1:
-            counts += split
+        counts += split
+        if size > 1:        # a lone integral needs no places
             col = np.arange(n) - (np.cumsum(counts) - counts)[slot]
-        elif batch is not None:
-            counts[0] = n       # a lone integral needs no places
         value = _sums(vals, slot, col, counts, size)
         err = _sums(errs, slot, col, counts, size)
         tol = _tolerance(value, spec)
-        if batch is None:
-            converged = (err <= tol).all()
-            if converged or n >= budget:
-                return 0.0 + value[..., 0], err[..., 0], 30 * n - 15, converged
+
+
+def _finish(value, err, evals, converged):
+    if np.ndim(value) == 0:
+        value = complex(value) if np.iscomplexobj(value) else float(value)
+        err = float(err)
+    return IntegralResult(value, err, int(evals), bool(converged))
 
 
 def integrate_adaptive(f, a, b, spec: QuadratureSpec,
                        batch: int | None = None) -> IntegralResult:
     """Integrate f over the finite interval [a, b] to spec tolerances.
 
-    With batch=m, f holds m independent integrals over [a, b] that advance
-    in lockstep: it is called with one argument, the pair (x, member), and
-    returns (..., n) values, column j belonging to integral member[j] at
-    x[j]. The result then has ndarrays of shape (..., m) for value and
-    error_estimate and of shape (m,) for evaluations and converged, each
-    entry as integrating that member alone would give.
+    With batch=m, f holds m independent integrals that advance in lockstep,
+    member i over [a_i, b_i]: a and b are numbers, shared by every member,
+    or arrays of m ends. f is called with one argument, the pair (x,
+    member), and returns (..., n) values, column j belonging to integral
+    member[j] at x[j]. The result then has ndarrays of shape (..., m) for
+    value and error_estimate and of shape (m,) for evaluations and
+    converged, each entry as integrating that member alone would give.
     """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not (batch is None or isinstance(batch, (int, np.integer)) and batch >= 1):
+        raise ValueError("batch must be a positive integer")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape not in ((), (batch,)) or b.shape not in ((), (batch,)):
+        raise ValueError("the ends must be numbers, or arrays of one end per member")
+    if not (np.isfinite(a) & np.isfinite(b)).all():
         raise ValueError("integration limits must be finite")
-    if not a < b:
+    if not (a < b).all():
         raise ValueError("require a < b")
     if batch is None:
-        return _finish(*_adapt(f, a, b, spec))
-    if not (isinstance(batch, (int, np.integer)) and batch >= 1):
-        raise ValueError("batch must be a positive integer")
-    return IntegralResult(*_adapt(f, a, b, spec, int(batch)))
+        return _finish(*(r[..., 0] for r in _adapt(f, float(a), float(b), spec)))
+    return IntegralResult(*_adapt(f, np.full(batch, a), np.full(batch, b), spec))
 
 
-def principal_value(f, pole, a, b, spec: QuadratureSpec,
-                    window: float | None = None) -> IntegralResult:
-    """Cauchy principal value of f over [a, b] with a simple pole inside.
+# The kinds of piece: x itself, a window folded about a pole, x = 1/u on a
+# semi-infinite tail.
+_PLAIN, _FOLD, _TAIL = range(3)
 
-    The pole is handled by folding a symmetric window onto [0, w] where the
-    odd part cancels analytically; the remainder is regular and is integrated
-    adaptively. `window` overrides the default half-distance window.
-    """
+
+def _pv_pieces(pole, a, b, window=None):
+    """principal_value's pieces, (kind, lo, hi, pole) each, and what they
+    have spent beforehand: the window [pole - w, pole + w] folded onto
+    [0, w], where the odd part cancels, and the plain rest on either side."""
     pole, a, b = float(pole), float(a), float(b)
+    if not (math.isfinite(pole) and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration limits must be finite")
     if not a < b:
         raise ValueError("require a < b")
     dmin = min(pole - a, b - pole)
@@ -438,24 +397,14 @@ def principal_value(f, pole, a, b, spec: QuadratureSpec,
     w = 0.5 * dmin if window is None else float(window)
     if not 0.0 < w <= dmin:
         raise ValueError("window must lie within the interval on both sides")
-
-    def folded(t):
-        return f(pole + t) + f(pole - t)
-
-    parts = [_adapt(folded, 0.0, w, spec)]
-    if a < pole - w:
-        parts.append(_adapt(f, a, pole - w, spec))
-    if pole + w < b:
-        parts.append(_adapt(f, pole + w, b, spec))
-    value = sum(p[0] for p in parts)
-    err = sum(p[1] for p in parts)
-    evals = sum(p[2] for p in parts)
-    return _finish(value, err, evals, all(p[3] for p in parts))
+    sides = [(_PLAIN, lo, hi, 0.0)
+             for lo, hi in ((a, pole - w), (pole + w, b)) if lo < hi]
+    return [(_FOLD, 0.0, w, pole)] + sides, IntegralResult(0.0, 0.0, 0, True)
 
 
 def _semi_infinite_split(f, a, spec):
     """(s, grows) for f over [a, infinity): the head [a, s] is integrated
-    directly and the tail mapped onto (0, 1/s] by _tail_map; grows says a
+    directly and the tail mapped onto (0, 1/s] by x = 1/u; grows says a
     cheap pre-pass finds x^2 |f| growing far out, in some component, so the
     tail is not integrable at this precision."""
     a = float(a)
@@ -473,28 +422,71 @@ def _semi_infinite_split(f, a, spec):
     return s, bool(grows)
 
 
-def _tail_map(u):
-    """x = 1/u on the tail of _semi_infinite_split, and u^2 = |du/dx|."""
-    return 1.0 / u, u ** 2
+def _semi_infinite_pieces(f, a, spec):
+    """integrate_semi_infinite's pieces, the plain head [a, s] and the tail
+    on (0, 1/s], and the 4 probe values spent on s (_semi_infinite_split);
+    a growing tail is left out, and the whole unconverged."""
+    s, grows = _semi_infinite_split(f, a, spec)
+    if grows:
+        return [(_PLAIN, float(a), s, 0.0)], IntegralResult(0.0, math.inf, 4, False)
+    return [(_PLAIN, float(a), s, 0.0), (_TAIL, 0.0, 1.0 / s, 0.0)], \
+        IntegralResult(0.0, 0.0, 4, True)
+
+
+def _integrate_pieces(f, groups, spec):
+    """One IntegralResult per group of pieces of f's integral: the sum of
+    its pieces, sequential and in order, plus what the group spent before.
+    A group is (pieces, spent), as _pv_pieces and _semi_infinite_pieces
+    give; every piece of every group is one member of one batch."""
+    every = [piece for pieces, _ in groups for piece in pieces]
+    kind, lo, hi, pole = (np.array(column) for column in zip(*every))
+
+    def pieces(arg):
+        x, member = arg
+        k = kind[member]
+        if not k.any():         # plain pieces only: _PLAIN is 0
+            return f(x)
+        at, fold, tail = pole[member], k == _FOLD, k == _TAIL
+        # f at x, pole + t or 1/u, then at pole - t for each folded abscissa
+        points = np.where(tail, 1.0 / x, np.where(fold, at + x, x))
+        y = _eval(f, np.concatenate((points, at[fold] - x[fold])))
+        mirror = y[..., x.size:]
+        y = y[..., :x.size].astype(np.result_type(y, np.float64))
+        y[..., fold] += mirror
+        y[..., tail] /= x[tail] ** 2    # |du/dx| on the tail
+        return y
+
+    value, err, evals, converged = _adapt(pieces, lo, hi, spec)
+    out, start = [], 0
+    for members, spent in groups:
+        part = slice(start, start + len(members))
+        total, bound = (np.add.accumulate(r[..., part], axis=-1)[..., -1]
+                        for r in (value, err))
+        out.append(_finish(total, bound + spent.error_estimate,
+                           spent.evaluations + evals[part].sum(),
+                           spent.converged and converged[part].all()))
+        start = part.stop
+    return out
+
+
+def principal_value(f, pole, a, b, spec: QuadratureSpec,
+                    window: float | None = None) -> IntegralResult:
+    """Cauchy principal value of f over [a, b] with a simple pole inside.
+
+    A symmetric window about the pole is folded onto [0, w], where the odd
+    part cancels analytically, and the regular remainder is integrated
+    beside it, every piece a member of one batch. `window` overrides the
+    default half-distance window.
+    """
+    return _integrate_pieces(f, [_pv_pieces(pole, a, b, window)], spec)[0]
 
 
 def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
     """Integrate f over [a, infinity) assuming decay beyond spec.tail_switch.
 
-    The head is integrated directly; the tail is mapped by x -> 1/u. A cheap
-    pre-pass checks that x^2 |f| is not growing far out; if it is, in any
-    component, the tail is not integrable at this precision and the result
-    is flagged unconverged.
+    The head is integrated directly and the tail mapped by x -> 1/u, as one
+    batch. A cheap pre-pass checks that x^2 |f| is not growing far out; if
+    it is, in any component, the tail is not integrable at this precision
+    and the result is flagged unconverged.
     """
-    s, grows = _semi_infinite_split(f, a, spec)
-    head = _adapt(f, float(a), s, spec)
-    if grows:
-        return _finish(head[0], head[1] + math.inf, head[2] + 4, False)
-
-    def tail(u):
-        x, u2 = _tail_map(u)
-        return f(x) / u2
-
-    tl = _adapt(tail, 0.0, 1.0 / s, spec)
-    return _finish(head[0] + tl[0], head[1] + tl[1], head[2] + tl[2] + 4,
-                   head[3] and tl[3])
+    return _integrate_pieces(f, [_semi_infinite_pieces(f, a, spec)], spec)[0]

@@ -188,6 +188,14 @@ def check_not_grazing(kx: float, omega: float) -> None:
         raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
 
 
+def check_light_circle(kx: float, omega: float, k_max: float | None) -> None:
+    """Raise ValueError for a reflected-Green ky cut k_max at or inside the
+    light circle ky^2 = omega^2 - kx^2, whose segments it would cut off."""
+    circle_sq = omega * omega - kx * kx
+    if k_max is not None and circle_sq > 0.0 and k_max <= math.sqrt(circle_sq):
+        raise ValueError("quad.k_max truncates inside the light circle")
+
+
 def check_reflected_mode(kx: float, ky: float, omega: float) -> None:
     """Raise ValueError for a lab-frame mode whose reflection amplitudes are
     undefined: normal incidence, which has no transverse basis, or a mode on

@@ -208,6 +208,9 @@ KIND_REJECTS = [
     # through the third Green function, at (-kx, beta)
     ("reciprocity_check.json", {"model_file": "bundled:drude_metal", "kx": -0.8},
      "free-carrier term is singular at zero frequency"),
+    # k_max = 0.5 inside the light circle ky = sqrt(1 - 0.3^2)
+    ("reciprocity_check.json", {"kx": 0.3, "omega": 1.0, "quad": {"k_max": 0.5}},
+     "quad.k_max truncates inside the light circle"),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+import vacdrag.quadrature
 from vacdrag.medium import (
     LorentzOscillator,
     SusceptibilityModel,
@@ -202,6 +203,28 @@ def test_identity_degenerate_poles_rejected():
         verify_identity_1(LORENTZ, 1.3 * (1.0 + 1e-12), 1.3, QUAD)
     with pytest.raises(ValueError):
         verify_identity_1(LORENTZ, -1.3, 1.3, QUAD)
+
+
+def test_each_integrand_is_one_adaptive_loop(monkeypatch):
+    """A reconstruction runs its principal value and its tail, and an
+    identity integrand its two principal values and its tail, as one
+    lockstep batch: one _adapt call each, with every piece a member."""
+    members = []
+    adapt = vacdrag.quadrature._adapt
+
+    def spy(f, a, b, spec):
+        members.append(np.size(a))
+        return adapt(f, a, b, spec)
+
+    monkeypatch.setattr(vacdrag.quadrature, "_adapt", spy)
+    kk_reconstruct(LORENTZ, "electric", 0.5, QUAD)
+    assert members == [5]       # fold, two plain sides, head, tail
+    members.clear()
+    verify_identity_1(LORENTZ, 0.7, 1.3, QUAD)
+    assert members == [8]
+    members.clear()
+    verify_identity_1(LORENTZ, 0.7, 1.3, QUAD, numerator_shift=0.9)
+    assert members == [8, 8]
 
 
 def test_identity_rhs_uses_closed_form():

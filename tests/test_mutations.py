@@ -7,12 +7,14 @@ target in the loaded modules, and runs the oracle again, where it must fail.
 Every binding means what an edit of the source would reach: `rates` imports
 the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
 name from `greens`, `greens` imports `doppler` and
-`moving_susceptibility_tensors` from `kinematics`, and test modules import
-what they check. A row whose oracle passes under its mutant is a fault the
-suite cannot see, and fails here. A mutant is a wrapper around the original
-function, a changed copy of a module constant (`_WEIGHTS`) or, where the
-fault sits inside a longer function (`rate_surface`), an edit of its source
-compiled again in its module. A dotted name
+`moving_susceptibility_tensors` from `kinematics`, `medium` imports the
+piece integrator `_integrate_pieces` from `quadrature`, and test modules
+import what they check. A row whose oracle passes under its mutant is a
+fault the suite cannot see, and fails here. A mutant is a wrapper around the
+original function, a changed copy of a module constant (`_WEIGHTS`) or,
+where the fault sits inside a longer function (`rate_surface`, the piece
+integrand of `_integrate_pieces`), an edit of its source compiled again in
+its module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -226,6 +228,13 @@ MUTATIONS = [
      test_kinematics.test_moving_chi_matches_raw_integral_route),
     ("quadrature", "_WEIGHTS", gauss_column_kronrod, {"quadrature"},
      test_quadrature.test_oscillatory_bessel_integrand_matches_fixed_rule_oracle),
+    ("quadrature", "_integrate_pieces",
+     rewritten("fold_without_mirror", "y[..., fold] += mirror", "pass"),
+     {"quadrature", "medium"},
+     test_quadrature.test_pv_exponential_kernel_matches_hyperbolic_sine_integral),
+    ("quadrature", "_integrate_pieces",
+     rewritten("tail_without_jacobian", "y[..., tail] /= x[tail] ** 2", "pass"),
+     {"quadrature", "medium"}, test_medium.test_kk_below_resonance),
     ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
      kind_rejects(next(row for row in test_cli.KIND_REJECTS
                        if row[0] == "dissipation_check.json"))),

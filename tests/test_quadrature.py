@@ -291,13 +291,19 @@ def _members_rate_shaped(arg):
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
 
 
+def _ends(j):
+    # each member's own interval, around its peak
+    return -0.2 * (j % 3), 2.0 + 0.25 * (j % 4)
+
+
 # The panel sums are BLAS products, and BLAS may round a row otherwise by the
 # number of rows, so each batch size and component shape is its own case.
 @pytest.mark.parametrize("size", range(1, 10))
 @pytest.mark.parametrize("members", [_members, _members_fortran, _members_plain,
                                      _members_rate_shaped])
 def test_batch_members_match_lone_integrals(members, size):
-    batch = integrate_adaptive(members, 0.0, 2.0, TIGHT, batch=size)
+    lo, hi = np.array([_ends(j) for j in range(size)]).T
+    batch = integrate_adaptive(members, lo, hi, TIGHT, batch=size)
     shape = members((np.zeros(1), np.zeros(1, dtype=int))).shape[:-1]
     assert batch.value.shape == batch.error_estimate.shape == shape + (size,)
     assert batch.evaluations.shape == batch.converged.shape == (size,)
@@ -305,7 +311,7 @@ def test_batch_members_match_lone_integrals(members, size):
     assert isinstance(batch.converged, np.ndarray)
     assert isinstance(batch.evaluations, np.ndarray)
     for j in range(size):
-        alone = integrate_adaptive(_member(j, members), 0.0, 2.0, TIGHT)
+        alone = integrate_adaptive(_member(j, members), *_ends(j), TIGHT)
         assert type(alone.converged) is bool and type(alone.evaluations) is int
         assert np.array_equal(batch.value[..., j], alone.value)
         assert np.array_equal(batch.error_estimate[..., j], alone.error_estimate)
@@ -443,10 +449,10 @@ def test_panel_sums_match_plain_weighted_sums(shape, kind):
     # every panel's error is far above round-off, so it agrees to round-off
     assert (err > 1e-6 * resabs).all()
     assert np.allclose(error, err, rtol=1e-10, atol=0.0)
-    # the first panel alone, with float ends
-    value, error = _panel(f, 0.0, 1.0)
-    assert np.allclose(value, k15[..., 0], rtol=0.0, atol=1e-14 * resabs.max())
-    assert np.allclose(error, err[..., 0], rtol=1e-10, atol=0.0)
+    # the first panel alone, a single row of 15 values for a plain integrand
+    value, error = _panel(f, a[:1], b[:1])
+    assert np.allclose(value, k15[..., :1], rtol=0.0, atol=1e-14 * resabs.max())
+    assert np.allclose(error, err[..., :1], rtol=1e-10, atol=0.0)
 
 
 def test_prefix_error_is_an_exact_sum_best_first():
@@ -469,6 +475,17 @@ def test_prefix_error_is_an_exact_sum_best_first():
 def test_batch_must_be_a_positive_integer(batch):
     with pytest.raises(ValueError, match="batch"):
         integrate_adaptive(_members, 0.0, 2.0, SPEC, batch=batch)
+
+
+def test_ends_are_numbers_or_one_per_member():
+    with pytest.raises(ValueError, match="one end per member"):
+        integrate_adaptive(_members, np.zeros(3), 2.0, SPEC, batch=2)
+    with pytest.raises(ValueError, match="one end per member"):
+        integrate_adaptive(np.exp, np.zeros(1), 1.0, SPEC)
+    with pytest.raises(ValueError, match="require a < b"):
+        integrate_adaptive(_members, np.array([0.0, 2.0]), 2.0, SPEC, batch=2)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_adaptive(_members, 0.0, np.array([2.0, math.inf]), SPEC, batch=2)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +538,10 @@ def test_pv_pole_at_endpoint_rejected():
         principal_value(lambda x: 1.0 / x, -1.0, -1.0, 1.0, SPEC)
     with pytest.raises(ValueError):
         principal_value(lambda x: 1.0 / x, 2.0, -1.0, 1.0, SPEC)
+    # an infinite end or a NaN pole is not a misplaced pole or window
+    for pole, a, b in ((0.0, -1.0, math.inf), (math.nan, -1.0, 1.0)):
+        with pytest.raises(ValueError, match="integration limits must be finite"):
+            principal_value(lambda x: 1.0 / x, pole, a, b, SPEC)
 
 
 # ---------------------------------------------------------------------------

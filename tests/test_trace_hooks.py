@@ -45,7 +45,8 @@ def test_no_metric_needs_an_absent_name():
 def test_traced_rate_surface_reaches_the_inner_integrals():
     """The tracer's one-argument integrand wrappers can call the batched
     ky integrand, and the batch runs under the traced names, so the inner
-    integral and density counters are not silently zero."""
+    integral and density counters are not silently zero. The lone outer
+    integrand reaches _adapt as the tracer labelled it, unwrapped."""
     tracer = load_tracer()
     hooks = tracer.Tracer()
     hooks.install()
@@ -58,8 +59,9 @@ def test_traced_rate_surface_reaches_the_inner_integrals():
         hooks.uninstall()
     assert res.converged and res.gamma > 0.0
     assert hooks.counts["rates.inner_integrals"] > 0
-    assert "rates.density" in hooks.names
-    assert hooks.name.count(hooks.names.index("rates.density")) > 0
+    for label in ("rates.density", "rates.outer_integrand"):
+        assert label in hooks.names
+        assert hooks.name.count(hooks.names.index(label)) > 0
 
 
 def test_traced_reciprocity_check_is_one_reflected_green_call():
