@@ -50,44 +50,6 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
 
 
-__all__ = [
-    "ComplexTensor3",
-    "CouplingTensors",
-    "DetectorSpec",
-    "DissipationReport",
-    "IdentityReport",
-    "IntegralResult",
-    "LorentzOscillator",
-    "MotionFrame",
-    "NonConvergenceError",
-    "QuadratureSpec",
-    "RateResult",
-    "ReciprocityReport",
-    "ReflectionCoefficients",
-    "SurfaceGeometry",
-    "SusceptibilityModel",
-    "__version__",
-    "chi",
-    "coupling_amplitude",
-    "coupling_tensors",
-    "doppler",
-    "finite_time_probability",
-    "green_dissipation_identity",
-    "im_free_green_coincident",
-    "integrate_adaptive",
-    "integrate_semi_infinite",
-    "kk_reconstruct",
-    "load_model",
-    "lorentz_gamma",
-    "model_from_dict",
-    "model_to_dict",
-    "moving_susceptibility_tensors",
-    "principal_value",
-    "rate_free_space",
-    "rate_surface",
-    "rate_vs_distance",
-    "reciprocity_check",
-    "reflection_coefficients",
-    "surface_green_coincident",
-    "verify_identity_1",
-]
+__all__ = sorted({"__version__", *_LAZY} | {
+    name for name, value in globals().items()
+    if getattr(value, "__module__", None) == f"{__name__}.specs"})

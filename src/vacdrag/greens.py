@@ -172,10 +172,8 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     check_reflected_mode(kx, ky, omega)
     kpar2 = kx * kx + ky * ky
     eps, mu, _ = _doppler_medium(model, frame, kx, omega)
-    # Python scalars, as numpy's array division rounds differently
-    xi = complex(_xi_vacuum(np.array([kpar2]), omega)[0])
-    xim = complex(_xi_medium(np.array([kpar2]), eps, mu, omega)[0])
-    rs, rp = _fresnel_amplitudes(eps, mu, xi, xim)
+    xi = complex(_xi_vacuum(kpar2, omega))
+    rs, rp = _reflection(eps, mu, kpar2, omega, xi)
     kpar = math.sqrt(kpar2)
     wz = 1j * xi
     e_1 = np.array([ky, -kx, 0.0], dtype=complex) / kpar

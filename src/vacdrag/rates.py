@@ -60,12 +60,13 @@ omega / |beta| (1.8 omega / |beta| for the finite-time window) are
 required.
 
 finite_time_probability replaces the golden-rule delta with the finite-time
-sinc kernel: the rate function is sampled on a frequency window, splined,
-and convolved with 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary
-rate like 1/T. The spline is cached per (model, frame, detector, quad) and
-carries one convolution plan per Simpson grid size. The kernel is even in
-the gap offset, so a plan pairs the nodes +-u of the grid, and a query on a
-cached spline is one sin over half the grid and one dot product.
+sinc kernel: the rate function is sampled at the Chebyshev points of a
+frequency window, interpolated by its Chebyshev series, and convolved with
+4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary rate like 1/T.
+This rate spline is cached per (model, frame, detector, quad) and carries
+one convolution plan per Simpson grid size. The kernel is even in the gap
+offset, so a plan pairs the nodes +-u of the grid, and a query on a cached
+spline is one sin over half the grid and one dot product.
 """
 
 from __future__ import annotations
@@ -287,36 +288,6 @@ def rate_vs_distance(det: DetectorSpec, frame: MotionFrame,
             for z in z0_ladder]
 
 
-def _cubic_spline(x, y):
-    """Not-a-knot cubic spline through (x, y), as a vectorized callable for
-    points in [x[0], x[-1]]: the slopes s solve the usual tridiagonal
-    system, closed by third-derivative continuity at x[1] and x[-2]."""
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    n = len(x)
-    i = np.arange(1, n - 1)
-    a = np.zeros((n, n))
-    b = np.empty(n)
-    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
-    b[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-    d = x[2] - x[0]
-    a[0, :2] = h[1], d
-    b[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    a[-1, -2:] = d, h[-2]
-    b[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
-    s = np.linalg.solve(a, b)
-    c3 = (s[:-1] + s[1:] - 2.0 * slope) / h
-    c2 = (slope - s[:-1]) / h - c3
-    c3 = c3 / h
-
-    def spline(z):
-        j = np.clip(np.searchsorted(x, z, side="right") - 1, 0, n - 2)
-        t = z - x[j]
-        return ((c3[j] * t + c2[j]) * t + s[j]) * t + y[j]
-    return spline
-
-
 _MAX_PLANS = 8   # convolution plans kept per spline, oldest evicted first
 
 
@@ -380,21 +351,24 @@ class _RateSpline:
 
 @lru_cache(maxsize=32)
 def _rate_spline(model, frame, det, quad):
-    """Cubic spline of the rate as a function of the detector gap over the
-    window [0.2 omega, 1.8 omega] used by the finite-time kernel, with its
-    convolution plans (see _RateSpline). A node whose rate did not converge
-    raises NonConvergenceError, naming its gap frequency."""
+    """The rate's degree-64 Chebyshev series in the detector gap through the
+    65 Chebyshev points, taken in ascending order, of the finite-time window
+    [0.2 omega, 1.8 omega], with its convolution plans (see _RateSpline). An
+    unconverged node raises NonConvergenceError, naming its gap frequency."""
     omega = det.omega
-    grid = np.linspace(0.2 * omega, 1.8 * omega, 65)
-    values = []
-    for w in grid:
-        r = rate_surface(replace(det, omega=float(w)), frame, model, quad)
-        if not r.converged:
-            raise NonConvergenceError(
-                f"rate spline node at gap frequency {w:.6g} did not converge",
-                residual=r.error_estimate)
-        values.append(r.gamma)
-    return _RateSpline(omega, _cubic_spline(grid, np.asarray(values)))
+
+    def gamma_at(gaps):
+        values = np.empty_like(gaps)
+        for i, w in enumerate(gaps):
+            r = rate_surface(replace(det, omega=float(w)), frame, model, quad)
+            if not r.converged:
+                raise NonConvergenceError(
+                    f"rate spline node at gap frequency {w:.6g} did not converge",
+                    residual=r.error_estimate)
+            values[i] = r.gamma
+        return values
+    return _RateSpline(omega, np.polynomial.Chebyshev.interpolate(
+        gamma_at, 64, domain=[0.2 * omega, 1.8 * omega]))
 
 
 def finite_time_probability(det: DetectorSpec, frame: MotionFrame,

@@ -769,7 +769,7 @@ def test_exit_two_on_unconverged_finite_time_node(tmp_path, monkeypatch, capsys)
     unconverged_above(monkeypatch, 0.151)
     path = write_scenario(tmp_path, FINITE_TIME)
     assert run_cli(["run", "--scenario", path, "--output", tmp_path / "o.csv"]) == 2
-    assert "gap frequency 0.1525 did not converge" in capsys.readouterr().err
+    assert "gap frequency 0.15305 did not converge" in capsys.readouterr().err
     rates._rate_spline.cache_clear()
 
 

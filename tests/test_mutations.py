@@ -13,8 +13,8 @@ import what they check. A row whose oracle passes under its mutant is a
 fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
-integrand of `_integrate_pieces`), an edit of its source compiled again in
-its module. A dotted name
+integrand of `_integrate_pieces`, the cached `_rate_spline`), an edit of its
+source compiled again in its module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -156,14 +156,16 @@ def kernel_branch_points(model, beta):
 def rewritten(name, old, new):
     """A mutant made by an edit of the source: `old`, which must occur once
     in the function, becomes `new`, and the function is compiled again in
-    its own module's namespace."""
+    its own module's namespace, under its decorators (a cached function gets
+    a new, empty cache)."""
     def make(original):
-        source = textwrap.dedent(inspect.getsource(original))
+        func = inspect.unwrap(original)
+        source = textwrap.dedent(inspect.getsource(func))
         assert source.count(old) == 1
         namespace = {}
-        exec(compile(source.replace(old, new), inspect.getsourcefile(original),
-                     "exec"), original.__globals__, namespace)
-        return namespace[original.__name__]
+        exec(compile(source.replace(old, new), inspect.getsourcefile(func),
+                     "exec"), func.__globals__, namespace)
+        return namespace[func.__name__]
     make.__name__ = name
     return make
 
@@ -219,6 +221,9 @@ MUTATIONS = [
                "slope = np.where(u < 0.0, (2.0 / half) * width * e, 1.0)"),
      {"rates"},
      test_rates.test_surface_rate_beyond_the_medium_light_cone_matches_dense_grid_oracle),
+    ("rates", "_rate_spline",
+     rewritten("domain_ends_at_1_7", "1.8 * omega]", "1.7 * omega]"), {"rates"},
+     test_rates.test_rate_spline_is_the_chebyshev_interpolant_of_the_rate),
     ("rates", "_RateSpline._plan",
      rewritten("pair_one_sided", "rate[mid - 1::-1]", "rate[mid + 1:]"),
      {"rates"}, test_rates.test_convolution_plan_matches_direct_simpson_rule),

@@ -43,6 +43,12 @@ def det(omega=0.1, z0=1.0, kappa=KAPPA):
     return DetectorSpec(kappa=kappa, omega=omega, z0=z0)
 
 
+def spline_nodes(omega=0.1):
+    """The gaps of the finite-time rate spline, ascending: the 65 Chebyshev
+    points (of the first kind) of the window [0.2 omega, 1.8 omega]."""
+    return omega * (1.0 - 0.8 * np.cos(np.pi * (np.arange(65) + 0.5) / 65))
+
+
 # ---------------------------------------------------------------------------
 # specs
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def test_no_crossing_keeps_the_plain_outer_map(monkeypatch):
     of the finite-time rate spline of the bundled Lorentz model at beta 0.5,
     nor on the beta sweep. Such a call never reaches the outer map."""
     model = load_model("bundled:lorentz_dielectric")
-    for beta, omega in [(0.5, w) for w in np.linspace(0.02, 0.18, 65)] + [
+    for beta, omega in [(0.5, w) for w in spline_nodes()] + [
             (0.2, 0.1), (0.4, 0.1), (0.6, 0.1)]:
         k_lo = omega / beta
         assert _light_cone_crossings(model, MotionFrame(beta=beta), omega, k_lo,
@@ -516,16 +522,30 @@ def test_finite_time_converges_to_golden_rule():
     assert err[4000.0] <= 1.05 * err[1000.0]
 
 
-def test_rate_spline_matches_scipy_not_a_knot_spline():
-    from scipy.interpolate import CubicSpline
-    from vacdrag.rates import _cubic_spline
+def test_rate_spline_is_the_chebyshev_interpolant_of_the_rate(monkeypatch):
+    """The build makes one rate_surface call per Chebyshev point, in
+    ascending gap order, and its series matches a smooth stand-in rate,
+    omega^2 e^(-20 omega), to round-off off the nodes (3.5e-14 of its
+    maximum, where a uniform 65-node cubic spline misses by 1.8e-6)."""
+    from vacdrag import rates
 
-    rng = np.random.default_rng(7)
-    x = np.linspace(0.02, 0.18, 65)
-    y = np.exp(0.1 * rng.normal(size=65).cumsum())
-    z = np.linspace(x[0], x[-1], 2001)
-    ref = CubicSpline(x, y)(z)
-    assert np.max(np.abs(_cubic_spline(x, y)(z) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    gaps = []
+
+    def fake(det, frame, model, quad):
+        w = det.omega
+        gaps.append(w)
+        return RateResult(gamma=w * w * math.exp(-20.0 * w), error_estimate=0.0,
+                          converged=True, k_lower=w / frame.beta, k_max=quad.k_max,
+                          breakdown={"s": 0.0, "p": w * w * math.exp(-20.0 * w)})
+    monkeypatch.setattr(rates, "rate_surface", fake)
+    rates._rate_spline.cache_clear()
+    spline = rates._rate_spline(LORENTZ, MotionFrame(beta=0.5), det(), FT_QUAD).spline
+    rates._rate_spline.cache_clear()
+    assert len(gaps) == 65 and np.all(np.diff(gaps) > 0.0)
+    assert gaps == pytest.approx(spline_nodes(), rel=1e-14)
+    z = np.linspace(0.02, 0.18, 2001)
+    ref = z * z * np.exp(-20.0 * z)
+    assert np.max(np.abs(spline(z) - ref)) <= 1e-13 * np.max(ref)
 
 
 def unconverged_above(monkeypatch, gap):
@@ -545,7 +565,7 @@ def test_rate_spline_raises_on_an_unconverged_node(monkeypatch):
     from vacdrag.rates import _rate_spline
 
     unconverged_above(monkeypatch, 0.151)
-    grid = np.linspace(0.02, 0.18, 65)
+    grid = spline_nodes()
     first_bad = grid[grid > 0.151][0]
     with pytest.raises(NonConvergenceError,
                        match=f"gap frequency {first_bad:.6g} did not converge"):
@@ -569,11 +589,11 @@ def test_finite_time_requires_positive_time():
 def synthetic_rate_spline(omega=0.1):
     """A _RateSpline over a smooth positive stand-in for the rate, so the
     plans can be checked without a rate build."""
-    from vacdrag.rates import _RateSpline, _cubic_spline
+    from vacdrag.rates import _RateSpline
 
-    grid = np.linspace(0.2 * omega, 1.8 * omega, 65)
-    return _RateSpline(omega, _cubic_spline(grid, 4e-3 * np.exp(-5.0 * grid)
-                                            * (1.0 + 0.3 * np.sin(40.0 * grid))))
+    return _RateSpline(omega, np.polynomial.Chebyshev.interpolate(
+        lambda w: 4e-3 * np.exp(-5.0 * w) * (1.0 + 0.3 * np.sin(40.0 * w)), 64,
+        domain=[0.2 * omega, 1.8 * omega]))
 
 
 def direct_simpson(rs, T):
