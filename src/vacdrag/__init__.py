@@ -18,10 +18,8 @@ from .specs import (DetectorSpec, LorentzOscillator, MotionFrame,
 _SUBMODULES = ("cli", "greens", "kinematics", "medium", "quadrature", "rates",
                "tensors")
 _LAZY = {name: module for module, names in (
-    ("kinematics", ("CouplingTensors", "coupling_tensors", "doppler",
-                    "moving_susceptibility_tensors")),
-    ("medium", ("IdentityReport", "chi", "coupling_amplitude", "kk_reconstruct",
-                "verify_identity_1")),
+    ("kinematics", ("doppler", "moving_susceptibility_tensors")),
+    ("medium", ("IdentityReport", "chi", "kk_reconstruct", "verify_identity_1")),
     ("quadrature", ("IntegralResult", "integrate_adaptive",
                     "integrate_semi_infinite", "principal_value")),
     ("tensors", ("ComplexTensor3",)),

@@ -5,9 +5,10 @@ A scenario is a JSON object with a `kind` selecting the computation and
 kind-specific fields. Runs are deterministic: CSV cells are printed with
 %.17g so values round-trip bit exactly, rows never carry timestamps, and
 sweep rows are computed serially in input order. Records cache under a
-sha256 of the normalized scenario, the resolved model content, and the
-package and numpy versions; unreadable cache entries are recomputed and
-rewritten, never trusted.
+sha256 of the normalized scenario, the resolved model content, the package
+and numpy versions and a digest of the package's own source and bundled
+models; unreadable cache entries are recomputed and rewritten, never
+trusted.
 
 One table, `_KINDS`, drives validation and runs alike: each kind's entry
 declares its field rules, its rows, the `specs` predicate and computation
@@ -28,6 +29,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -406,6 +408,15 @@ _KINDS = {
 }
 
 
+# The top-level keys a Scenario keeps: the fixed ones, then every field
+# rule's name in table order.
+_KEYS = tuple(dict.fromkeys(
+    ("kind", "model_file", "frame", "quad", "sweep_axis")
+    + tuple(name for kind in _KINDS.values()
+            for entry in (kind, *(kind.axes or {}).values())
+            for name, _ in entry.fields)))
+
+
 def _entry(kind: str, doc: dict) -> _Kind:
     """The entry whose rows a document computes: its kind's, or for a kind
     run along a sweep axis, the entry of its axis."""
@@ -475,10 +486,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if errors:
         raise ScenarioValidationError("; ".join(errors))
 
-    known = ("kind", "model_file", "frame", "detector", "quad", "sweep_axis",
-             "kx", "ky", "omega", "pairs", "points", "point_a", "point_b",
-             "shift", "T")
-    scenario = Scenario(kind=kind, doc={k: doc[k] for k in known if k in doc})
+    scenario = Scenario(kind=kind, doc={k: doc[k] for k in _KEYS if k in doc})
     entry = _entry(kind, doc)
     try:
         for row in _rows(scenario, entry, ends=True):
@@ -575,11 +583,26 @@ def _libraries() -> dict:
     return {"numpy": numpy.__version__}
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the package's own *.py and models/*.json files, names and
+    bytes in sorted name order: part of the cache key, so that a change of
+    the code or of a bundled model is never served a record of the old."""
+    import hashlib
+
+    root = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted((*root.glob("*.py"), *root.glob("models/*.json"))):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(scenario: Scenario) -> str:
     import hashlib
 
     key_doc = {"scenario": scenario.doc, "version": __version__,
-               **_libraries()}
+               "code": _code_digest(), **_libraries()}
     if "model_file" in scenario.doc:
         key_doc["model"] = model_to_dict(scenario.model())
     canonical = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))

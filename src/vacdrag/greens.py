@@ -72,9 +72,6 @@ class ReflectionCoefficients:
     r22: complex
     r12: complex
     r21: complex
-    e_1: np.ndarray
-    e_2: np.ndarray
-    xi: complex
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +162,7 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
 
     r11 is the s (transverse-electric) and r22 the p (transverse-magnetic)
     coefficient of the rest-frame medium evaluated at the Doppler frequency;
-    the off-diagonal amplitudes are zero at this order. The polarization
-    basis (e_1, e_2) and the vacuum xi are returned for dyad assembly.
+    the off-diagonal amplitudes are zero at this order.
     """
     kx, ky, omega = float(kx), float(ky), float(omega)
     check_reflected_mode(kx, ky, omega)
@@ -174,12 +170,8 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     eps, mu, _ = _doppler_medium(model, frame, kx, omega)
     xi = complex(_xi_vacuum(kpar2, omega))
     rs, rp = _reflection(eps, mu, kpar2, omega, xi)
-    kpar = math.sqrt(kpar2)
-    wz = 1j * xi
-    e_1 = np.array([ky, -kx, 0.0], dtype=complex) / kpar
-    e_2 = np.array([wz * kx, wz * ky, -kpar2], dtype=complex) / (kpar * omega)
     return ReflectionCoefficients(r11=complex(rs), r22=complex(rp),
-                                  r12=0j, r21=0j, e_1=e_1, e_2=e_2, xi=xi)
+                                  r12=0j, r21=0j)
 
 
 def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
@@ -255,7 +247,7 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
         if k_max is None:
             s, grows = _semi_infinite_split(lambda ky: _dyad_pair(
                 eps, mu, kx, omega, ky, _xi_vacuum(kx * kx + ky * ky, omega),
-                dy, zsum), edge, quad)
+                dy, zsum), edge)
             if grows:
                 raise NonConvergenceError(f"reflected Green tail grows at "
                                           f"{where[r]}, ky > {s:.6g}", math.inf)

@@ -32,7 +32,6 @@ __all__ = [
     "LorentzOscillator",
     "SusceptibilityModel",
     "chi",
-    "coupling_amplitude",
     "kk_reconstruct",
     "load_model",
     "model_from_dict",
@@ -87,18 +86,6 @@ def chi(model: SusceptibilityModel, kind: str, omega):
     return lorentz_chi(terms, om)
 
 
-def coupling_amplitude(model: SusceptibilityModel, kind: str, omega: float) -> float:
-    """Oscillator-bath coupling sqrt(2 w Im chi / pi) at a real frequency >= 0."""
-    _terms(model, kind)
-    omega = float(omega)
-    if omega < 0.0:
-        raise ValueError("coupling amplitude is defined for omega >= 0")
-    if omega == 0.0:
-        return 0.0
-    im = chi(model, kind, omega).imag
-    return math.sqrt(2.0 * omega * im / math.pi)
-
-
 def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
                    quad: QuadratureSpec) -> complex:
     """Rebuild chi(omega) from its absorptive part alone.
@@ -118,7 +105,7 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
 
     cut = max(4.0 * frequency_scale(terms), 2.0 * omega)
     pv, tail = _integrate_pieces(g, [_pv_pieces(omega, 0.0, cut),
-                                     _semi_infinite_pieces(g, cut, quad)], quad)
+                                     _semi_infinite_pieces(g, cut)], quad)
     err = pv.error_estimate + tail.error_estimate
     if not (pv.converged and tail.converged):
         raise NonConvergenceError(
@@ -169,7 +156,7 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
 
         # both principal values and the tail: one lockstep batch
         pieces = _integrate_pieces(h, [_pv_pieces(*lower), _pv_pieces(*upper),
-                                       _semi_infinite_pieces(h, upper[2], quad)],
+                                       _semi_infinite_pieces(h, upper[2])],
                                    quad)
         if not all(p.converged for p in pieces):
             raise NonConvergenceError(

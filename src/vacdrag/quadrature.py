@@ -381,6 +381,9 @@ def integrate_adaptive(f, a, b, spec: QuadratureSpec,
 # semi-infinite tail.
 _PLAIN, _FOLD, _TAIL = range(3)
 
+# Where a semi-infinite integral's tail begins, for a lower limit below it.
+_TAIL_SWITCH = 10.0
+
 
 def _pv_pieces(pole, a, b, window=None):
     """principal_value's pieces, (kind, lo, hi, pole) each, and what they
@@ -402,7 +405,7 @@ def _pv_pieces(pole, a, b, window=None):
     return [(_FOLD, 0.0, w, pole)] + sides, IntegralResult(0.0, 0.0, 0, True)
 
 
-def _semi_infinite_split(f, a, spec):
+def _semi_infinite_split(f, a):
     """(s, grows) for f over [a, infinity): the head [a, s] is integrated
     directly and the tail mapped onto (0, 1/s] by x = 1/u; grows says a
     cheap pre-pass finds x^2 |f| growing far out, in some component, so the
@@ -410,7 +413,7 @@ def _semi_infinite_split(f, a, spec):
     a = float(a)
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
-    s = spec.tail_switch
+    s = _TAIL_SWITCH
     if a >= s:
         s = a + max(1.0, abs(a))
     probes = np.array([s, 2.0 * s, 50.0 * s, 100.0 * s])
@@ -422,11 +425,11 @@ def _semi_infinite_split(f, a, spec):
     return s, bool(grows)
 
 
-def _semi_infinite_pieces(f, a, spec):
+def _semi_infinite_pieces(f, a):
     """integrate_semi_infinite's pieces, the plain head [a, s] and the tail
     on (0, 1/s], and the 4 probe values spent on s (_semi_infinite_split);
     a growing tail is left out, and the whole unconverged."""
-    s, grows = _semi_infinite_split(f, a, spec)
+    s, grows = _semi_infinite_split(f, a)
     if grows:
         return [(_PLAIN, float(a), s, 0.0)], IntegralResult(0.0, math.inf, 4, False)
     return [(_PLAIN, float(a), s, 0.0), (_TAIL, 0.0, 1.0 / s, 0.0)], \
@@ -482,11 +485,11 @@ def principal_value(f, pole, a, b, spec: QuadratureSpec,
 
 
 def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over [a, infinity) assuming decay beyond spec.tail_switch.
+    """Integrate f over [a, infinity) assuming decay beyond _TAIL_SWITCH.
 
     The head is integrated directly and the tail mapped by x -> 1/u, as one
     batch. A cheap pre-pass checks that x^2 |f| is not growing far out; if
     it is, in any component, the tail is not integrable at this precision
     and the result is flagged unconverged.
     """
-    return _integrate_pieces(f, [_semi_infinite_pieces(f, a, spec)], spec)[0]
+    return _integrate_pieces(f, [_semi_infinite_pieces(f, a)], spec)[0]

@@ -62,7 +62,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
     k_max: float | None = None
-    tail_switch: float = 10.0
 
     def __post_init__(self):
         if not self.rel_tol > 0.0:
@@ -75,8 +74,6 @@ class QuadratureSpec:
             raise ValueError("k_max must be > 0 when set")
         if self.k_max is not None and not math.isfinite(self.k_max):
             raise ValueError("k_max must be finite when set")
-        if not self.tail_switch > 0.0:
-            raise ValueError("tail_switch must be > 0")
 
 
 def lorentz_gamma(beta: float) -> float:

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +323,23 @@ def test_validate_rejects_quad_eta(tmp_path, capsys):
     assert "'eta'" in capsys.readouterr().err
 
 
+def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
+    """A valid document of every kind and sweep axis, each field its rules
+    name present, is kept whole in Scenario.doc, where run reads it."""
+    docs = {}
+    for path in sorted(scenarios_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        docs[doc["kind"], doc.get("sweep_axis", {}).get("name")] = doc
+    docs["identity-check", None]["shift"] = 0.25
+    docs["sweep", "omega"] = dict(docs["sweep", "beta"], sweep_axis={
+        "name": "omega", "min": 0.1, "max": 0.2, "count": 2})
+    for kind, entry in cli._KINDS.items():
+        for axis, rules in (entry.axes or {None: entry}).items():
+            doc = docs[kind, axis]
+            assert {name for name, _ in rules.fields} <= set(doc)
+            assert scenario_from_dict(doc).doc == doc
+
+
 # One malformed document per field rule, as (bundled scenario, update,
 # message): the update replaces top-level fields, and ... deletes one. The
 # message is the whole of what validate and run write to stderr, so the
@@ -409,6 +428,11 @@ FIELD_MESSAGES = [
     ("identity_check.json", {"pairs": [[0.7, 1.3], [-1e155, 2e155]]},
      "pole frequencies (-1e+155, 2e+155) overflow the two-pole integrand: "
      "|omega| must be <= 3.90422e+70"),
+    # the semi-infinite tail switch is a constant of the quadrature, and an
+    # unknown quad key like any other
+    ("rate_surface.json", {"quad": {"tail_switch": 10.0}},
+     "quad: QuadratureSpec.__init__() got an unexpected keyword argument "
+     "'tail_switch'"),
 ]
 
 
@@ -719,6 +743,35 @@ def test_cache_key_and_provenance_carry_library_versions(tmp_path, monkeypatch):
     assert cli._cache_key(scenario) == key
 
 
+def test_cache_key_covers_the_package_code(tmp_path, scenarios_dir):
+    """A cached record is served to the same package bytes, here copied to
+    another path, and not to a copy with one comment changed."""
+    # a fresh directory per call: the mutation table calls this test twice
+    # with one tmp_path
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    cache = work / "cache"
+    scenario = scenarios_dir / "rate_surface.json"
+    assert run_cli(["run", "--scenario", scenario, "--output", work / "a.csv",
+                    "--cache-dir", cache]) == 0
+    package = Path(cli.__file__).parent
+    comment = "# The kinds of piece: x itself"
+    for name, entries in (("same", 1), ("edited", 2)):
+        copy = work / name / "vacdrag"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        if name == "edited":
+            source = (copy / "quadrature.py").read_text()
+            assert source.count(comment) == 1
+            (copy / "quadrature.py").write_text(
+                source.replace(comment, "# The three kinds of piece: x itself"))
+        subprocess.run([sys.executable, "-m", "vacdrag", "run", "--scenario",
+                        str(scenario), "--output", str(work / f"{name}.csv"),
+                        "--cache-dir", str(cache)],
+                       cwd=work, env=dict(os.environ, PYTHONPATH=str(copy.parent)),
+                       check=True)
+        assert len(list(cache.glob("*.json"))) == entries
+        assert (work / f"{name}.csv").read_bytes() == (work / "a.csv").read_bytes()
+
+
 def test_cache_corruption_recovers(tmp_path, capsys):
     cache = tmp_path / "cache"
     path = write_scenario(tmp_path, BASE_RATE)
@@ -810,13 +863,19 @@ print("ok")
 """
 
 
+def package_env():
+    """The environment with the package under test first on PYTHONPATH, for
+    a fresh interpreter (pytest's own pythonpath reaches this one only)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_validate_loads_no_numpy(scenarios_dir):
     # a fresh interpreter: this one has numpy loaded already
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(scenarios_dir)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=package_env(),
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
@@ -824,5 +883,6 @@ def test_validate_loads_no_numpy(scenarios_dir):
 def test_python_dash_m_invocation(tmp_path):
     path = write_scenario(tmp_path, BASE_RATE)
     proc = subprocess.run([sys.executable, "-m", "vacdrag", "validate",
-                           "--scenario", str(path)], capture_output=True)
+                           "--scenario", str(path)], capture_output=True,
+                          env=package_env())
     assert proc.returncode == 0

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 import reference
 from vacdrag.kinematics import (
     MotionFrame,
-    coupling_tensors,
     doppler,
     lorentz_gamma,
     moving_susceptibility_tensors,
@@ -26,7 +25,6 @@ MAGNETIC = SusceptibilityModel(
     magnetic_terms=(LorentzOscillator(0.5, 2.0, 0.3),),
     label="magnetoelectric",
 )
-VACUUM = SusceptibilityModel(electric_terms=(), label="vacuum")
 
 
 def entries(t):
@@ -93,45 +91,6 @@ def test_doppler_beta_negation_swaps_branches(beta, omega, kx):
     minus_b, plus_b = doppler(MotionFrame(beta=-beta), omega, kx)
     assert minus_a == plus_b
     assert plus_a == minus_b
-
-
-# ---------------------------------------------------------------------------
-# coupling_tensors
-# ---------------------------------------------------------------------------
-
-def test_coupling_tensors_rest_frame():
-    ct = coupling_tensors(LORENTZ, MotionFrame(beta=0.0), 1.0)
-    alpha = 2.5231325220201600482
-    assert entries(ct.ee) == pytest.approx(alpha * np.eye(3), rel=1e-12)
-    assert np.all(entries(ct.eb) == 0.0)
-    assert np.all(entries(ct.be) == 0.0)
-
-
-def test_coupling_tensors_vacuum():
-    ct = coupling_tensors(VACUUM, MotionFrame(beta=0.5), 1.0)
-    for t in (ct.ee, ct.bb, ct.eb, ct.be):
-        assert np.all(entries(t) == 0.0)
-
-
-def test_coupling_tensors_moving_structure():
-    frame = MotionFrame(beta=0.5)
-    gam = 1.0 / math.sqrt(0.75)
-    ct = coupling_tensors(LORENTZ, frame, 1.0)
-    alpha = 2.5231325220201600482
-    assert entries(ct.ee) == pytest.approx(np.diag([1.0, gam, gam]) * alpha, rel=1e-12)
-    # electric-only model: bb and eb vanish, be keeps the cross structure
-    assert np.all(entries(ct.bb) == 0.0)
-    assert np.all(entries(ct.eb) == 0.0)
-    be = entries(ct.be)
-    assert be[1, 2] == pytest.approx(gam * alpha * 0.5, rel=1e-12)
-    assert be[2, 1] == pytest.approx(-gam * alpha * 0.5, rel=1e-12)
-    assert be[0, 0] == 0.0 and be[0, 1] == 0.0 and be[1, 1] == 0.0
-
-
-def test_coupling_tensors_magnetoelectric_all_blocks():
-    ct = coupling_tensors(MAGNETIC, MotionFrame(beta=0.3), 1.5)
-    for t in (ct.ee, ct.bb, ct.eb, ct.be):
-        assert np.max(np.abs(entries(t))) > 0.0
 
 
 # ---------------------------------------------------------------------------

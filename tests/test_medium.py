@@ -1,7 +1,6 @@
-"""Rest-frame response models, coupling amplitudes, dispersion-relation checks."""
+"""Rest-frame response models and dispersion-relation checks."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from vacdrag.medium import (
     LorentzOscillator,
     SusceptibilityModel,
     chi,
-    coupling_amplitude,
     kk_reconstruct,
     load_model,
     model_from_dict,
@@ -97,38 +95,6 @@ def test_positive_absorption_on_log_grid():
     for model in (LORENTZ, DRUDE):
         for omega in np.geomspace(1e-3, 1e3, 25):
             assert chi(model, "electric", float(omega)).imag > 0.0
-
-
-# ---------------------------------------------------------------------------
-# coupling_amplitude
-# ---------------------------------------------------------------------------
-
-def test_amplitude_zero_frequency():
-    assert coupling_amplitude(LORENTZ, "electric", 0.0) == 0.0
-
-
-def test_amplitude_vacuum():
-    assert coupling_amplitude(VACUUM, "electric", 1.0) == 0.0
-
-
-def test_amplitude_on_resonance():
-    # sqrt(2 * 1 * Im chi / pi) with Im chi = 10
-    val = coupling_amplitude(LORENTZ, "electric", 1.0)
-    assert val == pytest.approx(2.5231325220201600482, rel=1e-12)
-    ref = math.sqrt(2.0 * reference.chi_mp([(1.0, 1.0, 0.1)], 1.0).imag / math.pi)
-    assert val == pytest.approx(ref, rel=1e-12)
-
-
-def test_amplitude_negative_frequency_rejected():
-    with pytest.raises(ValueError):
-        coupling_amplitude(LORENTZ, "electric", -1.0)
-
-
-def test_amplitude_squared_round_trip():
-    for omega in (0.3, 1.0, 4.2):
-        amp = coupling_amplitude(LORENTZ, "electric", omega)
-        im = chi(LORENTZ, "electric", omega).imag
-        assert amp ** 2 * math.pi / (2.0 * omega) == pytest.approx(im, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import what they check. A row whose oracle passes under its mutant is a
 fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
-integrand of `_integrate_pieces`, the cached `_rate_spline`), an edit of its
-source compiled again in its module. A dotted name
+integrand of `_integrate_pieces`, the cached `_rate_spline`, the key
+document of `cli._cache_key`), an edit of its source compiled again in its
+module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -245,6 +246,9 @@ MUTATIONS = [
                        if row[0] == "dissipation_check.json"))),
     ("cli", "_KINDS[sweep]", kx_axis_checked_at_ends, {"cli"},
      kind_rejects(test_cli.LOG_KX_MIDDLE)),
+    ("cli", "_cache_key",
+     rewritten("cache_key_without_code_digest", '"code": _code_digest(), ', ""),
+     {"cli"}, test_cli.test_cache_key_covers_the_package_code),
 ]
 
 
