@@ -82,9 +82,7 @@ class Scenario:
 
     def detector(self) -> DetectorSpec:
         d = self.doc["detector"]
-        z0 = d.get("z0")
-        return DetectorSpec(kappa=tuple(d["kappa"]), omega=float(d["omega"]),
-                            z0=None if z0 is None else float(z0))
+        return DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
 
     def quad(self) -> QuadratureSpec:
         return QuadratureSpec(**self.doc.get("quad", {}))
@@ -101,6 +99,14 @@ class ResultRecord:
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
         and math.isfinite(v)
+
+
+def _unknown_keys(errors, doc, known, path="") -> bool:
+    """Append "<path><key>: unknown field" for each key of doc not in
+    known, in sorted order; returns whether there was one."""
+    unknown = sorted(set(doc).difference(known))
+    errors.extend(f"{path}{key}: unknown field" for key in unknown)
+    return bool(unknown)
 
 
 # Field rules: rule(errors, doc, name) appends a message for each thing
@@ -155,6 +161,7 @@ def _detector(errors, doc, name):
         Scenario(kind=doc["kind"], doc=doc).detector()
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
+    _unknown_keys(errors, doc[name], ("kappa", "omega", "z0"), f"{name}.")
 
 
 def _times(errors, doc, name):
@@ -170,6 +177,9 @@ def _validate_sweep_axis(errors, doc, allowed):
     axis = doc.get("sweep_axis")
     if not isinstance(axis, dict):
         errors.append("sweep_axis: required object with name/min/max/count")
+        return False
+    if _unknown_keys(errors, axis, ("name", "min", "max", "count", "spacing"),
+                     "sweep_axis."):
         return False
     lo, hi, count = axis.get("min"), axis.get("max"), axis.get("count")
     spacing = axis.get("spacing", "lin")
@@ -408,13 +418,11 @@ _KINDS = {
 }
 
 
-# The top-level keys a Scenario keeps: the fixed ones, then every field
-# rule's name in table order.
-_KEYS = tuple(dict.fromkeys(
-    ("kind", "model_file", "frame", "quad", "sweep_axis")
-    + tuple(name for kind in _KINDS.values()
-            for entry in (kind, *(kind.axes or {}).values())
-            for name, _ in entry.fields)))
+# The top-level keys a scenario may have, whatever its kind: the fixed ones
+# and every field rule's name.
+_KEYS = {"kind", "model_file", "frame", "quad", "sweep_axis"}.union(
+    name for kind in _KINDS.values()
+    for entry in (kind, *(kind.axes or {}).values()) for name, _ in entry.fields)
 
 
 def _entry(kind: str, doc: dict) -> _Kind:
@@ -441,8 +449,9 @@ def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Validate a scenario document: the error message names every bad
-    field; then its entry's predicate runs on every row the run computes,
-    in order, so the first failure is the one run reports."""
+    field, then every unknown key; then its entry's predicate runs on every
+    row the run computes, in order, so the first failure is the one run
+    reports."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError("scenario must be a JSON object")
     kind = doc.get("kind")
@@ -462,6 +471,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 MotionFrame(beta=float(frame_doc["beta"]))
             except ValueError as exc:
                 errors.append(f"frame.beta: {exc}")
+        if isinstance(frame_doc, dict):
+            _unknown_keys(errors, frame_doc, ("beta",), "frame.")
     if "quad" in doc:
         if not isinstance(doc["quad"], dict):
             errors.append("quad: must be an object")
@@ -483,10 +494,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if axes is None or _validate_sweep_axis(errors, doc, tuple(axes)):
         for name, rule in _entry(kind, doc).fields:
             rule(errors, doc, name)
+    _unknown_keys(errors, doc, _KEYS)
     if errors:
         raise ScenarioValidationError("; ".join(errors))
 
-    scenario = Scenario(kind=kind, doc={k: doc[k] for k in _KEYS if k in doc})
+    scenario = Scenario(kind=kind, doc=dict(doc))
     entry = _entry(kind, doc)
     try:
         for row in _rows(scenario, entry, ends=True):

@@ -326,8 +326,7 @@ def green_dissipation_identity(model: SusceptibilityModel, frame: MotionFrame,
     kx, omega = float(kx), float(omega)
     ky, kz = (float(c) for c in np.asarray(kvec, dtype=float))
     check_not_comoving(frame.beta, kx, omega)
-    cap_omega = omega - frame.beta * kx
-    gamma_omega = frame.gamma * cap_omega
+    gamma_omega, _ = doppler(frame, omega, kx)
 
     c_ee, c_bb, c_eb, c_be = (np.asarray(t) for t in
                               moving_susceptibility_tensors(model, frame, omega, kx))

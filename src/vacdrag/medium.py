@@ -9,12 +9,14 @@ is analytic in the upper half plane and obeys chi(-omega) = conj(chi(omega))
 on the real axis, so the Kramers-Kronig reconstruction and the two-pole
 frequency-integral identity verified here have exact closed-form references.
 Setting a term's resonance to zero gives the free-carrier (Drude) limit.
-The model dataclasses and their loaders are defined in specs and
-re-exported here.
+The sum is written once, as specs.lorentz_chi, which chi and the dispersion
+integrands call. The model dataclasses and their loaders are defined in
+specs and re-exported here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -56,34 +58,20 @@ def _terms(model: SusceptibilityModel, kind: str):
     return model.electric_terms if kind == "electric" else model.magnetic_terms
 
 
-def _chi_terms_array(terms, w):
-    """Vectorized susceptibility over a real ndarray of frequencies."""
-    total = np.zeros(np.shape(w), dtype=complex)
-    for t in terms:
-        total += t.plasma_strength / (t.resonance ** 2 - w * w - 1j * t.damping * w)
-    return total
-
-
 def chi(model: SusceptibilityModel, kind: str, omega):
-    """Susceptibility at a real or upper-half-plane frequency.
-
-    Scalars go through exact complex arithmetic so that the reality condition
-    chi(-w) == conj(chi(w)) holds bit-for-bit; ndarrays are evaluated
-    vectorized for the integral kernels.
-    """
+    """Susceptibility at a real or upper-half-plane frequency, a number (in
+    Python complex arithmetic, so chi(-w) == conj(chi(w)) bit-for-bit) or an
+    ndarray (elementwise): one sequence of checks, then specs.lorentz_chi."""
     terms = _terms(model, kind)
-    if isinstance(omega, np.ndarray):
-        if np.any(np.imag(omega) < 0.0):
-            raise ValueError("frequency must lie on the real axis or above")
-        if any(t.resonance == 0.0 for t in terms) and np.any(omega == 0.0):
-            raise ValueError("free-carrier term is singular at zero frequency")
-        return _chi_terms_array(terms, omega)
-    om = complex(omega)
-    if not (math.isfinite(om.real) and math.isfinite(om.imag)):
-        raise ValueError("frequency must be finite")
-    if om.imag < 0.0:
+    if np.isscalar(omega):
+        omega = complex(omega)
+        if not cmath.isfinite(omega):
+            raise ValueError("frequency must be finite")
+    if np.count_nonzero(omega.imag < 0.0):
         raise ValueError("frequency must lie on the real axis or above")
-    return lorentz_chi(terms, om)
+    if any(t.resonance == 0.0 for t in terms) and np.count_nonzero(omega == 0.0):
+        raise ValueError("free-carrier term is singular at zero frequency")
+    return lorentz_chi(terms, omega)
 
 
 def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
@@ -100,7 +88,7 @@ def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
     check_kk_frequency(omega)
 
     def g(w):
-        im = _chi_terms_array(terms, w).imag
+        im = lorentz_chi(terms, w).imag
         return (2.0 / math.pi) * w * im / (w * w - omega * omega)
 
     cut = max(4.0 * frequency_scale(terms), 2.0 * omega)
@@ -150,7 +138,7 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     def regulated(cube):
         # of (2/pi) w^3 Im chi / ((w^2 - om^2)(w^2 - op^2)), or w for w^3
         def h(w):
-            im = _chi_terms_array(terms, w).imag
+            im = lorentz_chi(terms, w).imag
             return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
                 ((w * w - om * om) * (w * w - op * op))
 

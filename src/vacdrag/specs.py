@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    """A real number (numpy's included), not a bool. float is tried first:
+    most values are floats, and the numbers.Real check is slower."""
+    return isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+
+
 class NonConvergenceError(RuntimeError):
     """Raised when an operation cannot meet its tolerance; carries the
     residual error estimate that was achieved."""
@@ -64,6 +71,13 @@ class QuadratureSpec:
     k_max: float | None = None
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "k_max"):
+            value = getattr(self, name)
+            if not (_is_real(value) or name == "k_max" and value is None):
+                raise ValueError(f"{name} must be a real number")
+        if not (isinstance(self.max_subdivisions, (int, numbers.Integral))
+                and not isinstance(self.max_subdivisions, bool)):
+            raise ValueError("max_subdivisions must be an integer")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
         if not self.abs_tol > 0.0:
@@ -103,12 +117,21 @@ class DetectorSpec:
     z0: float | None = None
 
     def __post_init__(self):
-        kappa = tuple(float(c) for c in self.kappa)
+        kappa = tuple(self.kappa)
         if len(kappa) != 3:
             raise ValueError("kappa must have three components")
+        if not all(_is_real(c) for c in kappa):
+            raise ValueError("kappa components must be real numbers")
+        kappa = tuple(float(c) for c in kappa)
         if not all(math.isfinite(c) for c in kappa):
             raise ValueError("kappa components must be finite")
         object.__setattr__(self, "kappa", kappa)
+        for name in ("omega", "z0"):
+            value = getattr(self, name)
+            if not (_is_real(value) or name == "z0" and value is None):
+                raise ValueError(f"{name} must be a real number")
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if not self.omega > 0.0:
             raise ValueError("omega must be > 0")
         if not any(c != 0.0 for c in kappa):
@@ -244,16 +267,15 @@ def check_pole_pair(omega_minus: float, omega_plus: float) -> None:
         raise ValueError("pole frequencies are degenerate")
 
 
-def lorentz_chi(terms, omega: complex) -> complex:
-    """The sum of the Lorentz terms at one frequency, in exact complex
-    arithmetic; raises ValueError for a free-carrier term at omega = 0."""
+def lorentz_chi(terms, omega):
+    """The sum of the Lorentz terms at omega, a number (in Python complex
+    arithmetic) or an ndarray (elementwise; +0 zeros shaped like it for no
+    terms). Unchecked: callers reject a free-carrier term at omega = 0."""
     total = 0j
     for t in terms:
-        if t.resonance == 0.0 and omega == 0:
-            raise ValueError("free-carrier term is singular at zero frequency")
         total += t.plasma_strength / (t.resonance ** 2 - omega * omega
                                       - 1j * t.damping * omega)
-    return total
+    return total if terms else 0.0 * omega + 0j
 
 
 _SHIFT_HEADROOM = sys.float_info.max / 64.0
@@ -265,8 +287,10 @@ def max_identity_shift(model: SusceptibilityModel, omega_minus: float,
     poles. Each side is linear in a, whose coefficient is at most 2
     (|chi(om)| + |chi(op)|) / |om^2 - op^2|; keeping |a| (|chi(om)| +
     |chi(op)|) / min(|om^2 - op^2|, 1) below float max / 64 keeps every
-    shifted term finite."""
+    shifted term finite; a free-carrier pole at zero raises ValueError."""
     terms = model.electric_terms
+    if 0.0 in (omega_minus, omega_plus) and any(t.resonance == 0.0 for t in terms):
+        raise ValueError("free-carrier term is singular at zero frequency")
     size = abs(lorentz_chi(terms, omega_minus)) + abs(lorentz_chi(terms, omega_plus))
     gap = abs(omega_minus * omega_minus - omega_plus * omega_plus)
     return _SHIFT_HEADROOM * min(gap, 1.0) / size if size else math.inf

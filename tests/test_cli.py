@@ -340,6 +340,10 @@ def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
             assert scenario_from_dict(doc).doc == doc
 
 
+# A misspelled optional key, which would otherwise run with frame.beta's
+# default: rejected by name like every key no field rule reads.
+UNKNOWN_KEY = ("rate_surface.json", {"frme": {"beta": 0.9}}, "frme: unknown field")
+
 # One malformed document per field rule, as (bundled scenario, update,
 # message): the update replaces top-level fields, and ... deletes one. The
 # message is the whole of what validate and run write to stderr, so the
@@ -433,6 +437,45 @@ FIELD_MESSAGES = [
     ("rate_surface.json", {"quad": {"tail_switch": 10.0}},
      "quad: QuadratureSpec.__init__() got an unexpected keyword argument "
      "'tail_switch'"),
+    # keys that no field rule reads, at the top level and in each object
+    UNKNOWN_KEY,
+    ("identity_check.json", {"shfit": 0.5}, "shfit: unknown field"),
+    ("sweep_z0.json", {"sweep_axis": {"name": "z0", "min": 0.5, "max": 2.0,
+                                      "count": 3, "spacng": "log"}},
+     "sweep_axis.spacng: unknown field"),
+    ("rate_surface.json", {"frame": {"beta": 0.5, "bta": 0.9}},
+     "frame.bta: unknown field"),
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 0.1,
+                                        "z": 1.0}},
+     "detector.z: unknown field"),
+    # after every other message, in sorted order
+    ("sweep_kx.json", {"ky": "x", "zeta": 1, "alpha": 2,
+                       "frame": {"betta": 0.5}},
+     "frame.beta: required finite number; frame.betta: unknown field; ky: must "
+     "be a finite number; alpha: unknown field; zeta: unknown field"),
+    # detector numbers are real numbers, not strings or booleans
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": "0.1",
+                                        "z0": 1.0}},
+     "detector: omega must be a real number"),
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 0.1,
+                                        "z0": "1.0"}},
+     "detector: z0 must be a real number"),
+    ("rate_surface.json", {"detector": {"kappa": [True, 0, 0], "omega": 0.1,
+                                        "z0": 1.0}},
+     "detector: kappa components must be real numbers"),
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": True,
+                                        "z0": 1.0}},
+     "detector: omega must be a real number"),
+    # quad numbers: an integer count, real tolerances and k_max
+    ("rate_surface.json", {"quad": {"max_subdivisions": 2.5, "k_max": 12.0}},
+     "quad: max_subdivisions must be an integer"),
+    ("rate_surface.json", {"quad": {"max_subdivisions": True, "k_max": 12.0}},
+     "quad: max_subdivisions must be an integer"),
+    ("rate_surface.json", {"quad": {"k_max": True}}, "quad: k_max must be a real number"),
+    ("rate_surface.json", {"quad": {"rel_tol": "x", "k_max": 12.0}},
+     "quad: rel_tol must be a real number"),
+    ("rate_surface.json", {"quad": {"abs_tol": False, "k_max": 12.0}},
+     "quad: abs_tol must be a real number"),
 ]
 
 
@@ -485,6 +528,18 @@ def test_specs_reject_non_finite_inputs():
         with pytest.raises(ValueError, match="k_max must be"):
             QuadratureSpec(k_max=k_max)
     assert QuadratureSpec(k_max=None).k_max is None
+
+
+def test_specs_take_numpy_numbers_and_store_floats():
+    """numpy scalars are real numbers to the specs, as the benchmark passes
+    them; a detector keeps its numbers as Python floats."""
+    det = DetectorSpec(kappa=tuple(np.array([0.8, 0.3, 1.1])), omega=np.float64(0.1),
+                       z0=1)
+    assert det == DetectorSpec(kappa=(0.8, 0.3, 1.1), omega=0.1, z0=1.0)
+    assert all(type(v) is float for v in (*det.kappa, det.omega, det.z0))
+    quad = QuadratureSpec(rel_tol=np.float64(1e-6), max_subdivisions=np.int64(50),
+                          k_max=np.float32(12.0))
+    assert quad.max_subdivisions == 50 and quad.k_max == 12.0
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,28 @@ def test_drude_static_pole_rejected():
         chi(DRUDE, "electric", 0.0)
 
 
+def test_arrays_take_the_checks_and_the_sum_of_numbers():
+    """One Lorentz sum for numbers and ndarrays: an array agrees with its
+    entries one by one to rounding and is rejected as a number would be,
+    and a model with no terms gives +0 zeros shaped like the input."""
+    w = np.array([[-2.0, -0.3, 0.4], [0.9 + 0.2j, 1.0, 3.5]])
+    for model in (LORENTZ, DRUDE, MAGNETIC):
+        got = chi(model, "electric", w)
+        assert got.shape == w.shape
+        for value, omega in zip(got.ravel(), w.ravel()):
+            assert value == pytest.approx(chi(model, "electric", complex(omega)),
+                                          rel=1e-14)
+    zeros = chi(VACUUM, "magnetic", w)
+    assert zeros.shape == w.shape and not zeros.any()
+    assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
+    with pytest.raises(ValueError, match="real axis or above"):
+        chi(LORENTZ, "electric", np.array([0.5, 0.5 - 0.2j]))
+    with pytest.raises(ValueError, match="free-carrier"):
+        chi(DRUDE, "electric", np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        chi(LORENTZ, "electric", float("nan"))
+
+
 def test_oscillator_validation():
     with pytest.raises(ValueError):
         LorentzOscillator(1.0, 1.0, 0.0)       # damping must be positive

@@ -8,13 +8,15 @@ Every binding means what an edit of the source would reach: `rates` imports
 the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
 name from `greens`, `greens` imports `doppler` and
 `moving_susceptibility_tensors` from `kinematics`, `medium` imports the
-piece integrator `_integrate_pieces` from `quadrature`, and test modules
+piece integrator `_integrate_pieces` from `quadrature` and the Lorentz sum
+`lorentz_chi` from `specs`, and test modules
 import what they check. A row whose oracle passes under its mutant is a
 fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the key
-document of `cli._cache_key`), an edit of its source compiled again in its
+document of `cli._cache_key`, the unknown-key check of
+`cli.scenario_from_dict`), an edit of its source compiled again in its
 module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
@@ -69,7 +71,7 @@ def chi_eb_sign_flipped(original):
 
 
 def damping_sign_flipped(original):
-    """-i gamma w becomes +i gamma w in the vectorized chi: on the real axis
+    """-i gamma w becomes +i gamma w in the Lorentz sum: on the real axis
     that is the complex conjugate, an absorber turned into a gain medium."""
     def mutant(terms, w):
         return np.conj(original(terms, w))
@@ -136,6 +138,16 @@ def kind_rejects(row):
     return oracle
 
 
+def field_message(row):
+    """test_cli's test_validation_messages_are_pinned, bound to one of its
+    rows."""
+    test = test_cli.test_validation_messages_are_pinned
+    name, update, message = row
+    oracle = functools.partial(test, name=name, update=update, message=message)
+    oracle.__name__ = test.__name__
+    return oracle
+
+
 def near_field(name, z0):
     """test_rates' test_surface_rate_approaches_the_near_field_limit, bound
     to one model and height."""
@@ -187,9 +199,9 @@ MUTATIONS = [
     ("kinematics", "moving_susceptibility_tensors", chi_eb_sign_flipped,
      {"kinematics", "greens"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
-    ("medium", "_chi_terms_array", damping_sign_flipped, {"medium"},
+    ("specs", "lorentz_chi", damping_sign_flipped, {"specs", "medium"},
      test_medium.test_kk_below_resonance),
-    ("medium", "_chi_terms_array", damping_sign_flipped, {"medium"},
+    ("specs", "lorentz_chi", damping_sign_flipped, {"specs", "medium"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
     ("greens", "_segment_ky", inside_jacobian_dropped, {"greens"},
      test_greens.test_semi_infinite_green_inside_light_circle_matches_dense_grid),
@@ -249,6 +261,10 @@ MUTATIONS = [
     ("cli", "_cache_key",
      rewritten("cache_key_without_code_digest", '"code": _code_digest(), ', ""),
      {"cli"}, test_cli.test_cache_key_covers_the_package_code),
+    ("cli", "scenario_from_dict",
+     rewritten("top_level_keys_unchecked", "_unknown_keys(errors, doc, _KEYS)",
+               "pass"),
+     {"cli"}, field_message(test_cli.UNKNOWN_KEY)),
 ]
 
 
