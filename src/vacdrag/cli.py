@@ -1,26 +1,25 @@
 """Scenario runner: JSON descriptions of computations, CSV/JSON emission,
 content-addressed caching, and a small command-line front end.
 
-A scenario is a JSON object with a `kind` selecting the computation and
-kind-specific fields. Runs are deterministic: CSV cells are printed with
-%.17g so values round-trip bit exactly, rows never carry timestamps, and
-sweep rows are computed serially in input order. Records cache under a
-sha256 of the normalized scenario, the resolved model content, the package
-and numpy versions and a digest of the package's own source and bundled
-models; unreadable cache entries are recomputed and rewritten, never
-trusted.
-
-One table, `_KINDS`, drives validation and runs alike: each kind's entry
+One table, `_KINDS`, drives validation and runs alike. Each kind's entry
 declares its field rules, its rows, the `specs` predicate and computation
-of one row, its columns and the cells of a row that does not converge. A
-kind run along a `sweep_axis` has one entry per axis (a beta, z0 or omega
-sweep reuses the rate row, a kx sweep the Fresnel row). Validation applies
-the predicate to the rows that `run_scenario` computes, so it rejects every
-input that `run` would; the exception is a log axis whose predicate holds
-between its end points (rate, kk-check), checked at those ends so that
-validation loads no numpy. Only a log kx sweep, whose light cone may fall on
-any row, loads numpy to validate; the run path reaches the numeric modules
-through the package at call time.
+of one row, its columns and the cells of a row that does not converge; a
+kind run along a `sweep_axis` has one entry per axis. Besides `kind` and
+`sweep_axis`, a scenario may carry only the names of its entry's rules,
+which list `frame`, `quad` and `model_file` only where the computation is
+handed them. Validation applies the predicate to the rows that `run`
+computes, so it rejects every input that `run` would; a log axis
+whose predicate holds between its end points (rate, kk-check) is checked
+at those ends, so that validation loads no numpy. Only a log kx sweep,
+whose light cone may fall on any row, loads numpy to validate.
+
+A result record is the JSON dict of `scenario`, `outputs`, `provenance` and
+`wall_time` that `--format json` writes. Runs are deterministic: CSV cells
+are printed with %.17g so values round-trip bit exactly, rows never carry
+timestamps, and sweep rows are computed serially in input order. Records
+cache under a sha256 of the scenario, the resolved model, the package and
+numpy versions and a digest of the package's source and bundled models; a
+cache entry that is not such a record is recomputed and rewritten.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -48,14 +47,11 @@ from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     check_reflected_mode, load_model, model_to_dict)
 
 __all__ = [
-    "ResultRecord",
     "Scenario",
     "ScenarioValidationError",
     "cache_lookup_or_compute",
     "emit_results",
     "main",
-    "record_from_dict",
-    "record_to_dict",
     "run_scenario",
     "scenario_from_dict",
 ]
@@ -88,14 +84,6 @@ class Scenario:
         return QuadratureSpec(**self.doc.get("quad", {}))
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    scenario: dict
-    outputs: dict
-    provenance: dict
-    wall_time: float
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
         and math.isfinite(v)
@@ -110,7 +98,7 @@ def _unknown_keys(errors, doc, known, path="") -> bool:
 
 
 # Field rules: rule(errors, doc, name) appends a message for each thing
-# wrong with doc[name].
+# wrong with doc[name]; the model_file rule returns the model it loaded.
 
 def _number(errors, doc, name):
     """A required finite number: returned, or None after a message."""
@@ -130,6 +118,47 @@ def _nonzero(errors, doc, name):
 def _optional_number(errors, doc, name):
     if name in doc and not _is_number(doc[name]):
         errors.append(f"{name}: must be a finite number")
+
+
+def _frame(errors, doc, name):
+    """An optional {"beta": ...} with |beta| < 1."""
+    if name not in doc:
+        return
+    frame = doc[name] if isinstance(doc[name], dict) else {}
+    if not _is_number(frame.get("beta")):
+        errors.append(f"{name}.beta: required finite number")
+    else:
+        try:
+            MotionFrame(beta=float(frame["beta"]))
+        except ValueError as exc:
+            errors.append(f"{name}.beta: {exc}")
+    _unknown_keys(errors, frame, ("beta",), f"{name}.")
+
+
+def _quad(errors, doc, name, truncated=True):
+    """An optional object of QuadratureSpec fields; k_max is an unknown field
+    where the integrals run to infinity (not `truncated`)."""
+    quad = doc.get(name, {})
+    if not isinstance(quad, dict):
+        errors.append(f"{name}: must be an object")
+        return
+    try:
+        QuadratureSpec(**(quad if truncated else dict(quad, k_max=None)))
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{name}: {exc}")
+    if not truncated and "k_max" in quad:
+        errors.append(f"{name}.k_max: unknown field")
+
+
+def _model(errors, doc, name):
+    """A required model file: the loaded model, or None after a message."""
+    if name not in doc:
+        errors.append(f"{name}: required")
+        return None
+    try:
+        return load_model(doc[name])
+    except Exception as exc:
+        errors.append(f"{name}: {exc}")
 
 
 def _point(errors, doc, name):
@@ -154,14 +183,15 @@ def _number_lists(length, what):
 
 
 def _detector(errors, doc, name):
-    if not isinstance(doc.get(name), dict):
+    d = doc.get(name)
+    if not isinstance(d, dict):
         errors.append(f"{name}: required object with kappa/omega/z0")
         return
     try:
-        Scenario(kind=doc["kind"], doc=doc).detector()
+        DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
-    _unknown_keys(errors, doc[name], ("kappa", "omega", "z0"), f"{name}.")
+    _unknown_keys(errors, d, ("kappa", "omega", "z0"), f"{name}.")
 
 
 def _times(errors, doc, name):
@@ -172,19 +202,19 @@ def _times(errors, doc, name):
                       "positive numbers")
 
 
-def _validate_sweep_axis(errors, doc, allowed):
-    """The first thing wrong with doc["sweep_axis"]: returns whether nothing is."""
+def _axis_entry(errors, doc, axes):
+    """The entry of doc's sweep axis, or None after the first thing wrong with it."""
     axis = doc.get("sweep_axis")
     if not isinstance(axis, dict):
         errors.append("sweep_axis: required object with name/min/max/count")
-        return False
+        return None
     if _unknown_keys(errors, axis, ("name", "min", "max", "count", "spacing"),
                      "sweep_axis."):
-        return False
+        return None
     lo, hi, count = axis.get("min"), axis.get("max"), axis.get("count")
     spacing = axis.get("spacing", "lin")
-    if axis.get("name") not in allowed:
-        errors.append(f"sweep_axis.name: must be one of {', '.join(allowed)}")
+    if axis.get("name") not in axes:
+        errors.append(f"sweep_axis.name: must be one of {', '.join(axes)}")
     elif not (_is_number(lo) and _is_number(hi) and lo <= hi):
         errors.append("sweep_axis.min/max: need finite numbers with min <= max")
     elif not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
@@ -196,8 +226,7 @@ def _validate_sweep_axis(errors, doc, allowed):
     elif axis["name"] == "beta" and not (-1.0 < lo and hi < 1.0):
         errors.append("sweep_axis: beta values must satisfy |beta| < 1")
     else:
-        return True
-    return False
+        return axes[axis["name"]]
 
 
 # Rows: each row is a dict of the cells known before computing it. A
@@ -337,19 +366,23 @@ class _Kind:
     failed: dict | None = None      # cells of an unconverged row; None: raise
     summary: Callable | None = None     # summary(rows): fields of the outputs
     log_ends: bool = False          # its predicate holds between a log axis's ends
-    model: bool = True              # model_file required
     axes: dict | None = None        # run along sweep_axis: its entry per name
 
 
 _RATE = ("gamma", "error_estimate", "converged")
 _REFLECTION = ("re_r11", "im_r11", "re_r22", "im_r22")
-_DETECTOR = (("detector", _detector),)
+_FRAME = ("frame", _frame)
+_QUAD = ("quad", _quad)
+_MODEL = ("model_file", _model)
+_DETECTOR = ("detector", _detector)
+_RATE_FIELDS = (_FRAME, _QUAD, _MODEL, _DETECTOR)
 _MODE = (("kx", _number), ("ky", _number), ("omega", _nonzero))
+_UNTRUNCATED_QUAD = ("quad", functools.partial(_quad, truncated=False))
 
 
 def _rate_axis(name: str) -> _Kind:
     """A beta, z0 or omega axis: one rate per row, unconverged rows kept."""
-    return _Kind(columns=(name,) + _RATE, compute=_rate, fields=_DETECTOR,
+    return _Kind(columns=(name,) + _RATE, compute=_rate, fields=_RATE_FIELDS,
                  check=_check_rate, summary=_all_converged, log_ends=True,
                  failed={"gamma": math.nan, "error_estimate": math.inf,
                          "converged": False})
@@ -358,28 +391,29 @@ def _rate_axis(name: str) -> _Kind:
 _KINDS = {
     "rate-free": _Kind(
         columns=("gamma", "error_estimate", "exact"), compute=_rate_free,
-        fields=_DETECTOR, rows=lambda doc: [{}], model=False),
+        fields=(_FRAME, _QUAD, _DETECTOR), rows=lambda doc: [{}]),
     "rate-surface": _Kind(
         columns=_RATE + ("k_lower", "k_max", "s", "p"), compute=_rate,
-        fields=_DETECTOR, rows=lambda doc: [{}], check=_check_rate,
+        fields=_RATE_FIELDS, rows=lambda doc: [{}], check=_check_rate,
         summary=_all_converged),
     "fresnel": _Kind(
-        columns=_REFLECTION, compute=_fresnel, fields=_MODE,
+        columns=_REFLECTION, compute=_fresnel, fields=(_FRAME, _MODEL) + _MODE,
         rows=lambda doc: [{"kx": float(doc["kx"])}], check=_check_mode),
     "kk-check": _Kind(axes={"omega": _Kind(
         columns=("omega", "re_chi", "im_chi", "re_reconstructed", "rel_error",
                  "converged"),
-        compute=_kk, check=lambda s, m, row: check_kk_frequency(row["omega"]),
+        compute=_kk, fields=(_UNTRUNCATED_QUAD, _MODEL), log_ends=True,
+        check=lambda s, m, row: check_kk_frequency(row["omega"]),
         summary=lambda rows: {"max_rel_error": max(r["rel_error"] for r in rows),
                               **_all_converged(rows)},
-        log_ends=True,
         failed={"re_reconstructed": math.nan, "rel_error": math.inf,
                 "converged": False})}),
     "identity-check": _Kind(
         columns=("omega_minus", "omega_plus", "re_lhs", "im_lhs", "re_rhs",
                  "im_rhs", "relative_residual", "converged"),
         compute=_identity,
-        fields=(("pairs", _number_lists(2, "[omega, omega'] pairs")),
+        fields=(_UNTRUNCATED_QUAD, _MODEL,
+                ("pairs", _number_lists(2, "[omega, omega'] pairs")),
                 ("shift", _optional_number)),
         rows=lambda doc: [{"omega_minus": float(om), "omega_plus": float(op)}
                           for om, op in doc["pairs"]],
@@ -391,7 +425,8 @@ _KINDS = {
     "dissipation-check": _Kind(
         columns=("kx", "ky", "kz", "omega", "residual", "relative_residual"),
         compute=_dissipation,
-        fields=(("points", _number_lists(4, "[kx, ky, kz, omega]")),),
+        fields=(_FRAME, _QUAD, _MODEL,
+                ("points", _number_lists(4, "[kx, ky, kz, omega]"))),
         rows=lambda doc: [dict(zip(("kx", "ky", "kz", "omega"), map(float, p)))
                           for p in doc["points"]],
         check=lambda s, m, row: check_not_comoving(s.frame().beta, row["kx"],
@@ -399,37 +434,23 @@ _KINDS = {
     "reciprocity-check": _Kind(
         columns=("kx", "omega", "transpose_residual", "naive_residual"),
         compute=_reciprocity,
-        fields=(("kx", _number), ("omega", _number), ("point_a", _point),
-                ("point_b", _point)),
+        fields=(_FRAME, _QUAD, _MODEL, ("kx", _number), ("omega", _number),
+                ("point_a", _point), ("point_b", _point)),
         rows=lambda doc: [{"kx": float(doc["kx"]), "omega": float(doc["omega"])}],
         check=_check_reciprocity),
     "sweep": _Kind(axes={
         **{name: _rate_axis(name) for name in ("beta", "z0", "omega")},
         # not log_ends: the light cone may fall between the ends of a log axis
         "kx": _Kind(columns=("kx",) + _REFLECTION, compute=_fresnel,
-                    fields=_MODE[1:], check=_check_mode,
+                    fields=(_FRAME, _MODEL) + _MODE[1:], check=_check_mode,
                     summary=_all_converged)}),
     "finite-time": _Kind(
         columns=("T", "probability"), compute=_probability,
-        fields=_DETECTOR + (("T", _times),),
+        fields=_RATE_FIELDS + (("T", _times),),
         rows=lambda doc: [{"T": float(t)} for t in (
             doc["T"] if isinstance(doc["T"], list) else [doc["T"]])],
         check=lambda s, m, row: _check_rate(s, m, row, finite_time=True)),
 }
-
-
-# The top-level keys a scenario may have, whatever its kind: the fixed ones
-# and every field rule's name.
-_KEYS = {"kind", "model_file", "frame", "quad", "sweep_axis"}.union(
-    name for kind in _KINDS.values()
-    for entry in (kind, *(kind.axes or {}).values()) for name, _ in entry.fields)
-
-
-def _entry(kind: str, doc: dict) -> _Kind:
-    """The entry whose rows a document computes: its kind's, or for a kind
-    run along a sweep axis, the entry of its axis."""
-    entry = _KINDS[kind]
-    return entry if entry.axes is None else entry.axes[doc["sweep_axis"]["name"]]
 
 
 def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
@@ -448,10 +469,10 @@ def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Validate a scenario document: the error message names every bad
-    field, then every unknown key; then its entry's predicate runs on every
-    row the run computes, in order, so the first failure is the one run
-    reports."""
+    """Validate a scenario document: its sweep axis, if any, which selects
+    the entry; then every bad field, in the entry's order, and every key it
+    has no rule for, in one message; then the entry's predicate on every row
+    the run computes, in order, so the first failure is the one run reports."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError("scenario must be a JSON object")
     kind = doc.get("kind")
@@ -462,48 +483,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
             f"kind: '{kind}' is not one of {', '.join(_KINDS)}")
 
     errors = []
-    if "frame" in doc:
-        frame_doc = doc["frame"]
-        if not (isinstance(frame_doc, dict) and _is_number(frame_doc.get("beta"))):
-            errors.append("frame.beta: required finite number")
-        else:
-            try:
-                MotionFrame(beta=float(frame_doc["beta"]))
-            except ValueError as exc:
-                errors.append(f"frame.beta: {exc}")
-        if isinstance(frame_doc, dict):
-            _unknown_keys(errors, frame_doc, ("beta",), "frame.")
-    if "quad" in doc:
-        if not isinstance(doc["quad"], dict):
-            errors.append("quad: must be an object")
-        else:
-            try:
-                QuadratureSpec(**doc["quad"])
-            except (TypeError, ValueError) as exc:
-                errors.append(f"quad: {exc}")
-    model = None
-    if _KINDS[kind].model:
-        if "model_file" not in doc:
-            errors.append("model_file: required")
-        else:
-            try:
-                model = load_model(doc["model_file"])
-            except Exception as exc:
-                errors.append(f"model_file: {exc}")
-    axes = _KINDS[kind].axes
-    if axes is None or _validate_sweep_axis(errors, doc, tuple(axes)):
-        for name, rule in _entry(kind, doc).fields:
-            rule(errors, doc, name)
-    _unknown_keys(errors, doc, _KEYS)
+    known = {"kind"}
+    entry = _KINDS[kind]
+    if entry.axes is not None:
+        entry = _axis_entry(errors, doc, entry.axes)
+        if entry is None:
+            raise ScenarioValidationError("; ".join(errors))
+        known.add("sweep_axis")
+    parsed = {name: rule(errors, doc, name) for name, rule in entry.fields}
+    _unknown_keys(errors, doc, known.union(parsed))
     if errors:
         raise ScenarioValidationError("; ".join(errors))
 
     scenario = Scenario(kind=kind, doc=dict(doc))
-    entry = _entry(kind, doc)
     try:
         for row in _rows(scenario, entry, ends=True):
             if entry.check is not None:
-                entry.check(scenario, model, row)
+                entry.check(scenario, parsed.get("model_file"), row)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from None
     return scenario
@@ -513,7 +509,7 @@ def _run_rows(scenario: Scenario, entry: _Kind):
     """Columns, rows and summary of an entry's rows, computed serially in
     order. A row whose computation does not converge gets the entry's
     failed cells, or, if it has none, stops the run."""
-    model = scenario.model() if entry.model else None
+    model = scenario.model() if "model_file" in scenario.doc else None
     rows = []
     for row in _rows(scenario, entry):
         try:
@@ -530,11 +526,12 @@ def _run_sweep(scenario: Scenario, workers: int):
     """Rows along the sweep axis, in axis order. `workers` is accepted for
     compatibility and has no effect: rows are computed serially."""
     del workers
-    return _run_rows(scenario, _entry(scenario.kind, scenario.doc))
+    axes = _KINDS[scenario.kind].axes
+    return _run_rows(scenario, axes[scenario.doc["sweep_axis"]["name"]])
 
 
-def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
-    """Execute a validated scenario and return the full result record."""
+def run_scenario(scenario: Scenario, workers: int = 1) -> dict:
+    """Execute a validated scenario and return its result record."""
     from datetime import datetime, timezone
 
     t0 = time.perf_counter()
@@ -546,20 +543,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ResultRecord:
     provenance = {"version": __version__, **_libraries(),
                   "timestamp": datetime.now(timezone.utc).isoformat(),
                   "quad": asdict(scenario.quad())}
-    return ResultRecord(scenario=scenario.doc, outputs=outputs,
-                        provenance=provenance,
-                        wall_time=time.perf_counter() - t0)
-
-
-def record_to_dict(record: ResultRecord) -> dict:
-    return {"scenario": record.scenario, "outputs": record.outputs,
-            "provenance": record.provenance, "wall_time": record.wall_time}
-
-
-def record_from_dict(doc: dict) -> ResultRecord:
-    return ResultRecord(scenario=doc["scenario"], outputs=doc["outputs"],
-                        provenance=doc["provenance"],
-                        wall_time=doc["wall_time"])
+    return {"scenario": scenario.doc, "outputs": outputs,
+            "provenance": provenance, "wall_time": time.perf_counter() - t0}
 
 
 def _csv_cell(value) -> str:
@@ -568,16 +553,16 @@ def _csv_cell(value) -> str:
     return str(value)       # True, False
 
 
-def emit_results(record: ResultRecord, fmt: str, path=None) -> None:
+def emit_results(record: dict, fmt: str, path=None) -> None:
     """Write a record as CSV (bare column names, %.17g cells) or full JSON."""
     if fmt == "csv":
-        lines = [",".join(record.outputs["columns"])]
-        for row in record.outputs["rows"]:
-            lines.append(",".join(_csv_cell(row[c])
-                                  for c in record.outputs["columns"]))
+        columns = record["outputs"]["columns"]
+        lines = [",".join(columns)]
+        for row in record["outputs"]["rows"]:
+            lines.append(",".join(_csv_cell(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        text = json.dumps(record_to_dict(record), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     else:
         raise ValueError(f"unknown format '{fmt}'")
     if path is None:
@@ -622,26 +607,30 @@ def _cache_key(scenario: Scenario) -> str:
 
 
 def cache_lookup_or_compute(scenario: Scenario, cache_dir,
-                            workers: int = 1) -> ResultRecord:
+                            workers: int = 1) -> dict:
     """Return the cached record for this scenario, or compute and cache it.
 
-    Unreadable entries are reported to stderr and recomputed; records with
-    non-converged rows are never cached.
+    An entry that is not a JSON object with exactly the four record keys is
+    reported to stderr and recomputed; records with non-converged rows are
+    never cached.
     """
     cache_dir = Path(cache_dir)
     path = cache_dir / f"{_cache_key(scenario)}.json"
     if path.exists():
         try:
-            return record_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            print(f"warning: unreadable cache entry {path.name}; recomputing",
-                  file=sys.stderr)
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:      # not UTF-8, or not JSON
+            record = None
+        if isinstance(record, dict) and \
+                record.keys() == {"scenario", "outputs", "provenance", "wall_time"}:
+            return record
+        print(f"warning: unreadable cache entry {path.name}; recomputing",
+              file=sys.stderr)
     record = run_scenario(scenario, workers=workers)
-    if record.outputs.get("all_converged", True):
+    if record["outputs"].get("all_converged", True):
         cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record_to_dict(record), sort_keys=True),
-                       encoding="utf-8")
+        tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
         os.replace(tmp, path)
     return record
 
@@ -700,7 +689,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
-    if not record.outputs.get("all_converged", True):
+    if not record["outputs"].get("all_converged", True):
         print("warning: some rows did not converge", file=sys.stderr)
         return 2
     return 0

@@ -36,8 +36,13 @@ def doppler(frame: MotionFrame, omega: float, kx: float):
     """Doppler pair (omega_minus, omega_plus) = gamma (omega -+ beta kx);
     kx may be an ndarray."""
     omega = float(omega)
-    kx = np.asarray(kx, dtype=float) if isinstance(kx, np.ndarray) else float(kx)
-    if not (math.isfinite(omega) and np.isfinite(kx).all()):
+    if isinstance(kx, np.ndarray):
+        kx = np.asarray(kx, dtype=float)
+        finite = np.isfinite(kx).all()
+    else:
+        kx = float(kx)
+        finite = math.isfinite(kx)
+    if not (math.isfinite(omega) and finite):
         raise ValueError("omega and kx must be finite")
     shift = frame.beta * kx
     return frame.gamma * (omega - shift), frame.gamma * (omega + shift)

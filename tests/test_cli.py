@@ -17,8 +17,6 @@ from vacdrag.cli import (
     ScenarioValidationError,
     emit_results,
     main,
-    record_from_dict,
-    record_to_dict,
     run_scenario,
     scenario_from_dict,
 )
@@ -340,9 +338,62 @@ def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
             assert scenario_from_dict(doc).doc == doc
 
 
+def accepted_keys(kind, axis):
+    """The top-level keys _KINDS accepts in a document of this kind (and
+    sweep axis): kind, sweep_axis for a kind run along one, and the names of
+    the entry's field rules."""
+    entry = cli._KINDS[kind]
+    if entry.axes is None:
+        return {"kind"} | {name for name, _ in entry.fields}
+    return {"kind", "sweep_axis"} | {name for name, _ in entry.axes[axis].fields}
+
+
+# Each kind's keys besides kind: frame, quad and model_file only where its
+# computation is handed them. The beta axis keeps frame, as the three rate
+# axes share one rule set, and dissipation-check keeps quad, which
+# green_dissipation_identity takes.
+ACCEPTED_KEYS = {
+    ("rate-free", None): {"frame", "quad", "detector"},
+    ("rate-surface", None): {"model_file", "frame", "quad", "detector"},
+    ("finite-time", None): {"model_file", "frame", "quad", "detector", "T"},
+    **{("sweep", axis): {"model_file", "frame", "quad", "detector", "sweep_axis"}
+       for axis in ("beta", "z0", "omega")},
+    ("sweep", "kx"): {"model_file", "frame", "ky", "omega", "sweep_axis"},
+    ("fresnel", None): {"model_file", "frame", "kx", "ky", "omega"},
+    ("kk-check", "omega"): {"model_file", "quad", "sweep_axis"},
+    ("identity-check", None): {"model_file", "quad", "pairs", "shift"},
+    ("dissipation-check", None): {"model_file", "frame", "quad", "points"},
+    ("reciprocity-check", None): {"model_file", "frame", "quad", "kx", "omega",
+                                  "point_a", "point_b"},
+}
+
+
+def test_each_kind_accepts_its_own_keys():
+    entries = {(kind, axis) for kind, entry in cli._KINDS.items()
+               for axis in (entry.axes or {None: entry})}
+    assert entries == set(ACCEPTED_KEYS)
+    for (kind, axis), keys in ACCEPTED_KEYS.items():
+        assert accepted_keys(kind, axis) == {"kind"} | keys, (kind, axis)
+
+
+def test_bundled_scenarios_carry_only_accepted_keys(scenarios_dir):
+    """Every key of every bundled scenario is one its kind accepts, so that
+    a table edit that would reject a bundled file fails here first."""
+    for path in sorted(scenarios_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        axis = doc.get("sweep_axis", {}).get("name")
+        assert set(doc) <= accepted_keys(doc["kind"], axis), path.name
+
+
 # A misspelled optional key, which would otherwise run with frame.beta's
 # default: rejected by name like every key no field rule reads.
 UNKNOWN_KEY = ("rate_surface.json", {"frme": {"beta": 0.9}}, "frme: unknown field")
+
+# A key of another kind, rejected by name like a misspelled one; and
+# quad.k_max, where the integrals run to infinity.
+OTHER_KINDS_KEY = ("fresnel.json", {"shift": 0.5}, "shift: unknown field")
+UNTRUNCATED_K_MAX = ("kk_check.json", {"quad": {"k_max": 5.0}},
+                     "quad.k_max: unknown field")
 
 # One malformed document per field rule, as (bundled scenario, update,
 # message): the update replaces top-level fields, and ... deletes one. The
@@ -424,8 +475,7 @@ FIELD_MESSAGES = [
      "frame.beta: required finite number; kx: required; point_a: height must "
      "be > 0; point_b: must be a list of 2 numbers"),
     ("sweep_kx.json", {"quad": {"max_subdivisions": 0}, "ky": "x", "omega": 0.0},
-     "quad: max_subdivisions must be >= 1; ky: must be a finite number; omega: "
-     "must be nonzero"),
+     "ky: must be a finite number; omega: must be nonzero; quad: unknown field"),
     ("reciprocity_check.json", {"omega": 0},
      "omega must be nonzero: the reflected p dyad divides by omega^2"),
     # squares that overflow: the degeneracy test alone would compare nan
@@ -476,6 +526,18 @@ FIELD_MESSAGES = [
      "quad: rel_tol must be a real number"),
     ("rate_surface.json", {"quad": {"abs_tol": False, "k_max": 12.0}},
      "quad: abs_tol must be a real number"),
+    # keys of another kind, or read by no computation of this one
+    OTHER_KINDS_KEY,
+    ("fresnel.json", {"quad": {}}, "quad: unknown field"),
+    ("kk_check.json", {"frame": {"beta": 0.5}}, "frame: unknown field"),
+    ("kk_check.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "omega": 0.1}},
+     "detector: unknown field"),
+    UNTRUNCATED_K_MAX,
+    ("rate_free.json", {"model_file": "bundled:lorentz_dielectric"},
+     "model_file: unknown field"),
+    ("sweep_kx.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "omega": 0.1}},
+     "detector: unknown field"),
+    ("identity_check.json", {"quad": {"k_max": 5.0}}, "quad.k_max: unknown field"),
 ]
 
 
@@ -610,7 +672,7 @@ def test_run_fresnel_and_check_kinds(tmp_path):
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + max(1, len(doc.get("pairs", doc.get("points", [0]))))
     rec = run_scenario(scenario_from_dict(docs["identity"]))
-    assert all(row["relative_residual"] < 1e-6 for row in rec.outputs["rows"])
+    assert all(row["relative_residual"] < 1e-6 for row in rec["outputs"]["rows"])
 
 
 def test_run_kk_check_reports_residuals(tmp_path):
@@ -622,8 +684,8 @@ def test_run_kk_check_reports_residuals(tmp_path):
         "quad": {},
     }
     rec = run_scenario(scenario_from_dict(doc))
-    assert rec.outputs["max_rel_error"] < 1e-5
-    assert len(rec.outputs["rows"]) == 5
+    assert rec["outputs"]["max_rel_error"] < 1e-5
+    assert len(rec["outputs"]["rows"]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +761,12 @@ def test_finite_time_list_builds_one_spline():
     rates._rate_spline.cache_clear()
     record = run_scenario(scenario)
     assert rates._rate_spline.cache_info().misses == 1
-    assert record.outputs["columns"] == ["T", "probability"]
-    assert [r["T"] for r in record.outputs["rows"]] == FINITE_TIME["T"]
+    assert record["outputs"]["columns"] == ["T", "probability"]
+    assert [r["T"] for r in record["outputs"]["rows"]] == FINITE_TIME["T"]
     rates._rate_spline.cache_clear()
-    for t, row in zip(FINITE_TIME["T"], record.outputs["rows"]):
+    for t, row in zip(FINITE_TIME["T"], record["outputs"]["rows"]):
         alone = run_scenario(scenario_from_dict(dict(FINITE_TIME, T=t)))
-        assert alone.outputs["rows"] == [row]
+        assert alone["outputs"]["rows"] == [row]
         rates._rate_spline.cache_clear()
 
 
@@ -738,18 +800,17 @@ def test_csv_floats_round_trip_17_digits(tmp_path):
     out = tmp_path / "o.csv"
     emit_results(rec, "csv", str(out))
     row = out.read_text().strip().splitlines()[1].split(",")
-    assert float(row[0]) == rec.outputs["rows"][0]["gamma"]
-    assert float(row[1]) == rec.outputs["rows"][0]["error_estimate"]
+    assert float(row[0]) == rec["outputs"]["rows"][0]["gamma"]
+    assert float(row[1]) == rec["outputs"]["rows"][0]["error_estimate"]
 
 
 def test_json_round_trip(tmp_path):
     rec = run_scenario(scenario_from_dict(BASE_RATE))
     out = tmp_path / "o.json"
     emit_results(rec, "json", str(out))
-    parsed = record_from_dict(json.loads(out.read_text()))
+    parsed = json.loads(out.read_text())
     assert parsed == rec
-    assert record_to_dict(parsed) == record_to_dict(rec)
-    assert "version" in parsed.provenance and "timestamp" in parsed.provenance
+    assert "version" in parsed["provenance"] and "timestamp" in parsed["provenance"]
 
 
 def test_stdout_emission(tmp_path, capsys):
@@ -789,7 +850,7 @@ def test_cache_key_and_provenance_carry_library_versions(tmp_path, monkeypatch):
     scenario = scenario_from_dict(BASE_RATE)
     record = run_scenario(scenario_from_dict(dict(BASE_RATE, quad={
         "rel_tol": 1e-3, "abs_tol": 1e-18, "k_max": 12.0})))
-    assert record.provenance["numpy"] == np.__version__
+    assert record["provenance"]["numpy"] == np.__version__
     key = cli._cache_key(scenario)
     libraries = cli._libraries()
     monkeypatch.setattr(cli, "_libraries", lambda: dict(libraries, numpy="0.0.0"))
@@ -841,6 +902,26 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "cache" in capsys.readouterr().err.lower()
     assert out1.read_bytes() == out2.read_bytes()
     json.loads(cache_file.read_text())
+
+
+def test_cache_entry_that_is_not_a_record_is_recomputed(tmp_path, capsys):
+    """Valid JSON without the four record keys is warned about, recomputed
+    and rewritten as a whole record."""
+    cache = tmp_path / "cache"
+    path = write_scenario(tmp_path, BASE_RATE)
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(["run", "--scenario", path, "--output", out1,
+                    "--cache-dir", cache]) == 0
+    (cache_file,) = cache.glob("*.json")
+    record = json.loads(cache_file.read_text())
+    for entry in ([], {"outputs": record["outputs"]}, dict(record, extra=None)):
+        cache_file.write_text(json.dumps(entry))
+        assert run_cli(["run", "--scenario", path, "--output", out2,
+                        "--cache-dir", cache]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: unreadable cache entry {cache_file.name}; recomputing\n")
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(cache_file.read_text()).keys() == record.keys()
 
 
 def test_cache_env_var_default(tmp_path, monkeypatch):

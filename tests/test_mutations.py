@@ -16,8 +16,8 @@ original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the key
 document of `cli._cache_key`, the unknown-key check of
-`cli.scenario_from_dict`), an edit of its source compiled again in its
-module. A dotted name
+`cli.scenario_from_dict` and its key set), an edit of its source compiled
+again in its module. A dotted name
 (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -40,7 +40,7 @@ import test_kinematics
 import test_medium
 import test_quadrature
 import test_rates
-from vacdrag import greens
+from vacdrag import cli, greens
 from vacdrag.specs import NonConvergenceError
 from vacdrag.tensors import ComplexTensor3
 
@@ -126,6 +126,23 @@ def kx_axis_checked_at_ends(original):
     a log axis only, so a light-cone row between them passes validate."""
     kx = dataclasses.replace(original.axes["kx"], log_ends=True)
     return dataclasses.replace(original, axes=dict(original.axes, kx=kx))
+
+
+def kk_quad_takes_k_max(original):
+    """kk-check's quad rule is the truncated integrals' one, so a k_max that
+    its untruncated integrals never read passes validate."""
+    axis = original.axes["omega"]
+    fields = tuple(("quad", cli._quad) if name == "quad" else (name, rule)
+                   for name, rule in axis.fields)
+    return dataclasses.replace(
+        original, axes={"omega": dataclasses.replace(axis, fields=fields)})
+
+
+# The top-level keys of every kind and sweep axis together, as one key set
+# for all kinds would accept them.
+EVERY_KINDS_KEYS = """{"kind", "sweep_axis"}.union(
+    name for kind in _KINDS.values()
+    for entry in (kind, *(kind.axes or {}).values()) for name, _ in entry.fields)"""
 
 
 def kind_rejects(row):
@@ -262,9 +279,15 @@ MUTATIONS = [
      rewritten("cache_key_without_code_digest", '"code": _code_digest(), ', ""),
      {"cli"}, test_cli.test_cache_key_covers_the_package_code),
     ("cli", "scenario_from_dict",
-     rewritten("top_level_keys_unchecked", "_unknown_keys(errors, doc, _KEYS)",
-               "pass"),
+     rewritten("top_level_keys_unchecked",
+               "_unknown_keys(errors, doc, known.union(parsed))", "pass"),
      {"cli"}, field_message(test_cli.UNKNOWN_KEY)),
+    ("cli", "scenario_from_dict",
+     rewritten("every_kinds_keys_accepted", "known.union(parsed)",
+               EVERY_KINDS_KEYS),
+     {"cli"}, field_message(test_cli.OTHER_KINDS_KEY)),
+    ("cli", "_KINDS[kk-check]", kk_quad_takes_k_max, {"cli"},
+     field_message(test_cli.UNTRUNCATED_K_MAX)),
 ]
 
 
