@@ -7,19 +7,22 @@ of one row, its columns and the cells of a row that does not converge; a
 kind run along a `sweep_axis` has one entry per axis. Besides `kind` and
 `sweep_axis`, a scenario may carry only the names of its entry's rules,
 which list `frame`, `quad` and `model_file` only where the computation is
-handed them. Validation applies the predicate to the rows that `run`
-computes, so it rejects every input that `run` would; a log axis
-whose predicate holds between its end points (rate, kk-check) is checked
-at those ends, so that validation loads no numpy. Only a log kx sweep,
-whose light cone may fall on any row, loads numpy to validate.
+handed them. The rules are the only parser: a run reads only
+`Scenario.inputs`, the values they validated. Validation applies the
+predicate to the rows that `run` computes, so it rejects every input that
+`run` would; a log axis whose predicate holds between its end points (rate,
+kk-check) is checked at those ends, so that validation loads no numpy. Only
+a log kx sweep, whose light cone may fall on any row, loads numpy to
+validate.
 
 A result record is the JSON dict of `scenario`, `outputs`, `provenance` and
-`wall_time` that `--format json` writes. Runs are deterministic: CSV cells
-are printed with %.17g so values round-trip bit exactly, rows never carry
-timestamps, and sweep rows are computed serially in input order. Records
-cache under a sha256 of the scenario, the resolved model, the package and
-numpy versions and a digest of the package's source and bundled models; a
-cache entry that is not such a record is recomputed and rewritten.
+`wall_time` that `--format json` writes, with `quad` in `provenance` only
+for a kind that takes it. Runs are deterministic: CSV cells are printed with
+%.17g so values round-trip bit exactly, rows never carry timestamps, and
+sweep rows are computed serially in input order. Records cache under a
+sha256 of the scenario, the resolved model, the package and numpy versions
+and a digest of the package's source and bundled models; a cache entry that
+is not such a record is recomputed and rewritten.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 (partial rows are still emitted), 3 output I/O failure.
@@ -28,6 +31,7 @@ Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import math
@@ -44,7 +48,8 @@ from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     check_identity_shift, check_kk_frequency,
                     check_light_circle, check_not_comoving, check_not_grazing,
                     check_pole_pair, check_pole_windows, check_rate_inputs,
-                    check_reflected_mode, load_model, model_to_dict)
+                    check_reflected_mode, load_model, model_to_dict,
+                    unknown_fields)
 
 __all__ = [
     "Scenario",
@@ -67,21 +72,11 @@ class ScenarioValidationError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: a copy of its document and the inputs parsed from it."""
+
     kind: str
     doc: dict
-
-    def model(self):
-        return load_model(self.doc["model_file"])
-
-    def frame(self) -> MotionFrame:
-        return MotionFrame(beta=float(self.doc.get("frame", {}).get("beta", 0.0)))
-
-    def detector(self) -> DetectorSpec:
-        d = self.doc["detector"]
-        return DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
-
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(**self.doc.get("quad", {}))
+    inputs: dict
 
 
 def _is_number(v) -> bool:
@@ -89,50 +84,47 @@ def _is_number(v) -> bool:
         and math.isfinite(v)
 
 
-def _unknown_keys(errors, doc, known, path="") -> bool:
-    """Append "<path><key>: unknown field" for each key of doc not in
-    known, in sorted order; returns whether there was one."""
-    unknown = sorted(set(doc).difference(known))
-    errors.extend(f"{path}{key}: unknown field" for key in unknown)
-    return bool(unknown)
-
-
-# Field rules: rule(errors, doc, name) appends a message for each thing
-# wrong with doc[name]; the model_file rule returns the model it loaded.
+# Field rules: rule(errors, doc, name) returns the value of doc[name] it
+# validated, or None after appending a message for each thing wrong with it.
 
 def _number(errors, doc, name):
-    """A required finite number: returned, or None after a message."""
+    """A required finite number, as a float."""
     v = doc.get(name)
     if v is None:
         errors.append(f"{name}: required")
     elif not _is_number(v):
         errors.append(f"{name}: must be a finite number")
-    return v if _is_number(v) else None
+    return float(v) if _is_number(v) else None
 
 
 def _nonzero(errors, doc, name):
-    if _number(errors, doc, name) == 0.0:
+    v = _number(errors, doc, name)
+    if v == 0.0:
         errors.append(f"{name}: must be nonzero")
+    return v
 
 
 def _optional_number(errors, doc, name):
-    if name in doc and not _is_number(doc[name]):
-        errors.append(f"{name}: must be a finite number")
+    """An optional finite number, as a float; 0 when absent."""
+    v = doc.get(name, 0.0)
+    if _is_number(v):
+        return float(v)
+    errors.append(f"{name}: must be a finite number")
 
 
 def _frame(errors, doc, name):
-    """An optional {"beta": ...} with |beta| < 1."""
+    """An optional {"beta": ...} with |beta| < 1; at rest when absent."""
     if name not in doc:
-        return
+        return MotionFrame(beta=0.0)
     frame = doc[name] if isinstance(doc[name], dict) else {}
-    if not _is_number(frame.get("beta")):
+    try:
+        if _is_number(frame.get("beta")):
+            return MotionFrame(beta=float(frame["beta"]))
         errors.append(f"{name}.beta: required finite number")
-    else:
-        try:
-            MotionFrame(beta=float(frame["beta"]))
-        except ValueError as exc:
-            errors.append(f"{name}.beta: {exc}")
-    _unknown_keys(errors, frame, ("beta",), f"{name}.")
+    except ValueError as exc:
+        errors.append(f"{name}.beta: {exc}")
+    finally:
+        errors.extend(unknown_fields(frame, ("beta",), f"{name}."))
 
 
 def _quad(errors, doc, name, truncated=True):
@@ -143,15 +135,16 @@ def _quad(errors, doc, name, truncated=True):
         errors.append(f"{name}: must be an object")
         return
     try:
-        QuadratureSpec(**(quad if truncated else dict(quad, k_max=None)))
-    except (TypeError, ValueError) as exc:
+        return QuadratureSpec(**(quad if truncated else dict(quad, k_max=None)))
+    except (TypeError, ValueError, OverflowError) as exc:
         errors.append(f"{name}: {exc}")
-    if not truncated and "k_max" in quad:
-        errors.append(f"{name}.k_max: unknown field")
+    finally:
+        if not truncated and "k_max" in quad:
+            errors.append(f"{name}.k_max: unknown field")
 
 
 def _model(errors, doc, name):
-    """A required model file: the loaded model, or None after a message."""
+    """A required model file: the model it holds."""
     if name not in doc:
         errors.append(f"{name}: required")
         return None
@@ -169,16 +162,19 @@ def _point(errors, doc, name):
         errors.append(f"{name}: must be a list of 2 numbers")
     elif not v[1] > 0.0:
         errors.append(f"{name}: height must be > 0")
+    else:
+        return tuple(v)
 
 
 def _number_lists(length, what):
-    """A nonempty list of lists of `length` finite numbers."""
+    """A nonempty list of lists of `length` finite numbers, as float tuples."""
     def rule(errors, doc, name):
         v = doc.get(name)
-        if not (isinstance(v, list) and v
+        if (isinstance(v, list) and v
                 and all(isinstance(p, (list, tuple)) and len(p) == length
                         and all(_is_number(c) for c in p) for p in v)):
-            errors.append(f"{name}: required nonempty list of {what}")
+            return [tuple(map(float, p)) for p in v]
+        errors.append(f"{name}: required nonempty list of {what}")
     return rule
 
 
@@ -188,18 +184,20 @@ def _detector(errors, doc, name):
         errors.append(f"{name}: required object with kappa/omega/z0")
         return
     try:
-        DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
+        return DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
-    _unknown_keys(errors, d, ("kappa", "omega", "z0"), f"{name}.")
+    finally:
+        errors.extend(unknown_fields(d, ("kappa", "omega", "z0"), f"{name}."))
 
 
 def _times(errors, doc, name):
     T = doc.get(name)
     times = T if isinstance(T, list) else [T]
-    if not (times and all(_is_number(t) and t > 0.0 for t in times)):
-        errors.append(f"{name}: required positive number or nonempty list of "
-                      "positive numbers")
+    if times and all(_is_number(t) and t > 0.0 for t in times):
+        return [float(t) for t in times]
+    errors.append(f"{name}: required positive number or nonempty list of "
+                  "positive numbers")
 
 
 def _axis_entry(errors, doc, axes):
@@ -208,8 +206,10 @@ def _axis_entry(errors, doc, axes):
     if not isinstance(axis, dict):
         errors.append("sweep_axis: required object with name/min/max/count")
         return None
-    if _unknown_keys(errors, axis, ("name", "min", "max", "count", "spacing"),
-                     "sweep_axis."):
+    unknown = unknown_fields(axis, ("name", "min", "max", "count", "spacing"),
+                             "sweep_axis.")
+    if unknown:
+        errors.extend(unknown)
         return None
     lo, hi, count = axis.get("min"), axis.get("max"), axis.get("count")
     spacing = axis.get("spacing", "lin")
@@ -230,8 +230,8 @@ def _axis_entry(errors, doc, axes):
 
 
 # Rows: each row is a dict of the cells known before computing it. A
-# predicate check(scenario, model, row) raises ValueError as the row's
-# computation would; compute(scenario, model, row) fills in its other cells.
+# predicate check(inputs, row) raises ValueError as the row's computation
+# would; compute(inputs, row) fills in its other cells, from Scenario.inputs.
 
 def _axis_values(axis: dict) -> list:
     """Row values of a sweep axis. Lin spacing is numpy.linspace's own
@@ -248,104 +248,98 @@ def _axis_values(axis: dict) -> list:
     return [i * step + lo for i in range(count - 1)] + [hi]
 
 
-def _rate_inputs(scenario: Scenario, row: dict):
+def _rate_inputs(inputs: dict, row: dict):
     """Detector and frame of a rate row: the scenario's own, with the row's
     beta, z0 or omega in place of the scenario's."""
-    det = replace(scenario.detector(),
+    det = replace(inputs["detector"],
                   **{k: row[k] for k in ("z0", "omega") if k in row})
-    frame = MotionFrame(beta=row["beta"]) if "beta" in row else scenario.frame()
+    frame = MotionFrame(beta=row["beta"]) if "beta" in row else inputs["frame"]
     return det, frame
 
 
-def _check_rate(scenario, model, row, finite_time=False):
-    check_rate_inputs(*_rate_inputs(scenario, row), model, scenario.quad(),
-                      finite_time=finite_time)
+def _check_rate(inputs, row, finite_time=False):
+    check_rate_inputs(*_rate_inputs(inputs, row), inputs["model_file"],
+                      inputs["quad"], finite_time=finite_time)
 
 
-def _rate_free(scenario, model, row):
-    r = _pkg.rates.rate_free_space(scenario.detector(), scenario.frame(),
-                                   scenario.quad())
+def _rate_free(inputs, row):
+    r = _pkg.rates.rate_free_space(inputs["detector"], inputs["frame"], inputs["quad"])
     row.update(gamma=r.gamma, error_estimate=r.error_estimate,
                exact=bool(r.exact))
 
 
-def _rate(scenario, model, row):
-    r = _pkg.rates.rate_surface(*_rate_inputs(scenario, row), model,
-                                scenario.quad())
+def _rate(inputs, row):
+    r = _pkg.rates.rate_surface(*_rate_inputs(inputs, row), inputs["model_file"],
+                                inputs["quad"])
     row.update(gamma=r.gamma, error_estimate=r.error_estimate,
                converged=bool(r.converged), k_lower=r.k_lower, k_max=r.k_max,
                s=r.breakdown["s"], p=r.breakdown["p"])
 
 
-def _probability(scenario, model, row):
+def _probability(inputs, row):
     row["probability"] = _pkg.rates.finite_time_probability(
-        *_rate_inputs(scenario, row), model, scenario.quad(), row["T"])
+        *_rate_inputs(inputs, row), inputs["model_file"], inputs["quad"], row["T"])
 
 
-def _mode(scenario, row):
-    """kx (from the row), ky and omega of a reflected mode."""
-    return row["kx"], float(scenario.doc["ky"]), float(scenario.doc["omega"])
+def _check_mode(inputs, row):
+    kx, omega = row["kx"], inputs["omega"]
+    check_reflected_mode(kx, inputs["ky"], omega)
+    check_doppler_frequency(inputs["model_file"], inputs["frame"].beta, kx, omega)
 
 
-def _check_mode(scenario, model, row):
-    kx, ky, omega = _mode(scenario, row)
-    check_reflected_mode(kx, ky, omega)
-    check_doppler_frequency(model, scenario.frame().beta, kx, omega)
-
-
-def _fresnel(scenario, model, row):
-    rc = _pkg.greens.reflection_coefficients(model, scenario.frame(),
-                                             *_mode(scenario, row))
+def _fresnel(inputs, row):
+    rc = _pkg.greens.reflection_coefficients(inputs["model_file"], inputs["frame"],
+                                             row["kx"], inputs["ky"], inputs["omega"])
     row.update(re_r11=rc.r11.real, im_r11=rc.r11.imag,
                re_r22=rc.r22.real, im_r22=rc.r22.imag)
 
 
-def _kk(scenario, model, row):
+def _kk(inputs, row):
+    model = inputs["model_file"]
     exact = _pkg.medium.chi(model, "electric", row["omega"])
     row.update(re_chi=exact.real, im_chi=exact.imag)
-    rec = _pkg.medium.kk_reconstruct(model, "electric", row["omega"], scenario.quad())
+    rec = _pkg.medium.kk_reconstruct(model, "electric", row["omega"], inputs["quad"])
     row.update(re_reconstructed=rec.real, rel_error=abs(rec - exact) / abs(exact),
                converged=True)
 
 
-def _identity(scenario, model, row):
+def _identity(inputs, row):
     lhs, rhs, resid = _pkg.medium.verify_identity_1(
-        model, row["omega_minus"], row["omega_plus"], scenario.quad(),
-        numerator_shift=float(scenario.doc.get("shift", 0.0)))
+        inputs["model_file"], row["omega_minus"], row["omega_plus"], inputs["quad"],
+        numerator_shift=inputs["shift"])
     scale = max(abs(lhs), abs(rhs), 1e-300)
     row.update(re_lhs=lhs.real, im_lhs=lhs.imag, re_rhs=rhs.real,
                im_rhs=rhs.imag, relative_residual=resid / scale, converged=True)
 
 
-def _check_pair(scenario, model, row):
+def _check_pair(inputs, row):
     om, op = row["omega_minus"], row["omega_plus"]
     check_pole_pair(om, op)
-    check_identity_shift(model, om, op, float(scenario.doc.get("shift", 0.0)))
-    check_pole_windows(model, om, op)
+    check_identity_shift(inputs["model_file"], om, op, inputs["shift"])
+    check_pole_windows(inputs["model_file"], om, op)
 
 
-def _dissipation(scenario, model, row):
+def _dissipation(inputs, row):
     rep = _pkg.greens.green_dissipation_identity(
-        model, scenario.frame(), row["kx"], (row["ky"], row["kz"]), row["omega"],
-        scenario.quad())
+        inputs["model_file"], inputs["frame"], row["kx"], (row["ky"], row["kz"]),
+        row["omega"], inputs["quad"])
     row.update(residual=rep.residual, relative_residual=rep.relative_residual)
 
 
-def _check_reciprocity(scenario, model, row):
-    kx, omega, beta = row["kx"], row["omega"], scenario.frame().beta
+def _check_reciprocity(inputs, row):
+    kx, omega, beta = row["kx"], row["omega"], inputs["frame"].beta
     check_not_grazing(kx, omega)
-    check_light_circle(kx, omega, scenario.quad().k_max)
+    check_light_circle(kx, omega, inputs["quad"].k_max)
     # the Green functions at (kx, beta) and (-kx, -beta) share a Doppler
     # frequency; the third, at (-kx, beta), has its own
     for sign in (1.0, -1.0):
-        check_doppler_frequency(model, beta, sign * kx, omega)
+        check_doppler_frequency(inputs["model_file"], beta, sign * kx, omega)
 
 
-def _reciprocity(scenario, model, row):
+def _reciprocity(inputs, row):
     rep = _pkg.greens.reciprocity_check(
-        model, scenario.frame(), row["kx"], row["omega"],
-        tuple(scenario.doc["point_a"]), tuple(scenario.doc["point_b"]),
-        scenario.quad())
+        inputs["model_file"], inputs["frame"], row["kx"], row["omega"],
+        inputs["point_a"], inputs["point_b"], inputs["quad"])
     row.update(transpose_residual=rep.transpose_residual,
                naive_residual=rep.naive_residual)
 
@@ -361,7 +355,7 @@ class _Kind:
     columns: tuple = ()
     compute: Callable | None = None     # fills in one row's cells
     fields: tuple = ()              # (name, rule) pairs, checked in order
-    rows: Callable | None = None    # rows(doc); None: one per sweep-axis value
+    rows: Callable | None = None    # rows(inputs); None: one per sweep-axis value
     check: Callable | None = None   # the specs predicate of one row
     failed: dict | None = None      # cells of an unconverged row; None: raise
     summary: Callable | None = None     # summary(rows): fields of the outputs
@@ -391,19 +385,19 @@ def _rate_axis(name: str) -> _Kind:
 _KINDS = {
     "rate-free": _Kind(
         columns=("gamma", "error_estimate", "exact"), compute=_rate_free,
-        fields=(_FRAME, _QUAD, _DETECTOR), rows=lambda doc: [{}]),
+        fields=(_FRAME, _QUAD, _DETECTOR), rows=lambda inputs: [{}]),
     "rate-surface": _Kind(
         columns=_RATE + ("k_lower", "k_max", "s", "p"), compute=_rate,
-        fields=_RATE_FIELDS, rows=lambda doc: [{}], check=_check_rate,
+        fields=_RATE_FIELDS, rows=lambda inputs: [{}], check=_check_rate,
         summary=_all_converged),
     "fresnel": _Kind(
         columns=_REFLECTION, compute=_fresnel, fields=(_FRAME, _MODEL) + _MODE,
-        rows=lambda doc: [{"kx": float(doc["kx"])}], check=_check_mode),
+        rows=lambda inputs: [{"kx": inputs["kx"]}], check=_check_mode),
     "kk-check": _Kind(axes={"omega": _Kind(
         columns=("omega", "re_chi", "im_chi", "re_reconstructed", "rel_error",
                  "converged"),
         compute=_kk, fields=(_UNTRUNCATED_QUAD, _MODEL), log_ends=True,
-        check=lambda s, m, row: check_kk_frequency(row["omega"]),
+        check=lambda inputs, row: check_kk_frequency(row["omega"]),
         summary=lambda rows: {"max_rel_error": max(r["rel_error"] for r in rows),
                               **_all_converged(rows)},
         failed={"re_reconstructed": math.nan, "rel_error": math.inf,
@@ -415,8 +409,8 @@ _KINDS = {
         fields=(_UNTRUNCATED_QUAD, _MODEL,
                 ("pairs", _number_lists(2, "[omega, omega'] pairs")),
                 ("shift", _optional_number)),
-        rows=lambda doc: [{"omega_minus": float(om), "omega_plus": float(op)}
-                          for om, op in doc["pairs"]],
+        rows=lambda inputs: [{"omega_minus": om, "omega_plus": op}
+                             for om, op in inputs["pairs"]],
         check=_check_pair,
         summary=_all_converged,
         failed={"re_lhs": math.nan, "im_lhs": math.nan, "re_rhs": math.nan,
@@ -427,16 +421,16 @@ _KINDS = {
         compute=_dissipation,
         fields=(_FRAME, _QUAD, _MODEL,
                 ("points", _number_lists(4, "[kx, ky, kz, omega]"))),
-        rows=lambda doc: [dict(zip(("kx", "ky", "kz", "omega"), map(float, p)))
-                          for p in doc["points"]],
-        check=lambda s, m, row: check_not_comoving(s.frame().beta, row["kx"],
-                                                   row["omega"])),
+        rows=lambda inputs: [dict(zip(("kx", "ky", "kz", "omega"), p))
+                             for p in inputs["points"]],
+        check=lambda inputs, row: check_not_comoving(inputs["frame"].beta,
+                                                     row["kx"], row["omega"])),
     "reciprocity-check": _Kind(
         columns=("kx", "omega", "transpose_residual", "naive_residual"),
         compute=_reciprocity,
         fields=(_FRAME, _QUAD, _MODEL, ("kx", _number), ("omega", _number),
                 ("point_a", _point), ("point_b", _point)),
-        rows=lambda doc: [{"kx": float(doc["kx"]), "omega": float(doc["omega"])}],
+        rows=lambda inputs: [{"kx": inputs["kx"], "omega": inputs["omega"]}],
         check=_check_reciprocity),
     "sweep": _Kind(axes={
         **{name: _rate_axis(name) for name in ("beta", "z0", "omega")},
@@ -447,20 +441,19 @@ _KINDS = {
     "finite-time": _Kind(
         columns=("T", "probability"), compute=_probability,
         fields=_RATE_FIELDS + (("T", _times),),
-        rows=lambda doc: [{"T": float(t)} for t in (
-            doc["T"] if isinstance(doc["T"], list) else [doc["T"]])],
-        check=lambda s, m, row: _check_rate(s, m, row, finite_time=True)),
+        rows=lambda inputs: [{"T": t} for t in inputs["T"]],
+        check=lambda inputs, row: _check_rate(inputs, row, finite_time=True)),
 }
 
 
-def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
+def _rows(inputs: dict, entry: _Kind, ends: bool = False) -> list:
     """The rows of a validated scenario: the entry's own, or one per value of
     the sweep axis. With `ends`, a log axis of an entry whose predicate holds
     between its end points gives just those two, which geomspace returns
     exactly, so that validation loads no numpy."""
     if entry.rows is not None:
-        return entry.rows(scenario.doc)
-    axis = scenario.doc["sweep_axis"]
+        return entry.rows(inputs)
+    axis = inputs["sweep_axis"]
     if ends and entry.log_ends and axis.get("spacing", "lin") == "log":
         values = [float(axis["min"]), float(axis["max"])][:axis["count"]]
     else:
@@ -469,10 +462,11 @@ def _rows(scenario: Scenario, entry: _Kind, ends: bool = False) -> list:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Validate a scenario document: its sweep axis, if any, which selects
-    the entry; then every bad field, in the entry's order, and every key it
-    has no rule for, in one message; then the entry's predicate on every row
-    the run computes, in order, so the first failure is the one run reports."""
+    """Validate a deep copy of a scenario document and parse it into a
+    Scenario: its sweep axis, if any, which selects the entry; then every bad
+    field, in the entry's order, and every key it has no rule for, in one
+    message; then the entry's predicate on every row the run computes, in
+    order, so the first failure is the one run reports."""
     if not isinstance(doc, dict):
         raise ScenarioValidationError("scenario must be a JSON object")
     kind = doc.get("kind")
@@ -482,38 +476,37 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioValidationError(
             f"kind: '{kind}' is not one of {', '.join(_KINDS)}")
 
+    doc = copy.deepcopy(doc)
     errors = []
-    known = {"kind"}
+    inputs = {}
     entry = _KINDS[kind]
     if entry.axes is not None:
         entry = _axis_entry(errors, doc, entry.axes)
         if entry is None:
             raise ScenarioValidationError("; ".join(errors))
-        known.add("sweep_axis")
-    parsed = {name: rule(errors, doc, name) for name, rule in entry.fields}
-    _unknown_keys(errors, doc, known.union(parsed))
+        inputs["sweep_axis"] = doc["sweep_axis"]
+    inputs.update((name, rule(errors, doc, name)) for name, rule in entry.fields)
+    errors.extend(unknown_fields(doc, {"kind", *inputs}))
     if errors:
         raise ScenarioValidationError("; ".join(errors))
 
-    scenario = Scenario(kind=kind, doc=dict(doc))
     try:
-        for row in _rows(scenario, entry, ends=True):
+        for row in _rows(inputs, entry, ends=True):
             if entry.check is not None:
-                entry.check(scenario, parsed.get("model_file"), row)
+                entry.check(inputs, row)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from None
-    return scenario
+    return Scenario(kind=kind, doc=doc, inputs=inputs)
 
 
-def _run_rows(scenario: Scenario, entry: _Kind):
+def _run_rows(inputs: dict, entry: _Kind):
     """Columns, rows and summary of an entry's rows, computed serially in
     order. A row whose computation does not converge gets the entry's
     failed cells, or, if it has none, stops the run."""
-    model = scenario.model() if "model_file" in scenario.doc else None
     rows = []
-    for row in _rows(scenario, entry):
+    for row in _rows(inputs, entry):
         try:
-            entry.compute(scenario, model, row)
+            entry.compute(inputs, row)
         except NonConvergenceError:
             if entry.failed is None:
                 raise
@@ -527,7 +520,7 @@ def _run_sweep(scenario: Scenario, workers: int):
     compatibility and has no effect: rows are computed serially."""
     del workers
     axes = _KINDS[scenario.kind].axes
-    return _run_rows(scenario, axes[scenario.doc["sweep_axis"]["name"]])
+    return _run_rows(scenario.inputs, axes[scenario.inputs["sweep_axis"]["name"]])
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> dict:
@@ -536,13 +529,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> dict:
 
     t0 = time.perf_counter()
     if _KINDS[scenario.kind].axes is None:
-        columns, rows, summary = _run_rows(scenario, _KINDS[scenario.kind])
+        columns, rows, summary = _run_rows(scenario.inputs, _KINDS[scenario.kind])
     else:
         columns, rows, summary = _run_sweep(scenario, workers)
     outputs = {"columns": columns, "rows": rows, **summary}
     provenance = {"version": __version__, **_libraries(),
-                  "timestamp": datetime.now(timezone.utc).isoformat(),
-                  "quad": asdict(scenario.quad())}
+                  "timestamp": datetime.now(timezone.utc).isoformat()}
+    if "quad" in scenario.inputs:
+        provenance["quad"] = asdict(scenario.inputs["quad"])
     return {"scenario": scenario.doc, "outputs": outputs,
             "provenance": provenance, "wall_time": time.perf_counter() - t0}
 
@@ -600,8 +594,8 @@ def _cache_key(scenario: Scenario) -> str:
 
     key_doc = {"scenario": scenario.doc, "version": __version__,
                "code": _code_digest(), **_libraries()}
-    if "model_file" in scenario.doc:
-        key_doc["model"] = model_to_dict(scenario.model())
+    if "model_file" in scenario.inputs:
+        key_doc["model"] = model_to_dict(scenario.inputs["model_file"])
     canonical = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 

@@ -80,8 +80,12 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be an integer")
         if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be > 0")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be > 0")
+        if not math.isfinite(self.abs_tol):
+            raise ValueError("abs_tol must be finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
         if self.k_max is not None and not self.k_max > 0.0:
@@ -140,6 +144,9 @@ class DetectorSpec:
             raise ValueError("z0 must be > 0 when given")
 
 
+_OSCILLATOR_FIELDS = ("plasma_strength", "resonance", "damping")
+
+
 @dataclass(frozen=True)
 class LorentzOscillator:
     """One damped-oscillator term: plasma_strength / (resonance^2 - w^2 - i damping w)."""
@@ -155,6 +162,9 @@ class LorentzOscillator:
             raise ValueError("resonance must be >= 0")
         if not self.damping > 0.0:
             raise ValueError("damping must be > 0")
+        for name in _OSCILLATOR_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -353,17 +363,34 @@ def model_to_dict(model: SusceptibilityModel) -> dict:
             "magnetic_terms": pack(model.magnetic_terms)}
 
 
+def unknown_fields(doc, known, path: str = "") -> list:
+    """"<path><key>: unknown field" for each key of doc not in known, in
+    sorted order."""
+    return [f"{path}{key}: unknown field" for key in sorted(set(doc).difference(known))]
+
+
 def model_from_dict(doc: dict) -> SusceptibilityModel:
+    """A model from its JSON document; ValueError names every key that is not
+    `label`, `electric_terms`, `magnetic_terms` or, in a term, an oscillator
+    field."""
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
+    channels = {name: list(doc.get(name, ()))
+                for name in ("electric_terms", "magnetic_terms")}
+    unknown = unknown_fields(doc, ("label", *channels))
+    for name, entries in channels.items():
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                raise ValueError(f"{name}[{i}]: must be an object")
+            unknown += unknown_fields(e, _OSCILLATOR_FIELDS, f"{name}[{i}].")
+    if unknown:
+        raise ValueError("; ".join(unknown))
     def unpack(entries):
-        return tuple(LorentzOscillator(plasma_strength=float(e["plasma_strength"]),
-                                       resonance=float(e["resonance"]),
-                                       damping=float(e["damping"]))
+        return tuple(LorentzOscillator(**{f: float(e[f]) for f in _OSCILLATOR_FIELDS})
                      for e in entries)
     return SusceptibilityModel(
-        electric_terms=unpack(doc.get("electric_terms", ())),
-        magnetic_terms=unpack(doc.get("magnetic_terms", ())),
+        electric_terms=unpack(channels["electric_terms"]),
+        magnetic_terms=unpack(channels["magnetic_terms"]),
         label=str(doc.get("label", "")))
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from vacdrag.cli import (
     run_scenario,
     scenario_from_dict,
 )
-from vacdrag.specs import (MAX_POLE_FREQUENCY, DetectorSpec, QuadratureSpec,
-                           load_model, max_identity_shift)
+from vacdrag.specs import (MAX_POLE_FREQUENCY, DetectorSpec, LorentzOscillator,
+                           QuadratureSpec, load_model, max_identity_shift)
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -115,22 +116,30 @@ def bundled_with(scenarios_dir, name, section, key, value):
     return doc
 
 
+def parsed_unchecked(monkeypatch, doc):
+    """The Scenario of doc, parsed with its row predicates skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_rows", lambda *args, **kwargs: [])
+        return scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("name, section, key, value", RUN_REJECTS)
-def test_validate_rejects_what_run_rejects(tmp_path, capsys, scenarios_dir,
-                                           name, section, key, value):
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, monkeypatch,
+                                           scenarios_dir, name, section, key, value):
     doc = bundled_with(scenarios_dir, name, section, key, value)
     path = write_scenario(tmp_path, doc)
     assert run_cli(["validate", "--scenario", path]) == 1
     message = capsys.readouterr().err
     assert run_cli(["run", "--scenario", path]) == 1
     assert capsys.readouterr().err == message
-    # the computation itself, handed the unvalidated document, fails alike
+    # the computation itself, handed inputs whose rows were not checked,
+    # fails alike
     with pytest.raises(ValueError) as exc:
-        run_scenario(cli.Scenario(kind=doc["kind"], doc=doc))
+        run_scenario(parsed_unchecked(monkeypatch, doc))
     assert message == f"invalid scenario: {exc.value}\n"
 
 
-def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys,
+def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys, monkeypatch,
                                                    scenarios_dir):
     doc = json.loads((scenarios_dir / "reciprocity_check.json").read_text())
     doc["kx"] = doc["omega"]
@@ -143,7 +152,7 @@ def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys,
     assert capsys.readouterr().err == message
     # the computation itself rejects it before any integrand is evaluated
     with pytest.raises(ValueError) as exc:
-        run_scenario(cli.Scenario(kind=doc["kind"], doc=doc))
+        run_scenario(parsed_unchecked(monkeypatch, doc))
     assert message == f"invalid scenario: {exc.value}\n"
 
 
@@ -323,7 +332,8 @@ def test_validate_rejects_quad_eta(tmp_path, capsys):
 
 def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
     """A valid document of every kind and sweep axis, each field its rules
-    name present, is kept whole in Scenario.doc, where run reads it."""
+    name present, is kept whole in Scenario.doc, and every rule's value is in
+    Scenario.inputs, where run reads it."""
     docs = {}
     for path in sorted(scenarios_dir.glob("*.json")):
         doc = json.loads(path.read_text())
@@ -334,8 +344,67 @@ def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
     for kind, entry in cli._KINDS.items():
         for axis, rules in (entry.axes or {None: entry}).items():
             doc = docs[kind, axis]
-            assert {name for name, _ in rules.fields} <= set(doc)
-            assert scenario_from_dict(doc).doc == doc
+            names = {name for name, _ in rules.fields}
+            assert names <= set(doc)
+            scenario = scenario_from_dict(doc)
+            assert scenario.doc == doc
+            assert set(scenario.inputs) == names | ({"sweep_axis"} if axis else set())
+
+
+def test_run_reads_the_model_file_once(tmp_path, monkeypatch, scenarios_dir):
+    """run computes with the model that validation loaded, and the cache key
+    is made from it too: one read per run, without a cache, and with one on
+    a miss and on a hit."""
+    monkeypatch.delenv("VACDRAG_CACHE_DIR", raising=False)
+    reads = []
+    monkeypatch.setattr(cli, "load_model",
+                        lambda source: reads.append(source) or load_model(source))
+    path = scenarios_dir / "rate_surface.json"
+    cache = ["--cache-dir", tmp_path / "cache"]
+    for extra in ([], cache, cache):
+        reads.clear()
+        assert run_cli(["run", "--scenario", path, "--output", tmp_path / "o.csv",
+                        *extra]) == 0
+        assert reads == ["bundled:lorentz_dielectric"]
+
+
+def test_scenario_is_independent_of_the_callers_document():
+    """A change to the caller's document after validation changes neither
+    the rows that run computes nor the scenario that its record carries."""
+    kk = {"kind": "kk-check", "model_file": "bundled:lorentz_dielectric",
+          "sweep_axis": {"name": "omega", "min": 0.5, "max": 1.5, "count": 2},
+          "quad": {"rel_tol": 1e-6}}
+    changes = {"quad": {"rel_tol": 0.5}, "frame": {"beta": 0.9},
+               "detector": {"z0": 2.0}, "sweep_axis": {"count": 5}}
+    for original in (BASE_RATE, kk):
+        doc = json.loads(json.dumps(original))
+        scenario = scenario_from_dict(doc)
+        for section, change in changes.items():
+            if section in doc:
+                doc[section].update(change)
+        record = run_scenario(scenario)
+        assert record["scenario"] == original
+        assert record["outputs"] == run_scenario(scenario_from_dict(original))["outputs"]
+
+
+def test_provenance_has_quad_only_for_kinds_that_take_it(monkeypatch,
+                                                         scenarios_dir):
+    """A record's provenance holds the quadrature settings its computation
+    was handed, and none for a kind that takes no quad (fresnel, a kx
+    sweep)."""
+    monkeypatch.setattr(cli, "_run_rows", lambda *args: ([], [], {}))
+    without = set()
+    for path in sorted(scenarios_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        scenario = scenario_from_dict(doc)
+        provenance = run_scenario(scenario)["provenance"]
+        if "quad" in ACCEPTED_KEYS[doc["kind"], doc.get("sweep_axis", {}).get("name")]:
+            assert provenance["quad"] == asdict(scenario.inputs["quad"]) \
+                == asdict(QuadratureSpec(**doc.get("quad", {}))), path.name
+        else:
+            assert "quad" not in provenance, path.name
+            without.add(path.name)
+    assert without == {"fresnel.json", "sweep_kx.json"}
 
 
 def accepted_keys(kind, axis):
@@ -395,8 +464,18 @@ OTHER_KINDS_KEY = ("fresnel.json", {"shift": 0.5}, "shift: unknown field")
 UNTRUNCATED_K_MAX = ("kk_check.json", {"quad": {"k_max": 5.0}},
                      "quad.k_max: unknown field")
 
+# A model file with an infinite term, and one with a misspelled channel:
+# models take finite numbers and known keys only.
+NON_FINITE_MODEL = ("rate_surface.json", {"model_file": {"electric_terms": [
+    {"plasma_strength": math.inf, "resonance": 1.0, "damping": 0.1}]}},
+    "model_file: plasma_strength must be finite")
+MODEL_UNKNOWN_KEY = ("fresnel.json", {"model_file": {
+    "electric_terms": [{"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}],
+    "magentic_terms": []}}, "model_file: magentic_terms: unknown field")
+
 # One malformed document per field rule, as (bundled scenario, update,
-# message): the update replaces top-level fields, and ... deletes one. The
+# message): the update replaces top-level fields, and ... deletes one; a
+# model_file given as a dict is written to a file and named by its path. The
 # message is the whole of what validate and run write to stderr, so the
 # wording and the "; " join order of several bad fields are pinned.
 FIELD_MESSAGES = [
@@ -538,6 +617,31 @@ FIELD_MESSAGES = [
     ("sweep_kx.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "omega": 0.1}},
      "detector: unknown field"),
     ("identity_check.json", {"quad": {"k_max": 5.0}}, "quad.k_max: unknown field"),
+    # non-finite model terms and tolerances, and unknown model keys
+    NON_FINITE_MODEL,
+    ("fresnel.json", {"model_file": {"electric_terms": [
+        {"plasma_strength": 1.0, "resonance": math.nan, "damping": 0.1}]}},
+     "model_file: resonance must be finite"),
+    ("kk_check.json", {"model_file": {"electric_terms": [
+        {"plasma_strength": 1.0, "resonance": 1.0, "damping": math.inf}]}},
+     "model_file: damping must be finite"),
+    ("rate_surface.json", {"quad": {"rel_tol": math.inf, "k_max": 12.0}},
+     "quad: rel_tol must be finite"),
+    ("identity_check.json", {"quad": {"abs_tol": math.inf}},
+     "quad: abs_tol must be finite"),
+    # a JSON integer beyond float range, which the finiteness check cannot take
+    ("rate_surface.json", {"quad": {"rel_tol": 10 ** 400, "k_max": 12.0}},
+     "quad: int too large to convert to float"),
+    MODEL_UNKNOWN_KEY,
+    ("reciprocity_check.json", {"model_file": {"electric_terms": [
+        {"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1},
+        {"plasma_strength": 1.0, "resonance": 2.0, "dampng": 0.1}]}},
+     "model_file: electric_terms[1].dampng: unknown field"),
+    # in sorted order, the model's own keys first
+    ("sweep_z0.json", {"model_file": {"labl": "x", "Electric_terms": [],
+                                      "magnetic_terms": [{"strength": 1.0}]}},
+     "model_file: Electric_terms: unknown field; labl: unknown field; "
+     "magnetic_terms[0].strength: unknown field"),
 ]
 
 
@@ -556,6 +660,8 @@ def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
     for key, value in update.items():
         if value is ...:
             del doc[key]
+        elif key == "model_file" and isinstance(value, dict):
+            doc[key] = str(write_scenario(tmp_path, value, name="model.json"))
         else:
             doc[key] = value
     assert_rejected(tmp_path, capsys, doc, message)
@@ -590,6 +696,14 @@ def test_specs_reject_non_finite_inputs():
         with pytest.raises(ValueError, match="k_max must be"):
             QuadratureSpec(k_max=k_max)
     assert QuadratureSpec(k_max=None).k_max is None
+    for name in ("rel_tol", "abs_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            QuadratureSpec(**{name: math.inf})
+    term = {"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}
+    for name in term:
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                LorentzOscillator(**dict(term, **{name: value}))
 
 
 def test_specs_take_numpy_numbers_and_store_floats():

@@ -16,9 +16,10 @@ original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the key
 document of `cli._cache_key`, the unknown-key check of
-`cli.scenario_from_dict` and its key set), an edit of its source compiled
-again in its module. A dotted name
-(`_RateSpline._plan`) is a method, bound only on its class, and a
+`cli.scenario_from_dict` and its key set, the finiteness check of
+`LorentzOscillator.__post_init__` and the unknown-key check of
+`model_from_dict`), an edit of its source compiled again in its module. A
+dotted name (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
 still names are the mutation test's own.
@@ -280,14 +281,20 @@ MUTATIONS = [
      {"cli"}, test_cli.test_cache_key_covers_the_package_code),
     ("cli", "scenario_from_dict",
      rewritten("top_level_keys_unchecked",
-               "_unknown_keys(errors, doc, known.union(parsed))", "pass"),
+               'errors.extend(unknown_fields(doc, {"kind", *inputs}))', "pass"),
      {"cli"}, field_message(test_cli.UNKNOWN_KEY)),
     ("cli", "scenario_from_dict",
-     rewritten("every_kinds_keys_accepted", "known.union(parsed)",
-               EVERY_KINDS_KEYS),
+     rewritten("every_kinds_keys_accepted", '{"kind", *inputs}', EVERY_KINDS_KEYS),
      {"cli"}, field_message(test_cli.OTHER_KINDS_KEY)),
     ("cli", "_KINDS[kk-check]", kk_quad_takes_k_max, {"cli"},
      field_message(test_cli.UNTRUNCATED_K_MAX)),
+    ("specs", "LorentzOscillator.__post_init__",
+     rewritten("oscillator_finiteness_unchecked",
+               "if not math.isfinite(getattr(self, name)):", "if False:"),
+     {"specs"}, field_message(test_cli.NON_FINITE_MODEL)),
+    ("specs", "model_from_dict",
+     rewritten("model_keys_unchecked", "if unknown:", "if False:"),
+     {"specs", "medium"}, field_message(test_cli.MODEL_UNKNOWN_KEY)),
 ]
 
 
