@@ -48,8 +48,8 @@ from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     check_identity_shift, check_kk_frequency,
                     check_light_circle, check_not_comoving, check_not_grazing,
                     check_pole_pair, check_pole_windows, check_rate_inputs,
-                    check_reflected_mode, load_model, model_to_dict,
-                    unknown_fields)
+                    check_reflected_mode, convolution_panels, is_finite,
+                    load_model, model_to_dict, unknown_fields)
 
 __all__ = [
     "Scenario",
@@ -81,7 +81,7 @@ class Scenario:
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
+        and is_finite(v)
 
 
 # Field rules: rule(errors, doc, name) returns the value of doc[name] it
@@ -260,6 +260,12 @@ def _rate_inputs(inputs: dict, row: dict):
 def _check_rate(inputs, row, finite_time=False):
     check_rate_inputs(*_rate_inputs(inputs, row), inputs["model_file"],
                       inputs["quad"], finite_time=finite_time)
+
+
+def _check_time(inputs, row):
+    """finite_time_probability's checks, in its order: T, then the rate inputs."""
+    convolution_panels(row["T"], inputs["detector"].omega)
+    _check_rate(inputs, row, finite_time=True)
 
 
 def _rate_free(inputs, row):
@@ -442,7 +448,7 @@ _KINDS = {
         columns=("T", "probability"), compute=_probability,
         fields=_RATE_FIELDS + (("T", _times),),
         rows=lambda inputs: [{"T": t} for t in inputs["T"]],
-        check=lambda inputs, row: _check_rate(inputs, row, finite_time=True)),
+        check=_check_time),
 }
 
 

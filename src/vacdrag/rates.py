@@ -64,22 +64,25 @@ sinc kernel: the rate function is sampled at the Chebyshev points of a
 frequency window, interpolated by its Chebyshev series, and convolved with
 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary rate like 1/T.
 This rate spline is cached per (model, frame, detector, quad) and carries
-one convolution plan per Simpson grid size. The kernel is even in the gap
-offset, so a plan pairs the nodes +-u of the grid, and a query on a cached
-spline is one sin over half the grid and one dot product.
+one convolution plan per panel count: the window cut into P = 2^k panels of
+at most 16 kernel cycles each (specs.convolution_panels, which caps P at
+2^14 and so bounds T), each with a 64-node Gauss-Legendre rule. The kernel
+is even in the gap offset, so a plan pairs the nodes +-u of the grid, and a
+query on a cached spline is one sin over half the grid and one dot product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from .greens import _doppler_medium, _reflection
 from .quadrature import integrate_adaptive, worst_component
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, SusceptibilityModel, check_rate_inputs)
+                    QuadratureSpec, SusceptibilityModel, check_rate_inputs,
+                    convolution_panels)
 
 __all__ = [
     "DetectorSpec",
@@ -291,25 +294,30 @@ def rate_vs_distance(det: DetectorSpec, frame: MotionFrame,
 _MAX_PLANS = 8   # convolution plans kept per spline, oldest evicted first
 
 
+@cache
+def _gauss_legendre():
+    """The 64-node Gauss-Legendre rule on [-1, 1], built on first use: every
+    `vacdrag run` process imports this module, and leggauss(64) costs
+    milliseconds."""
+    return np.polynomial.legendre.leggauss(64)
+
+
 class _RateSpline:
     """The rate spline over the finite-time window [omega - w, omega + w],
-    w = 0.8 omega, with the Simpson convolution plans built on it.
+    w = 0.8 omega, with the convolution plans built on it.
 
-    The grid has n = max(513, 16 cycles of the kernel) nodes u_i, rounded
-    up to odd, so n depends on T only through the kernel's oscillation. The
-    kernel and the Simpson weights w_i are even in u, so the nodes +-u_j
-    pair up: a plan for one n holds u_j / 2 for the (n - 1) / 2 positive
-    nodes u_j = j du and one coefficient per pair,
+    A plan is the composite rule for P panels (specs.convolution_panels):
+    the offsets u in [-w, w] cut into P = 2^k equal panels of width h = 2 w
+    / P, each with the 64-node Gauss-Legendre rule, node i of panel p at u =
+    (h / 2) (2 p + 1 - P + x_i). The grid is odd in u and has no node at u
+    = 0, and the kernel and the weights are even in u, so the nodes +-u_j
+    pair up: a plan holds u_j / 2 for the 32 P nodes u_j > 0 and one
+    coefficient per pair,
 
-        c_j = (du / 3) w_j [Gamma(omega - u_j) + Gamma(omega + u_j)]
+        c_j = (h / 2) w_j [Gamma(omega - u_j) + Gamma(omega + u_j)]
               / (2 pi) * 4 / u_j^2,
 
-    plus the centre node's c_0 = (du / 3) w_0 Gamma(omega) / (2 pi), so that
-
-        P(T) = sum_j c_j sin^2(T u_j / 2) + c_0 T^2
-
-    is the composite Simpson rule of the sinc-kernel convolution, one sin
-    per pair.
+    so that P(T) = sum_j c_j sin^2(T u_j / 2), one sin per pair.
     """
 
     def __init__(self, omega, spline):
@@ -318,35 +326,29 @@ class _RateSpline:
         self.spline = spline
         self.plans = {}
 
-    def grid_size(self, T):
-        cycles = 2.0 * self.half_width * T / (2.0 * math.pi)
-        n = max(513, int(16 * cycles) + 1)
-        return n + 1 if n % 2 == 0 else n
-
-    def _plan(self, n):
-        u, du = np.linspace(-self.half_width, self.half_width, n, retstep=True)
-        weights = np.full(n, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
+    def _plan(self, panels):
+        x, weights = _gauss_legendre()
+        h = 2.0 * self.half_width / panels
+        u = (0.5 * h * (np.arange(1 - panels, panels, 2.0)[:, None] + x)).ravel()
         rate = self.spline(self.omega - u)      # one call on the whole grid
-        mid = n // 2
-        pos = u[mid + 1:]
-        pair = rate[mid + 1:] + rate[mid - 1::-1]   # Gamma(omega -+ u_j)
-        coef = du / 3.0 * weights[mid + 1:] * (0.5 * pair) / math.pi
-        centre = float(du / 3.0 * weights[mid] * (0.5 * rate[mid]) / math.pi)
-        return 0.5 * pos, coef * (4.0 / (pos * pos)), centre
+        half = u.size // 2
+        pos = u[half:]
+        pair = rate[half:] + rate[half - 1::-1]     # Gamma(omega -+ u_j)
+        coef = (h / math.pi) * np.tile(weights, panels)[half:] * pair
+        return 0.5 * pos, coef / (pos * pos)
 
-    def probability(self, T):
-        n = self.grid_size(T)
-        plan = self.plans.get(n)
+    def probability(self, T, panels):
+        """P(T) by the rule of `panels` panels, which must be
+        specs.convolution_panels(T, omega)."""
+        plan = self.plans.get(panels)
         if plan is None:
-            plan = self.plans[n] = self._plan(n)
+            plan = self.plans[panels] = self._plan(panels)
             if len(self.plans) > _MAX_PLANS:
                 del self.plans[next(iter(self.plans))]
-        half_u, coef, centre = plan
+        half_u, coef = plan
         s = np.sin(T * half_u)
         s *= s
-        return float(coef @ s) + centre * T * T
+        return float(coef @ s)
 
 
 @lru_cache(maxsize=32)
@@ -380,10 +382,11 @@ def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
     convolved with the rate function over a window of width 0.8 omega around
     the detector gap; P(T)/T approaches the stationary rate as T grows. The
     first call for a (model, frame, det, quad) builds the rate spline; later
-    calls, for any T, reuse it.
+    calls, for any T, reuse it. T must be > 0 and at most 16 pi 2^14 / (0.8
+    omega), 1.03e7 at omega = 0.1 (specs.convolution_panels); otherwise
+    ValueError is raised before any other check.
     """
-    if not T > 0.0:
-        raise ValueError("T must be > 0")
+    panels = convolution_panels(T, det.omega)
     if check_rate_inputs(det, frame, model, quad, finite_time=True):
         return 0.0
-    return _rate_spline(model, frame, det, quad).probability(T)
+    return _rate_spline(model, frame, det, quad).probability(T, panels)

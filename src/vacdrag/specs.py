@@ -10,7 +10,8 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 
 `check_rate_inputs` is the one predicate that `rates.rate_surface`,
 `rates.finite_time_probability` and the scenario validator apply, so
-validation rejects exactly the rate inputs that a run rejects.
+validation rejects exactly the rate inputs that a run rejects;
+`convolution_panels` bounds the interaction time T for the last two.
 `check_not_grazing` plays the same part for the reflected-Green integrals
 of `greens.surface_green_coincident` and `greens.reciprocity_check`, and
 `check_pole_pair`, `check_identity_shift` and `check_pole_windows` for
@@ -23,12 +24,13 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 __all__ = [
     "DetectorSpec",
     "LorentzOscillator",
+    "MAX_CONVOLUTION_PANELS",
     "MAX_POLE_FREQUENCY",
     "MotionFrame",
     "NonConvergenceError",
@@ -38,6 +40,8 @@ __all__ = [
     "check_not_grazing",
     "check_pole_windows",
     "check_rate_inputs",
+    "convolution_panels",
+    "is_finite",
     "load_model",
     "lorentz_gamma",
     "max_identity_shift",
@@ -52,6 +56,33 @@ def _is_real(value) -> bool:
     return isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """math.isfinite, False for an int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _keep_hash(self) -> None:
+    """Keep a frozen spec's hash, that of the tuple of its fields as
+    dataclass makes it: rates' spline cache hashes its four specs on every
+    query. The last step of each spec's __post_init__."""
+    object.__setattr__(self, "_hash", hash(
+        tuple(getattr(self, f.name) for f in fields(self))))
+
+
+def _kept_hash(self) -> int:
+    return self._hash
+
+
+def _set_state(self, state: dict) -> None:
+    """Unpickle a frozen spec and hash it again: str hashes, and before
+    Python 3.12 None's, differ between processes."""
+    self.__dict__.update(state)
+    _keep_hash(self)
+
+
 class NonConvergenceError(RuntimeError):
     """Raised when an operation cannot meet its tolerance; carries the
     residual error estimate that was achieved."""
@@ -64,6 +95,9 @@ class NonConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and domain-control settings shared by all integrals."""
+
+    __hash__ = _kept_hash
+    __setstate__ = _set_state
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -92,6 +126,7 @@ class QuadratureSpec:
             raise ValueError("k_max must be > 0 when set")
         if self.k_max is not None and not math.isfinite(self.k_max):
             raise ValueError("k_max must be finite when set")
+        _keep_hash(self)
 
 
 def lorentz_gamma(beta: float) -> float:
@@ -105,16 +140,23 @@ def lorentz_gamma(beta: float) -> float:
 class MotionFrame:
     """Uniform motion with velocity beta along the fixed axis x-hat."""
 
+    __hash__ = _kept_hash
+    __setstate__ = _set_state
+
     beta: float
     gamma: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", lorentz_gamma(self.beta))
+        _keep_hash(self)
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     """Dipole detector: coupling vector kappa, gap omega, height z0."""
+
+    __hash__ = _kept_hash
+    __setstate__ = _set_state
 
     kappa: tuple
     omega: float
@@ -126,22 +168,26 @@ class DetectorSpec:
             raise ValueError("kappa must have three components")
         if not all(_is_real(c) for c in kappa):
             raise ValueError("kappa components must be real numbers")
-        kappa = tuple(float(c) for c in kappa)
-        if not all(math.isfinite(c) for c in kappa):
+        if not all(is_finite(c) for c in kappa):
             raise ValueError("kappa components must be finite")
+        kappa = tuple(float(c) for c in kappa)
         object.__setattr__(self, "kappa", kappa)
         for name in ("omega", "z0"):
             value = getattr(self, name)
-            if not (_is_real(value) or name == "z0" and value is None):
+            if name == "z0" and value is None:
+                continue
+            if not _is_real(value):
                 raise ValueError(f"{name} must be a real number")
-            if value is not None:
-                object.__setattr__(self, name, float(value))
+            if not is_finite(value):
+                raise ValueError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(value))
         if not self.omega > 0.0:
             raise ValueError("omega must be > 0")
         if not any(c != 0.0 for c in kappa):
             raise ValueError("kappa must be nonzero")
         if self.z0 is not None and not self.z0 > 0.0:
             raise ValueError("z0 must be > 0 when given")
+        _keep_hash(self)
 
 
 _OSCILLATOR_FIELDS = ("plasma_strength", "resonance", "damping")
@@ -150,6 +196,9 @@ _OSCILLATOR_FIELDS = ("plasma_strength", "resonance", "damping")
 @dataclass(frozen=True)
 class LorentzOscillator:
     """One damped-oscillator term: plasma_strength / (resonance^2 - w^2 - i damping w)."""
+
+    __hash__ = _kept_hash
+    __setstate__ = _set_state
 
     plasma_strength: float
     resonance: float
@@ -165,10 +214,14 @@ class LorentzOscillator:
         for name in _OSCILLATOR_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        _keep_hash(self)
 
 
 @dataclass(frozen=True)
 class SusceptibilityModel:
+    __hash__ = _kept_hash
+    __setstate__ = _set_state
+
     electric_terms: tuple = ()
     magnetic_terms: tuple = ()
     label: str = ""
@@ -176,6 +229,7 @@ class SusceptibilityModel:
     def __post_init__(self):
         object.__setattr__(self, "electric_terms", tuple(self.electric_terms))
         object.__setattr__(self, "magnetic_terms", tuple(self.magnetic_terms))
+        _keep_hash(self)
 
 
 def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
@@ -204,6 +258,28 @@ def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
         raise ValueError("quad.k_max must exceed 1.8 omega / |beta| for the "
                          "finite-time window")
     return empty
+
+
+MAX_CONVOLUTION_PANELS = 2 ** 14
+_CYCLES_PER_PANEL = 16
+
+
+def convolution_panels(T: float, omega: float) -> int:
+    """The panel count P of the finite-time convolution at interaction time
+    T and gap omega: the smallest power of two that leaves at most 16 cycles
+    of the kernel 4 sin^2(x T / 2) / x^2 per panel of the window [-0.8
+    omega, 0.8 omega], which holds 0.8 omega T / pi cycles. Raises
+    ValueError unless T > 0 and P <= MAX_CONVOLUTION_PANELS, that is T <=
+    16 pi MAX_CONVOLUTION_PANELS / (0.8 omega)."""
+    if not T > 0.0:
+        raise ValueError("T must be > 0")
+    cycles = 0.8 * omega * T / math.pi
+    if not cycles <= _CYCLES_PER_PANEL * MAX_CONVOLUTION_PANELS:
+        limit = _CYCLES_PER_PANEL * MAX_CONVOLUTION_PANELS * math.pi / (0.8 * omega)
+        raise ValueError(f"T must be <= {limit:.6g} at omega = {omega:g}: the "
+                         f"finite-time convolution takes at most "
+                         f"{MAX_CONVOLUTION_PANELS} panels")
+    return 1 << (math.ceil(cycles / _CYCLES_PER_PANEL) - 1).bit_length()
 
 
 def check_not_grazing(kx: float, omega: float) -> None:

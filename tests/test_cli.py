@@ -1,8 +1,10 @@
 """Scenario runner and CLI: validation, emission, caching, determinism."""
 
+import dataclasses
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -22,7 +24,8 @@ from vacdrag.cli import (
     scenario_from_dict,
 )
 from vacdrag.specs import (MAX_POLE_FREQUENCY, DetectorSpec, LorentzOscillator,
-                           QuadratureSpec, load_model, max_identity_shift)
+                           MotionFrame, QuadratureSpec, load_model,
+                           max_identity_shift)
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -220,6 +223,10 @@ KIND_REJECTS = [
     # k_max = 0.5 inside the light circle ky = sqrt(1 - 0.3^2)
     ("reciprocity_check.json", {"kx": 0.3, "omega": 1.0, "quad": {"k_max": 0.5}},
      "quad.k_max truncates inside the light circle"),
+    # more than 2^14 convolution panels of 16 kernel cycles
+    ("finite_time.json", {"T": [50.0, 1e9]},
+     "T must be <= 1.02944e+07 at omega = 0.1: the finite-time convolution "
+     "takes at most 16384 panels"),
 ]
 
 
@@ -642,6 +649,17 @@ FIELD_MESSAGES = [
                                       "magnetic_terms": [{"strength": 1.0}]}},
      "model_file: Electric_terms: unknown field; labl: unknown field; "
      "magnetic_terms[0].strength: unknown field"),
+    # JSON integers beyond float range, outside quad
+    ("fresnel.json", {"kx": 10 ** 400}, "kx: must be a finite number"),
+    ("finite_time.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 10 ** 400,
+                                       "z0": 1.0}},
+     "detector: omega must be a finite number"),
+    ("sweep_beta.json", {"sweep_axis": {"name": "beta", "min": -10 ** 400,
+                                        "max": 0.6, "count": 3}},
+     "sweep_axis.min/max: need finite numbers with min <= max"),
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 10 ** 400, 1.1],
+                                        "omega": 0.1, "z0": 1.0}},
+     "detector: kappa components must be finite"),
 ]
 
 
@@ -676,6 +694,8 @@ NON_FINITE = [
      "detector: kappa components must be finite"),
     ({"quad": {"rel_tol": 1e-5, "abs_tol": 1e-18, "k_max": math.inf}},
      "quad: k_max must be finite when set"),
+    ({"detector": {"kappa": [0.8, 0.3, 1.1], "omega": math.inf, "z0": 1.0}},
+     "detector: omega must be a finite number"),
 ]
 
 
@@ -689,9 +709,14 @@ def test_validate_rejects_non_finite_inputs(tmp_path, capsys, scenarios_dir,
 
 
 def test_specs_reject_non_finite_inputs():
-    for kappa in ((0.8, math.nan, 1.1), (math.inf, 0.3, 1.1)):
+    for kappa in ((0.8, math.nan, 1.1), (math.inf, 0.3, 1.1), (10 ** 400, 0, 1)):
         with pytest.raises(ValueError, match="kappa components must be finite"):
             DetectorSpec(kappa=kappa, omega=0.1, z0=1.0)
+    for name in ("omega", "z0"):
+        for value in (math.inf, math.nan, 10 ** 400):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                DetectorSpec(**dict({"kappa": (1.0, 0.0, 0.0), "omega": 0.1,
+                                     "z0": 1.0}, **{name: value}))
     for k_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="k_max must be"):
             QuadratureSpec(k_max=k_max)
@@ -704,6 +729,23 @@ def test_specs_reject_non_finite_inputs():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be"):
                 LorentzOscillator(**dict(term, **{name: value}))
+
+
+def test_specs_keep_their_field_hash_across_pickling():
+    """Each spec hashes as the tuple of its fields, as dataclass would, and
+    a pickled spec is hashed again when loaded, since its kept hash may come
+    from a process with other str hashes."""
+    model = load_model("bundled:lorentz_dielectric")
+    specs = (model, model.electric_terms[0], MotionFrame(beta=0.5),
+             DetectorSpec(kappa=(0.8, 0.3, 1.1), omega=0.1),
+             QuadratureSpec(k_max=12.0))
+    for spec in specs:
+        fields = tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+        assert hash(spec) == hash(fields)
+        assert hash(dataclasses.replace(spec)) == hash(spec)
+        object.__setattr__(spec, "_hash", 0)    # a stale kept hash
+        loaded = pickle.loads(pickle.dumps(spec))
+        assert loaded == spec and hash(loaded) == hash(fields)
 
 
 def test_specs_take_numpy_numbers_and_store_floats():

@@ -9,16 +9,18 @@ the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
 name from `greens`, `greens` imports `doppler` and
 `moving_susceptibility_tensors` from `kinematics`, `medium` imports the
 piece integrator `_integrate_pieces` from `quadrature` and the Lorentz sum
-`lorentz_chi` from `specs`, and test modules
-import what they check. A row whose oracle passes under its mutant is a
-fault the suite cannot see, and fails here. A mutant is a wrapper around the
+`lorentz_chi` from `specs`, `rates` and `cli` import the panel rule
+`convolution_panels` from `specs`, and test modules import what they
+check. A row whose oracle passes under its mutant is a fault the suite
+cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
-integrand of `_integrate_pieces`, the cached `_rate_spline`, the key
-document of `cli._cache_key`, the unknown-key check of
-`cli.scenario_from_dict` and its key set, the finiteness check of
-`LorentzOscillator.__post_init__` and the unknown-key check of
-`model_from_dict`), an edit of its source compiled again in its module. A
+integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
+count of `convolution_panels`, the key document of `cli._cache_key`, the
+unknown-key check of `cli.scenario_from_dict` and its key set, the
+finiteness check of `LorentzOscillator.__post_init__` and the unknown-key
+check of `model_from_dict`), an edit of its source compiled again in its
+module. A
 dotted name (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -256,8 +258,12 @@ MUTATIONS = [
      rewritten("domain_ends_at_1_7", "1.8 * omega]", "1.7 * omega]"), {"rates"},
      test_rates.test_rate_spline_is_the_chebyshev_interpolant_of_the_rate),
     ("rates", "_RateSpline._plan",
-     rewritten("pair_one_sided", "rate[mid - 1::-1]", "rate[mid + 1:]"),
-     {"rates"}, test_rates.test_convolution_plan_matches_direct_simpson_rule),
+     rewritten("pair_one_sided", "rate[half - 1::-1]", "rate[half:]"),
+     {"rates"}, test_rates.test_convolution_plan_matches_dense_simpson_rule),
+    ("specs", "convolution_panels",
+     rewritten("thirty_two_cycles_per_panel", "math.ceil(cycles / _CYCLES_PER_PANEL)",
+               "math.ceil(cycles / (2 * _CYCLES_PER_PANEL))"),
+     {"specs", "rates", "cli"}, test_rates.test_convolution_plan_matches_dense_simpson_rule),
     ("kinematics", "moving_susceptibility_tensors",
      rewritten("chi_ee_yz_term_with_chi_e", "g2 * b2 * yz * cb", "g2 * b2 * yz * ce"),
      {"kinematics", "greens"},

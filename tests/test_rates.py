@@ -25,7 +25,8 @@ from vacdrag.rates import (
     rate_surface,
     rate_vs_distance,
 )
-from vacdrag.specs import check_rate_inputs
+from vacdrag.specs import (MAX_CONVOLUTION_PANELS, check_rate_inputs,
+                           convolution_panels)
 
 LORENTZ = SusceptibilityModel(electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
                               label="single resonance")
@@ -582,6 +583,42 @@ def test_finite_time_requires_positive_time():
         finite_time_probability(det(), MotionFrame(beta=0.5), LORENTZ, FT_QUAD, 0.0)
 
 
+def test_convolution_panels_are_capped():
+    # 16 kernel cycles per panel, 0.8 omega T / pi cycles in the window
+    t_max = 16 * MAX_CONVOLUTION_PANELS * math.pi / (0.8 * 0.1)
+    assert convolution_panels(t_max, 0.1) == MAX_CONVOLUTION_PANELS
+    assert convolution_panels(t_max / 2 ** 14, 0.1) == 1
+    assert convolution_panels(math.nextafter(t_max / 2 ** 14, math.inf), 0.1) == 2
+    for T in (math.nextafter(t_max, math.inf), math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                "T must be <= 1.02944e+07 at omega = 0.1: the finite-time "
+                "convolution takes at most 16384 panels")):
+            convolution_panels(T, 0.1)
+    with pytest.raises(ValueError, match="T must be > 0"):
+        convolution_panels(math.nan, 0.1)
+    times = (0.5, 50.0, 400.0, 1146.7, 1600.0, 6400.0, 12800.0)
+    assert [convolution_panels(T, 0.1) for T in times] == [1, 1, 1, 2, 4, 16, 32]
+
+
+@pytest.mark.parametrize("T", [math.inf, 2.1e7])
+def test_finite_time_rejects_T_beyond_the_cap_before_any_array(monkeypatch, T):
+    from vacdrag import rates
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used")
+
+    def no_spline(*args):
+        raise AssertionError("rate spline built")
+    monkeypatch.setattr(rates, "np", NoNumpy())
+    monkeypatch.setattr(rates, "_rate_spline", no_spline)
+    with pytest.raises(ValueError, match="T must be <= 1.02944e"):
+        finite_time_probability(det(), MotionFrame(beta=0.5), LORENTZ, FT_QUAD, T)
+    # before the rate checks too, as validate orders them
+    with pytest.raises(ValueError, match="T must be <= 1.02944e"):
+        finite_time_probability(det(), MotionFrame(beta=0.0), VACUUM, FT_QUAD, T)
+
+
 # ---------------------------------------------------------------------------
 # finite-time convolution plans
 # ---------------------------------------------------------------------------
@@ -596,38 +633,48 @@ def synthetic_rate_spline(omega=0.1):
         domain=[0.2 * omega, 1.8 * omega]))
 
 
-def direct_simpson(rs, T):
-    """The sinc-kernel convolution with the spline evaluated on the whole
-    Simpson grid, as P(T) was computed before plans were cached."""
-    n = rs.grid_size(T)
+def probability(rs, T):
+    """P(T) on a _RateSpline, by the rule finite_time_probability takes."""
+    return rs.probability(T, convolution_panels(T, rs.omega))
+
+
+def dense_simpson(rs, times, n=2 ** 18 + 1):
+    """The sinc-kernel convolution at each T by the composite Simpson rule
+    on n nodes of the window, the spline evaluated at every node."""
     u, du = np.linspace(-rs.half_width, rs.half_width, n, retstep=True)
-    kernel = T * T * np.sinc(u * T / (2.0 * math.pi)) ** 2
     weights = np.full(n, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    return du / 3.0 * np.dot(weights, 0.5 * rs.spline(rs.omega - u) * kernel) / math.pi
+    rate = du / 3.0 * weights * rs.spline(rs.omega - u) / (2.0 * math.pi)
+    return [rate @ (T * T * np.sinc(u * T / (2.0 * math.pi)) ** 2) for T in times]
 
 
-def test_convolution_plan_matches_direct_simpson_rule():
+def test_convolution_plan_matches_dense_simpson_rule():
+    # 1146.7 has 29.2 kernel cycles: two panels of 14.6, or one of 29.2
     rs = synthetic_rate_spline()
-    sizes = {}
-    for T in (0.5, 50.0, 1600.0, 6400.0):
-        sizes[T] = rs.grid_size(T)
-        assert rs.probability(T) == pytest.approx(direct_simpson(rs, T), rel=1e-13)
-    assert sizes[0.5] == sizes[50.0] == 513
-    assert 513 < sizes[1600.0] < sizes[6400.0]
+    times = (0.5, 50.0, 400.0, 1146.7, 1600.0, 6400.0, 12800.0)
+    for T, reference_p in zip(times, dense_simpson(rs, times)):
+        assert probability(rs, T) == pytest.approx(reference_p, rel=1e-13)
 
 
 def test_convolution_plan_pairs_the_nodes():
-    # one entry per pair +-u_j of the n-node grid, u_j = j du > 0
+    # one entry per pair +-u_j, the upper half of the 64-node Gauss-Legendre
+    # rule on each panel of [-w, w], its coefficient from Gamma(omega -+ u_j)
+    x, weights = np.polynomial.legendre.leggauss(64)
     rs = synthetic_rate_spline()
-    for T in (50.0, 6400.0):
-        rs.probability(T)
-        n = rs.grid_size(T)
-        half_u, coef, _ = rs.plans[n]
-        assert half_u.shape == coef.shape == ((n - 1) // 2,)
-        du = 2.0 * rs.half_width / (n - 1)
-        assert np.allclose(half_u, 0.5 * du * np.arange(1, (n + 1) // 2), rtol=1e-14)
+    for panels in (1, 2, 16):
+        rs.probability(1.0, panels)
+        half_u, coef = rs.plans[panels]
+        assert half_u.shape == coef.shape == (32 * panels,)
+        h = 2.0 * rs.half_width / panels
+        grid = (-rs.half_width + h * (np.arange(panels)[:, None] + 0.5 * (1.0 + x))).ravel()
+        u = grid[32 * panels:]
+        assert np.allclose(2.0 * half_u, u, rtol=1e-14, atol=1e-15 * rs.half_width)
+        assert np.allclose(-grid[:32 * panels][::-1], u, rtol=1e-14,
+                           atol=1e-15 * rs.half_width)
+        pair = rs.spline(rs.omega - u) + rs.spline(rs.omega + u)
+        assert np.allclose(coef, 0.5 * h * np.tile(weights, panels)[32 * panels:]
+                           * pair / (2.0 * math.pi) * 4.0 / (u * u), rtol=1e-12)
 
 
 def test_convolution_plan_reused_without_spline_evaluation():
@@ -639,24 +686,52 @@ def test_convolution_plan_reused_without_spline_evaluation():
         calls.append(z.size)
         return spline(z)
     rs.spline = spy
-    first = rs.probability(10.0)
-    assert calls == [513]
-    # same grid size, different T: the plan is reused
-    assert rs.grid_size(20.0) == 513
-    rs.probability(20.0)
-    assert rs.probability(10.0) == first
-    assert calls == [513]
+    first = probability(rs, 10.0)
+    assert calls == [64]
+    # same panel count, different T: the plan is reused
+    assert convolution_panels(20.0, rs.omega) == convolution_panels(10.0, rs.omega) == 1
+    probability(rs, 20.0)
+    assert probability(rs, 10.0) == first
+    assert calls == [64]
 
 
 def test_convolution_plans_bounded_oldest_evicted():
     from vacdrag.rates import _MAX_PLANS
 
     rs = synthetic_rate_spline()
-    times = [2000.0 * (k + 1) for k in range(_MAX_PLANS + 3)]
+    # 15.3 2^k kernel cycles: 2^k panels
+    times = [600.0 * 2 ** k for k in range(_MAX_PLANS + 3)]
     for T in times:
-        rs.probability(T)
+        probability(rs, T)
         assert len(rs.plans) <= _MAX_PLANS
-    assert list(rs.plans) == [rs.grid_size(T) for T in times[-_MAX_PLANS:]]
+    assert list(rs.plans) == [2 ** k for k in range(3, _MAX_PLANS + 3)]
+
+
+def golden_rule_workload(seed):
+    """perfbench's golden-rule workload at this seed."""
+    import importlib.util
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GoldenRule(seed, root)
+
+
+def test_golden_rule_ladders_keep_every_plan():
+    from vacdrag.rates import _MAX_PLANS
+
+    for seed in range(1, 21):
+        workload = golden_rule_workload(seed)
+        rs = synthetic_rate_spline(workload.det.omega)
+        panels = set()
+        for T in workload.ladder:
+            panels.add(convolution_panels(T, rs.omega))
+            probability(rs, T)
+        assert len(panels) <= _MAX_PLANS
+        assert set(rs.plans) == panels
 
 
 def test_rate_spline_cache_clear_drops_plans():
@@ -666,7 +741,7 @@ def test_rate_spline_cache_clear_drops_plans():
     frame = MotionFrame(beta=0.5)
     p = finite_time_probability(det(), frame, LORENTZ, quad, 50.0)
     cached = _rate_spline(LORENTZ, frame, det(), quad)
-    assert list(cached.plans) == [513]
+    assert list(cached.plans) == [1]
     _rate_spline.cache_clear()
     rebuilt = _rate_spline(LORENTZ, frame, det(), quad)
     assert rebuilt is not cached and rebuilt.plans == {}
