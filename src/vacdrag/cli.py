@@ -2,18 +2,19 @@
 content-addressed caching, and a small command-line front end.
 
 One table, `_KINDS`, drives validation and runs alike. Each kind's entry
-declares its field rules, its rows, the `specs` predicate and computation
-of one row, its columns and the cells of a row that does not converge; a
-kind run along a `sweep_axis` has one entry per axis. Besides `kind` and
+declares its field rules, its rows, the check and computation of one row,
+its columns and the cells of a row that does not converge; a kind run
+along a `sweep_axis` has one entry per axis. Besides `kind` and
 `sweep_axis`, a scenario may carry only the names of its entry's rules,
 which list `frame`, `quad` and `model_file` only where the computation is
 handed them. The rules are the only parser: a run reads only
-`Scenario.inputs`, the values they validated. Validation applies the
-predicate to the rows that `run` computes, so it rejects every input that
-`run` would; a log axis whose predicate holds between its end points (rate,
-kk-check) is checked at those ends, so that validation loads no numpy. Only
-a log kx sweep, whose light cone may fall on any row, loads numpy to
-validate.
+`Scenario.inputs`, the values they validated. A row check calls the one
+`specs` predicate that the row's computation calls first, with the same
+arguments, and validation applies it to the rows that `run` computes, so
+it rejects every input that `run` would, with the same message; a log
+axis whose predicate holds between its end points (rate, kk-check) is
+checked at those ends, so that validation loads no numpy. Only a log kx
+sweep, whose light cone may fall on any row, loads numpy to validate.
 
 A result record is the JSON dict of `scenario`, `outputs`, `provenance` and
 `wall_time` that `--format json` writes, with `quad` in `provenance` only
@@ -44,11 +45,9 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_doppler_frequency,
-                    check_identity_shift, check_kk_frequency,
-                    check_light_circle, check_not_comoving, check_not_grazing,
-                    check_pole_pair, check_pole_windows, check_rate_inputs,
-                    check_reflected_mode, convolution_panels, is_finite,
+                    QuadratureSpec, check_identity, check_kk_frequency,
+                    check_not_comoving, check_rate_inputs, check_reciprocity,
+                    check_reflection, convolution_panels, is_finite,
                     load_model, model_to_dict, unknown_fields)
 
 __all__ = [
@@ -154,6 +153,17 @@ def _model(errors, doc, name):
         errors.append(f"{name}: {exc}")
 
 
+def _absorbing_model(errors, doc, name):
+    """A model file with an electric term that absorbs: kk-check divides by
+    the electric chi, which vanishes without one."""
+    model = _model(errors, doc, name)
+    if model is not None and not any(t.plasma_strength > 0.0
+                                     for t in model.electric_terms):
+        errors.append(f"{name}: kk-check needs an electric term with "
+                      "plasma_strength > 0")
+    return model
+
+
 def _point(errors, doc, name):
     """A point (y, z) above the surface."""
     v = doc.get(name)
@@ -185,7 +195,9 @@ def _detector(errors, doc, name):
         return
     try:
         return DetectorSpec(kappa=d["kappa"], omega=d["omega"], z0=d.get("z0"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        errors.append(f"{name}.{exc.args[0]}: required")
+    except (TypeError, ValueError) as exc:
         errors.append(f"{name}: {exc}")
     finally:
         errors.extend(unknown_fields(d, ("kappa", "omega", "z0"), f"{name}."))
@@ -288,9 +300,8 @@ def _probability(inputs, row):
 
 
 def _check_mode(inputs, row):
-    kx, omega = row["kx"], inputs["omega"]
-    check_reflected_mode(kx, inputs["ky"], omega)
-    check_doppler_frequency(inputs["model_file"], inputs["frame"].beta, kx, omega)
+    check_reflection(inputs["model_file"], inputs["frame"].beta, row["kx"],
+                     inputs["ky"], inputs["omega"])
 
 
 def _fresnel(inputs, row):
@@ -318,28 +329,11 @@ def _identity(inputs, row):
                im_rhs=rhs.imag, relative_residual=resid / scale, converged=True)
 
 
-def _check_pair(inputs, row):
-    om, op = row["omega_minus"], row["omega_plus"]
-    check_pole_pair(om, op)
-    check_identity_shift(inputs["model_file"], om, op, inputs["shift"])
-    check_pole_windows(inputs["model_file"], om, op)
-
-
 def _dissipation(inputs, row):
     rep = _pkg.greens.green_dissipation_identity(
         inputs["model_file"], inputs["frame"], row["kx"], (row["ky"], row["kz"]),
         row["omega"], inputs["quad"])
     row.update(residual=rep.residual, relative_residual=rep.relative_residual)
-
-
-def _check_reciprocity(inputs, row):
-    kx, omega, beta = row["kx"], row["omega"], inputs["frame"].beta
-    check_not_grazing(kx, omega)
-    check_light_circle(kx, omega, inputs["quad"].k_max)
-    # the Green functions at (kx, beta) and (-kx, -beta) share a Doppler
-    # frequency; the third, at (-kx, beta), has its own
-    for sign in (1.0, -1.0):
-        check_doppler_frequency(inputs["model_file"], beta, sign * kx, omega)
 
 
 def _reciprocity(inputs, row):
@@ -362,7 +356,7 @@ class _Kind:
     compute: Callable | None = None     # fills in one row's cells
     fields: tuple = ()              # (name, rule) pairs, checked in order
     rows: Callable | None = None    # rows(inputs); None: one per sweep-axis value
-    check: Callable | None = None   # the specs predicate of one row
+    check: Callable | None = None   # calls the computation's specs predicate
     failed: dict | None = None      # cells of an unconverged row; None: raise
     summary: Callable | None = None     # summary(rows): fields of the outputs
     log_ends: bool = False          # its predicate holds between a log axis's ends
@@ -402,7 +396,8 @@ _KINDS = {
     "kk-check": _Kind(axes={"omega": _Kind(
         columns=("omega", "re_chi", "im_chi", "re_reconstructed", "rel_error",
                  "converged"),
-        compute=_kk, fields=(_UNTRUNCATED_QUAD, _MODEL), log_ends=True,
+        compute=_kk, fields=(_UNTRUNCATED_QUAD, ("model_file", _absorbing_model)),
+        log_ends=True,
         check=lambda inputs, row: check_kk_frequency(row["omega"]),
         summary=lambda rows: {"max_rel_error": max(r["rel_error"] for r in rows),
                               **_all_converged(rows)},
@@ -417,7 +412,9 @@ _KINDS = {
                 ("shift", _optional_number)),
         rows=lambda inputs: [{"omega_minus": om, "omega_plus": op}
                              for om, op in inputs["pairs"]],
-        check=_check_pair,
+        check=lambda inputs, row: check_identity(
+            inputs["model_file"], row["omega_minus"], row["omega_plus"],
+            inputs["shift"]),
         summary=_all_converged,
         failed={"re_lhs": math.nan, "im_lhs": math.nan, "re_rhs": math.nan,
                 "im_rhs": math.nan, "relative_residual": math.inf,
@@ -437,7 +434,9 @@ _KINDS = {
         fields=(_FRAME, _QUAD, _MODEL, ("kx", _number), ("omega", _number),
                 ("point_a", _point), ("point_b", _point)),
         rows=lambda inputs: [{"kx": inputs["kx"], "omega": inputs["omega"]}],
-        check=_check_reciprocity),
+        check=lambda inputs, row: check_reciprocity(
+            inputs["model_file"], inputs["frame"].beta, row["kx"], row["omega"],
+            inputs["quad"].k_max)),
     "sweep": _Kind(axes={
         **{name: _rate_axis(name) for name in ("beta", "z0", "omega")},
         # not log_ends: the light cone may fall between the ends of a log axis

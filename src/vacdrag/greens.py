@@ -37,8 +37,8 @@ from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
                          _semi_infinite_split, integrate_adaptive,
                          worst_component)
-from .specs import (check_light_circle, check_not_comoving, check_not_grazing,
-                    check_reflected_mode)
+from .specs import (check_not_comoving, check_reciprocity,
+                    check_reflected_green, check_reflection)
 from .tensors import ComplexTensor3
 
 __all__ = [
@@ -165,7 +165,7 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     the off-diagonal amplitudes are zero at this order.
     """
     kx, ky, omega = float(kx), float(ky), float(omega)
-    check_reflected_mode(kx, ky, omega)
+    check_reflection(model, frame.beta, kx, ky, omega)
     kpar2 = kx * kx + ky * ky
     eps, mu, _ = _doppler_medium(model, frame, kx, omega)
     xi = complex(_xi_vacuum(kpar2, omega))
@@ -236,7 +236,6 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
         eps, mu, _ = _doppler_medium(model, frame, kx, omega)
         circle_sq = omega * omega - kx * kx
         params.append((eps, mu, kx, omega, dy, zsum, max(circle_sq, 0.0)))
-        check_light_circle(kx, omega, k_max)
         edge = 0.0
         if circle_sq > 0.0:
             kc = math.sqrt(circle_sq)
@@ -305,7 +304,7 @@ def surface_green_coincident(model: SusceptibilityModel, frame: MotionFrame,
         raise ValueError("omega must be > 0")
     if quad.k_max is None:
         raise ValueError("quad.k_max must be set for the surface integral")
-    check_not_grazing(kx, omega)
+    check_reflected_green(kx, omega, quad.k_max)
     ((reflected, _),) = _reflected_green(
         model, [(frame, kx, omega, 0.0, 2.0 * geom.z0)], quad)
     free_im = np.asarray(im_free_green_coincident(kx, omega))
@@ -346,7 +345,7 @@ def green_dissipation_identity(model: SusceptibilityModel, frame: MotionFrame,
     rhs = (gamma_omega / (1j * math.pi)) * (g - g.conj().T)
     residual = float(np.max(np.abs(lhs - rhs)))
     scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    relative = residual / scale if scale > 0.0 else 0.0
+    relative = residual / scale if scale != 0.0 else 0.0
     return DissipationReport(lhs=ComplexTensor3(lhs), rhs=ComplexTensor3(rhs),
                              residual=residual, relative_residual=relative)
 
@@ -361,7 +360,7 @@ def reciprocity_check(model: SusceptibilityModel, frame: MotionFrame,
     yb, zb = (float(c) for c in point_b)
     if not (za > 0.0 and zb > 0.0):
         raise ValueError("both points must lie above the surface")
-    check_not_grazing(float(kx), float(omega))
+    check_reciprocity(model, frame.beta, float(kx), float(omega), quad.k_max)
     # one batch: G(kx; b, a; V), G(-kx; a, b; -V) and G(-kx; a, b; V)
     (m1, _), (m2, _), (m3, _) = _reflected_green(
         model, [(frame, kx, omega, yb - ya, zb + za),

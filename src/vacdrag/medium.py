@@ -24,8 +24,7 @@ import numpy as np
 
 from .quadrature import _integrate_pieces, _pv_pieces, _semi_infinite_pieces
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
-                    SusceptibilityModel, check_identity_shift,
-                    check_kk_frequency, check_pole_pair, check_pole_windows,
+                    SusceptibilityModel, check_identity, check_kk_frequency,
                     frequency_scale, load_model, lorentz_chi, model_from_dict,
                     model_to_dict, pole_windows)
 
@@ -113,15 +112,13 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
     form [(om^2 - a) chi(om) - (op^2 - a) chi(op)] / (om^2 - op^2). Returns
     IdentityReport(lhs, rhs, residual); the identity holds for any real
     shift a. The shift enters the LHS after integration, as -a times the
-    integral of w Im chi, so no shift that specs.check_identity_shift admits
+    integral of w Im chi, so no shift that specs.check_identity admits
     overflows an integrand value.
     """
     om = float(omega_minus)
     op = float(omega_plus_prime)
     a = float(numerator_shift)
-    check_pole_pair(om, op)
-    check_identity_shift(model, om, op, a)
-    check_pole_windows(model, om, op)
+    check_identity(model, om, op, a)
     dm2 = om * om - op * op
     terms = model.electric_terms
 

@@ -50,6 +50,7 @@ re-exported here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +259,7 @@ def _adapt(f, a, b, spec):
     one-at-a-time worst-first loop of QUADPACK bisects, unless a child
     outranks a panel of its own prefix.
     """
-    budget = spec.max_subdivisions
+    budget = min(spec.max_subdivisions, sys.maxsize)     # beyond intp: unlimited
     pair = np.ndim(a) > 0
     pa, pb = np.atleast_1d(a), np.atleast_1d(b)
     batch = size = pa.size

@@ -8,14 +8,10 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 `vacdrag.kinematics.MotionFrame`, `vacdrag.medium.load_model`,
 `vacdrag.rates.DetectorSpec`, ...) name the same objects.
 
-`check_rate_inputs` is the one predicate that `rates.rate_surface`,
-`rates.finite_time_probability` and the scenario validator apply, so
-validation rejects exactly the rate inputs that a run rejects;
-`convolution_panels` bounds the interaction time T for the last two.
-`check_not_grazing` plays the same part for the reflected-Green integrals
-of `greens.surface_green_coincident` and `greens.reciprocity_check`, and
-`check_pole_pair`, `check_identity_shift` and `check_pole_windows` for
-`medium.verify_identity_1`.
+Each computation that can reject its inputs first calls the one `check_*`
+predicate here that is written for it, and the scenario validator calls the
+same predicate on every row, so validation rejects exactly what a run
+rejects, with the same message.
 """
 
 from __future__ import annotations
@@ -36,10 +32,13 @@ __all__ = [
     "NonConvergenceError",
     "QuadratureSpec",
     "SusceptibilityModel",
-    "check_identity_shift",
-    "check_not_grazing",
-    "check_pole_windows",
+    "check_identity",
+    "check_kk_frequency",
+    "check_not_comoving",
     "check_rate_inputs",
+    "check_reciprocity",
+    "check_reflected_green",
+    "check_reflection",
     "convolution_panels",
     "is_finite",
     "load_model",
@@ -282,44 +281,52 @@ def convolution_panels(T: float, omega: float) -> int:
     return 1 << (math.ceil(cycles / _CYCLES_PER_PANEL) - 1).bit_length()
 
 
-def check_not_grazing(kx: float, omega: float) -> None:
-    """Raise ValueError for a reflected-Green mode that cannot be
-    integrated: omega = 0, where the p dyad's 1 / omega^2 diverges, or a
-    grazing mode, kx^2 = omega^2 to 1e-12 relative, where the light circle
-    shrinks to ky = 0 and the reflected ky integral is not integrable."""
-    if omega == 0.0:
-        raise ValueError("omega must be nonzero: the reflected p dyad divides "
-                         "by omega^2")
-    if abs(kx * kx - omega * omega) <= 1e-12 * max(kx * kx, omega * omega):
-        raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
+def _free_carrier(model: SusceptibilityModel) -> bool:
+    """Whether the model has a free-carrier term, singular at zero frequency."""
+    return any(t.resonance == 0.0 for t in model.electric_terms + model.magnetic_terms)
 
 
-def check_light_circle(kx: float, omega: float, k_max: float | None) -> None:
-    """Raise ValueError for a reflected-Green ky cut k_max at or inside the
-    light circle ky^2 = omega^2 - kx^2, whose segments it would cut off."""
-    circle_sq = omega * omega - kx * kx
-    if k_max is not None and circle_sq > 0.0 and k_max <= math.sqrt(circle_sq):
-        raise ValueError("quad.k_max truncates inside the light circle")
-
-
-def check_reflected_mode(kx: float, ky: float, omega: float) -> None:
+def check_reflection(model: SusceptibilityModel, beta: float, kx: float,
+                     ky: float, omega: float) -> None:
     """Raise ValueError for a lab-frame mode whose reflection amplitudes are
-    undefined: normal incidence, which has no transverse basis, or a mode on
-    the light cone, kx^2 + ky^2 = omega^2 to 1e-12 relative (xi = 0)."""
+    undefined: normal incidence, which has no transverse basis; a mode on
+    the light cone, kx^2 + ky^2 = omega^2 to 1e-12 relative (xi = 0); or,
+    for a model with a free-carrier term, a Doppler frequency gamma (omega -
+    beta kx) of zero, formed as kinematics.doppler forms it, where that
+    term's chi is singular."""
     kpar2 = kx * kx + ky * ky
     if kpar2 == 0.0:
         raise ValueError("normal incidence has no transverse basis")
     if abs(kpar2 - omega * omega) <= 1e-12 * max(kpar2, omega * omega):
         raise ValueError("mode lies on the light cone (xi = 0)")
+    if omega - beta * kx == 0.0 and _free_carrier(model):
+        raise ValueError("free-carrier term is singular at zero frequency")
 
 
-def check_doppler_frequency(model: SusceptibilityModel, beta: float,
-                            kx: float, omega: float) -> None:
-    """Raise ValueError for a model with a free-carrier term at a mode whose
-    Doppler frequency gamma (omega - beta kx) is zero, formed as
-    kinematics.doppler forms it, where that term's chi is singular."""
-    if omega - beta * kx == 0.0 and any(
-            t.resonance == 0.0 for t in model.electric_terms + model.magnetic_terms):
+def check_reflected_green(kx: float, omega: float, k_max: float | None) -> None:
+    """Raise ValueError for a reflected-Green mode that cannot be
+    integrated: omega = 0, where the p dyad's 1 / omega^2 diverges; a
+    grazing mode, kx^2 = omega^2 to 1e-12 relative, where the light circle
+    shrinks to ky = 0 and the reflected ky integral is not integrable; or a
+    ky cut k_max at or inside the light circle ky^2 = omega^2 - kx^2, whose
+    segments it would cut off."""
+    if omega == 0.0:
+        raise ValueError("omega must be nonzero: the reflected p dyad divides "
+                         "by omega^2")
+    if abs(kx * kx - omega * omega) <= 1e-12 * max(kx * kx, omega * omega):
+        raise ValueError("grazing mode kx^2 = omega^2 is not integrable")
+    circle_sq = omega * omega - kx * kx
+    if k_max is not None and circle_sq > 0.0 and k_max <= math.sqrt(circle_sq):
+        raise ValueError("quad.k_max truncates inside the light circle")
+
+
+def check_reciprocity(model: SusceptibilityModel, beta: float, kx: float,
+                      omega: float, k_max: float | None) -> None:
+    """check_reflected_green, then, for a model with a free-carrier term, a
+    zero Doppler frequency of any of the three Green functions: omega - beta
+    kx at (kx, beta) and (-kx, -beta), omega + beta kx at (-kx, beta)."""
+    check_reflected_green(kx, omega, k_max)
+    if 0.0 in (omega - beta * kx, omega + beta * kx) and _free_carrier(model):
         raise ValueError("free-carrier term is singular at zero frequency")
 
 
@@ -334,23 +341,6 @@ def check_kk_frequency(omega: float) -> None:
 # about 2^20 times the larger pole (its tail maps w = 1/u onto small u):
 # keeping (2^20 |omega|)^4 below float max / 64 keeps every product finite.
 MAX_POLE_FREQUENCY = (sys.float_info.max / 64.0) ** 0.25 / 2.0 ** 20
-
-
-def check_pole_pair(omega_minus: float, omega_plus: float) -> None:
-    """Raise ValueError for pole frequencies of the two-pole identity that
-    are not finite, overflow its integrand (beyond MAX_POLE_FREQUENCY), or
-    are degenerate, omega_minus^2 = omega_plus^2 to 1e-9 relative (the
-    identity divides by their difference)."""
-    if not (math.isfinite(omega_minus) and math.isfinite(omega_plus)):
-        raise ValueError("pole frequencies must be finite")
-    if max(abs(omega_minus), abs(omega_plus)) > MAX_POLE_FREQUENCY:
-        raise ValueError(f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
-                         f"overflow the two-pole integrand: |omega| must be "
-                         f"<= {MAX_POLE_FREQUENCY:.6g}")
-    dm2 = omega_minus * omega_minus - omega_plus * omega_plus
-    if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
-                              omega_plus * omega_plus, 1.0):
-        raise ValueError("pole frequencies are degenerate")
 
 
 def lorentz_chi(terms, omega):
@@ -382,15 +372,6 @@ def max_identity_shift(model: SusceptibilityModel, omega_minus: float,
     return _SHIFT_HEADROOM * min(gap, 1.0) / size if size else math.inf
 
 
-def check_identity_shift(model: SusceptibilityModel, omega_minus: float,
-                         omega_plus: float, shift: float) -> None:
-    """Raise ValueError for a numerator shift beyond max_identity_shift, or
-    for a free-carrier model with a pole at zero frequency."""
-    if abs(shift) > max_identity_shift(model, omega_minus, omega_plus):
-        raise ValueError(f"shift {shift:g} overflows the two-pole identity at "
-                         f"poles ({omega_minus:g}, {omega_plus:g})")
-
-
 def frequency_scale(terms) -> float:
     """The frequency past which the Lorentz terms have died away, at least
     1: the largest resonance + damping."""
@@ -410,11 +391,28 @@ def pole_windows(model: SusceptibilityModel, omega_minus: float,
     return (p_lo, 0.0, mid), (p_hi, mid, cut)
 
 
-def check_pole_windows(model: SusceptibilityModel, omega_minus: float,
-                       omega_plus: float) -> None:
-    """Raise ValueError unless omega_plus > 0 and each pole lies more than
-    1e-12 of its window's width inside its principal-value window (see
-    pole_windows), as quadrature.principal_value requires."""
+def check_identity(model: SusceptibilityModel, omega_minus: float,
+                   omega_plus: float, shift: float) -> None:
+    """Raise ValueError for inputs the two-pole identity cannot take, in
+    order: pole frequencies that are not finite, overflow its integrand
+    (beyond MAX_POLE_FREQUENCY) or are degenerate, omega_minus^2 =
+    omega_plus^2 to 1e-9 relative; a shift beyond max_identity_shift;
+    omega_plus <= 0, or a pole within 1e-12 of its window's width of an end
+    of its principal-value window (pole_windows), as
+    quadrature.principal_value requires."""
+    if not (math.isfinite(omega_minus) and math.isfinite(omega_plus)):
+        raise ValueError("pole frequencies must be finite")
+    if max(abs(omega_minus), abs(omega_plus)) > MAX_POLE_FREQUENCY:
+        raise ValueError(f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
+                         f"overflow the two-pole integrand: |omega| must be "
+                         f"<= {MAX_POLE_FREQUENCY:.6g}")
+    dm2 = omega_minus * omega_minus - omega_plus * omega_plus
+    if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
+                              omega_plus * omega_plus, 1.0):
+        raise ValueError("pole frequencies are degenerate")
+    if abs(shift) > max_identity_shift(model, omega_minus, omega_plus):
+        raise ValueError(f"shift {shift:g} overflows the two-pole identity at "
+                         f"poles ({omega_minus:g}, {omega_plus:g})")
     if not omega_plus > 0.0:
         raise ValueError(f"omega_plus must be > 0, got {omega_plus:g}")
     for pole, a, b in pole_windows(model, omega_minus, omega_plus):

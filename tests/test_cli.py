@@ -1,6 +1,8 @@
 """Scenario runner and CLI: validation, emission, caching, determinism."""
 
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vacdrag import cli
+from vacdrag import cli, specs
 from vacdrag.cli import (
     ScenarioValidationError,
     emit_results,
@@ -119,6 +121,21 @@ def bundled_with(scenarios_dir, name, section, key, value):
     return doc
 
 
+def bundled_updated(tmp_path, scenarios_dir, name, update):
+    """A bundled scenario whose top-level fields update replaces, ... deleting
+    one; a model_file given as a dict is written to a file and named by its
+    path."""
+    doc = json.loads((scenarios_dir / name).read_text())
+    for key, value in update.items():
+        if value is ...:
+            del doc[key]
+        elif key == "model_file" and isinstance(value, dict):
+            doc[key] = str(write_scenario(tmp_path, value, name="model.json"))
+        else:
+            doc[key] = value
+    return doc
+
+
 def parsed_unchecked(monkeypatch, doc):
     """The Scenario of doc, parsed with its row predicates skipped."""
     with monkeypatch.context() as patch:
@@ -157,6 +174,78 @@ def test_validate_rejects_grazing_reciprocity_check(tmp_path, capsys, monkeypatc
     with pytest.raises(ValueError) as exc:
         run_scenario(parsed_unchecked(monkeypatch, doc))
     assert message == f"invalid scenario: {exc.value}\n"
+
+
+# The specs predicate that each kind and sweep axis with a row check names,
+# which its computation calls first; finite-time names two, in the order
+# finite_time_probability calls them.
+ROW_PREDICATES = {
+    ("rate-surface", None): ("check_rate_inputs",),
+    ("finite-time", None): ("convolution_panels", "check_rate_inputs"),
+    **{("sweep", axis): ("check_rate_inputs",) for axis in ("beta", "z0", "omega")},
+    ("sweep", "kx"): ("check_reflection",),
+    ("fresnel", None): ("check_reflection",),
+    ("kk-check", "omega"): ("check_kk_frequency",),
+    ("identity-check", None): ("check_identity",),
+    ("dissipation-check", None): ("check_not_comoving",),
+    ("reciprocity-check", None): ("check_reciprocity",),
+}
+
+
+def test_every_row_check_names_its_predicate():
+    entries = {(kind, axis) for kind, entry in cli._KINDS.items()
+               for axis, rules in (entry.axes or {None: entry}).items()
+               if rules.check is not None}
+    assert entries == set(ROW_PREDICATES)
+
+
+@pytest.mark.parametrize("kind, axis, predicate", [
+    (kind, axis, predicate) for (kind, axis), names in ROW_PREDICATES.items()
+    for predicate in names])
+def test_validate_and_run_share_one_predicate(monkeypatch, scenarios_dir, kind,
+                                              axis, predicate):
+    """With the predicate replaced, wherever a module binds it, by one that
+    raises a sentinel naming its arguments, validate and the computation
+    handed rows that were not checked report the same sentinel: both call
+    the one predicate, with the same arguments."""
+    importlib.import_module("vacdrag.rates")       # load every numeric module
+    original = getattr(specs, predicate)
+    signature = inspect.signature(original)
+
+    def sentinel(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        raise ValueError(f"sentinel {predicate}{tuple(bound.arguments.values())!r}")
+
+    bound_in = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vacdrag") and getattr(module, predicate, None) is original:
+            monkeypatch.setattr(module, predicate, sentinel)
+            bound_in.add(name)
+    assert {"vacdrag.specs", "vacdrag.cli"} < bound_in
+    doc = bundled_docs(scenarios_dir)[kind, axis]
+    with pytest.raises(ScenarioValidationError) as validated:
+        scenario_from_dict(doc)
+    assert str(validated.value).startswith(f"sentinel {predicate}(")
+    with pytest.raises(ValueError) as ran:
+        run_scenario(parsed_unchecked(monkeypatch, doc))
+    assert str(ran.value) == str(validated.value)
+
+
+@pytest.mark.parametrize("name", ["rate_surface.json", "kk_check.json",
+                                  "reciprocity_check.json"])
+def test_budget_beyond_intp_is_unlimited(tmp_path, scenarios_dir, name):
+    """A max_subdivisions of 2^63, beyond numpy's intp, validates and runs
+    as an unlimited budget: the bundled scenario's bits."""
+    doc = json.loads((scenarios_dir / name).read_text())
+    expected, out = tmp_path / "expected.csv", tmp_path / "out.csv"
+    assert run_cli(["run", "--scenario", write_scenario(tmp_path, doc),
+                    "--output", expected]) == 0
+    doc["quad"]["max_subdivisions"] = 2 ** 63
+    path = write_scenario(tmp_path, doc)
+    assert run_cli(["validate", "--scenario", path]) == 0
+    assert run_cli(["run", "--scenario", path, "--output", out]) == 0
+    assert out.read_bytes() == expected.read_bytes()
 
 
 # A log kx axis whose middle row, kx = 0.3, lies on the light cone: unlike a
@@ -227,13 +316,21 @@ KIND_REJECTS = [
     ("finite_time.json", {"T": [50.0, 1e9]},
      "T must be <= 1.02944e+07 at omega = 0.1: the finite-time convolution "
      "takes at most 16384 panels"),
+    # kk-check divides by the electric chi, which vanishes without an
+    # absorbing electric term
+    ("kk_check.json", {"model_file": {"label": "vacuum"}},
+     "model_file: kk-check needs an electric term with plasma_strength > 0"),
+    ("kk_check.json", {"model_file": {
+        "electric_terms": [{"plasma_strength": 0.0, "resonance": 1.0, "damping": 0.1}],
+        "magnetic_terms": [{"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}]}},
+     "model_file: kk-check needs an electric term with plasma_strength > 0"),
 ]
 
 
 @pytest.mark.parametrize("name, update, reason", KIND_REJECTS)
 def test_validate_rejects_what_each_kind_rejects(tmp_path, capsys, scenarios_dir,
                                                  name, update, reason):
-    doc = dict(json.loads((scenarios_dir / name).read_text()), **update)
+    doc = bundled_updated(tmp_path, scenarios_dir, name, update)
     path = write_scenario(tmp_path, doc)
     assert run_cli(["validate", "--scenario", path]) == 1
     message = capsys.readouterr().err
@@ -337,10 +434,10 @@ def test_validate_rejects_quad_eta(tmp_path, capsys):
     assert "'eta'" in capsys.readouterr().err
 
 
-def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
-    """A valid document of every kind and sweep axis, each field its rules
-    name present, is kept whole in Scenario.doc, and every rule's value is in
-    Scenario.inputs, where run reads it."""
+def bundled_docs(scenarios_dir):
+    """A valid document of every kind and sweep axis, keyed (kind, axis),
+    each field its rules name present: the bundled scenarios, a shift for
+    identity-check and an omega sweep."""
     docs = {}
     for path in sorted(scenarios_dir.glob("*.json")):
         doc = json.loads(path.read_text())
@@ -348,6 +445,14 @@ def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
     docs["identity-check", None]["shift"] = 0.25
     docs["sweep", "omega"] = dict(docs["sweep", "beta"], sweep_axis={
         "name": "omega", "min": 0.1, "max": 0.2, "count": 2})
+    return docs
+
+
+def test_every_field_rule_survives_into_the_scenario(scenarios_dir):
+    """A valid document of every kind and sweep axis is kept whole in
+    Scenario.doc, and every rule's value is in Scenario.inputs, where run
+    reads it."""
+    docs = bundled_docs(scenarios_dir)
     for kind, entry in cli._KINDS.items():
         for axis, rules in (entry.axes or {None: entry}).items():
             doc = docs[kind, axis]
@@ -481,9 +586,7 @@ MODEL_UNKNOWN_KEY = ("fresnel.json", {"model_file": {
     "magentic_terms": []}}, "model_file: magentic_terms: unknown field")
 
 # One malformed document per field rule, as (bundled scenario, update,
-# message): the update replaces top-level fields, and ... deletes one; a
-# model_file given as a dict is written to a file and named by its path. The
-# message is the whole of what validate and run write to stderr, so the
+# message), made into a document by bundled_updated. The message is the whole of what validate and run write to stderr, so the
 # wording and the "; " join order of several bad fields are pinned.
 FIELD_MESSAGES = [
     ("rate_surface.json", {"frame": {"beta": 1.5}},
@@ -521,7 +624,7 @@ FIELD_MESSAGES = [
      "sweep_axis: beta values must satisfy |beta| < 1"),
     ("rate_surface.json", {"detector": ...},
      "detector: required object with kappa/omega/z0"),
-    ("sweep_z0.json", {"detector": {"omega": 0.1, "z0": 1.0}}, "detector: 'kappa'"),
+    ("sweep_z0.json", {"detector": {"omega": 0.1, "z0": 1.0}}, "detector.kappa: required"),
     ("finite_time.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "omega": -0.1}},
      "detector: omega must be > 0"),
     ("rate_free.json", {"detector": {"kappa": [0.0, 0.0, 0.0], "omega": 1.0}},
@@ -660,6 +763,8 @@ FIELD_MESSAGES = [
     ("rate_surface.json", {"detector": {"kappa": [0.8, 10 ** 400, 1.1],
                                         "omega": 0.1, "z0": 1.0}},
      "detector: kappa components must be finite"),
+    ("finite_time.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "z0": 1.0}},
+     "detector.omega: required"),
 ]
 
 
@@ -674,14 +779,7 @@ def assert_rejected(tmp_path, capsys, doc, message):
 @pytest.mark.parametrize("name, update, message", FIELD_MESSAGES)
 def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
                                         name, update, message):
-    doc = json.loads((scenarios_dir / name).read_text())
-    for key, value in update.items():
-        if value is ...:
-            del doc[key]
-        elif key == "model_file" and isinstance(value, dict):
-            doc[key] = str(write_scenario(tmp_path, value, name="model.json"))
-        else:
-            doc[key] = value
+    doc = bundled_updated(tmp_path, scenarios_dir, name, update)
     assert_rejected(tmp_path, capsys, doc, message)
 
 

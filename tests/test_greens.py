@@ -372,6 +372,15 @@ def test_dissipation_identity_zero_doppler_rejected():
                                    0.5 * 1.2, QUAD)
 
 
+def test_dissipation_identity_keeps_nan():
+    """At a k-point whose wave operator overflows, the residual and its
+    relative size are NaN, not a perfect 0."""
+    with np.errstate(all="ignore"):
+        rep = green_dissipation_identity(LORENTZ, MotionFrame(beta=0.3), 0.8,
+                                         np.array([1e200, 0.5]), 1.1, QUAD)
+    assert math.isnan(rep.residual) and math.isnan(rep.relative_residual)
+
+
 # ---------------------------------------------------------------------------
 # reciprocity_check
 # ---------------------------------------------------------------------------
