@@ -6,8 +6,8 @@ declares its field rules, its rows, the check and computation of one row,
 its columns and the cells of a row that does not converge; a kind run
 along a `sweep_axis` has one entry per axis. Besides `kind` and
 `sweep_axis`, a scenario may carry only the names of its entry's rules,
-which list `frame`, `quad` and `model_file` only where the computation is
-handed them. The rules are the only parser: a run reads only
+which list `frame`, `quad` and `model_file` only where the computation
+reads them. The rules are the only parser: a run reads only
 `Scenario.inputs`, the values they validated. A row check calls the one
 `specs` predicate that the row's computation calls first, with the same
 arguments, and validation applies it to the rows that `run` computes, so
@@ -45,8 +45,8 @@ from pathlib import Path
 
 from . import __version__
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
-                    QuadratureSpec, check_identity, check_kk_frequency,
-                    check_not_comoving, check_rate_inputs, check_reciprocity,
+                    QuadratureSpec, check_dissipation, check_identity,
+                    check_kk_frequency, check_rate_inputs, check_reciprocity,
                     check_reflection, convolution_panels, is_finite,
                     load_model, model_to_dict, unknown_fields)
 
@@ -332,7 +332,7 @@ def _identity(inputs, row):
 def _dissipation(inputs, row):
     rep = _pkg.greens.green_dissipation_identity(
         inputs["model_file"], inputs["frame"], row["kx"], (row["ky"], row["kz"]),
-        row["omega"], inputs["quad"])
+        row["omega"])
     row.update(residual=rep.residual, relative_residual=rep.relative_residual)
 
 
@@ -398,7 +398,8 @@ _KINDS = {
                  "converged"),
         compute=_kk, fields=(_UNTRUNCATED_QUAD, ("model_file", _absorbing_model)),
         log_ends=True,
-        check=lambda inputs, row: check_kk_frequency(row["omega"]),
+        check=lambda inputs, row: check_kk_frequency(
+            inputs["model_file"].electric_terms, row["omega"]),
         summary=lambda rows: {"max_rel_error": max(r["rel_error"] for r in rows),
                               **_all_converged(rows)},
         failed={"re_reconstructed": math.nan, "rel_error": math.inf,
@@ -422,12 +423,12 @@ _KINDS = {
     "dissipation-check": _Kind(
         columns=("kx", "ky", "kz", "omega", "residual", "relative_residual"),
         compute=_dissipation,
-        fields=(_FRAME, _QUAD, _MODEL,
+        fields=(_FRAME, _MODEL,
                 ("points", _number_lists(4, "[kx, ky, kz, omega]"))),
         rows=lambda inputs: [dict(zip(("kx", "ky", "kz", "omega"), p))
                              for p in inputs["points"]],
-        check=lambda inputs, row: check_not_comoving(inputs["frame"].beta,
-                                                     row["kx"], row["omega"])),
+        check=lambda inputs, row: check_dissipation(
+            inputs["frame"].beta, row["kx"], row["ky"], row["kz"], row["omega"])),
     "reciprocity-check": _Kind(
         columns=("kx", "omega", "transpose_residual", "naive_residual"),
         compute=_reciprocity,

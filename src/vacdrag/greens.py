@@ -37,7 +37,7 @@ from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
                          _semi_infinite_split, integrate_adaptive,
                          worst_component)
-from .specs import (check_not_comoving, check_reciprocity,
+from .specs import (check_dissipation, check_reciprocity,
                     check_reflected_green, check_reflection)
 from .tensors import ComplexTensor3
 
@@ -313,18 +313,20 @@ def surface_green_coincident(model: SusceptibilityModel, frame: MotionFrame,
 
 def green_dissipation_identity(model: SusceptibilityModel, frame: MotionFrame,
                                kx: float, kvec, omega: float,
-                               quad: QuadratureSpec) -> DissipationReport:
+                               quad: QuadratureSpec | None = None
+                               ) -> DissipationReport:
     """Check G W G-dagger = (gamma Omega / i pi)(G - G-dagger) at one k-point.
 
     Homogeneous-medium k-space specialization: G is the inverse of the 3x3
     wave operator built from the moving-medium susceptibility tensors, and W
     collects the absorptive (entrywise imaginary) parts of the same tensors.
-    `quad` is accepted for interface uniformity; the check is algebraic.
+    `quad` is accepted for interface uniformity and never read; the check is
+    algebraic.
     """
     del quad
     kx, omega = float(kx), float(omega)
     ky, kz = (float(c) for c in np.asarray(kvec, dtype=float))
-    check_not_comoving(frame.beta, kx, omega)
+    check_dissipation(frame.beta, kx, ky, kz, omega)
     gamma_omega, _ = doppler(frame, omega, kx)
 
     c_ee, c_bb, c_eb, c_be = (np.asarray(t) for t in

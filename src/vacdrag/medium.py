@@ -9,9 +9,9 @@ is analytic in the upper half plane and obeys chi(-omega) = conj(chi(omega))
 on the real axis, so the Kramers-Kronig reconstruction and the two-pole
 frequency-integral identity verified here have exact closed-form references.
 Setting a term's resonance to zero gives the free-carrier (Drude) limit.
-The sum is written once, as specs.lorentz_chi, which chi and the dispersion
-integrands call. The model dataclasses and their loaders are defined in
-specs and re-exported here.
+The sum is written once, as specs.lorentz_chi, which chi and the one
+dispersion integral (_dispersion, one pole or two) call. The model
+dataclasses and their loaders are defined in specs and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import _integrate_pieces, _pv_pieces, _semi_infinite_pieces
+from .quadrature import (_PLAIN, _integrate_pieces, _pv_pieces,
+                         _semi_infinite_pieces)
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
-                    SusceptibilityModel, check_identity, check_kk_frequency,
-                    frequency_scale, load_model, lorentz_chi, model_from_dict,
-                    model_to_dict, pole_windows)
+                    SusceptibilityModel, band_edge, check_identity,
+                    check_kk_frequency, load_model, lorentz_chi,
+                    model_from_dict, model_to_dict, pole_windows)
 
 __all__ = [
     "IdentityReport",
@@ -73,32 +74,50 @@ def chi(model: SusceptibilityModel, kind: str, omega):
     return lorentz_chi(terms, omega)
 
 
+def _dispersion(terms, poles, quad: QuadratureSpec, cube: bool = False) -> float:
+    """(2/pi) PV int_0^inf w (w^2 if cube) Im chi(w) / prod_p (w^2 - p^2) dw:
+    a principal value on each window of specs.pole_windows and the 1/u tail
+    from their cut, all their pieces one lockstep batch, with each plain
+    piece across specs.band_edge cut in two there, so that its first panel
+    samples the absorption band below a far pole."""
+    windows = pole_windows(terms, poles)
+    edge = band_edge(terms)
+
+    def h(w):
+        im = lorentz_chi(terms, w).imag
+        return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
+            math.prod(w * w - p * p for p, _, _ in windows)
+
+    def cut(pieces, spent):
+        return [half for kind, lo, hi, pole in pieces
+                for half in ([(kind, lo, edge, pole), (kind, edge, hi, pole)]
+                             if kind == _PLAIN and lo < edge < hi
+                             else [(kind, lo, hi, pole)])], spent
+
+    groups = [_pv_pieces(*window) for window in windows]
+    groups.append(_semi_infinite_pieces(h, windows[-1][2]))
+    parts = _integrate_pieces(h, [cut(*group) for group in groups], quad)
+    if not all(p.converged for p in parts):
+        raise NonConvergenceError(
+            "dispersion integral did not converge at omega = "
+            + ", ".join(f"{p:g}" for p, _, _ in windows),
+            residual=sum(p.error_estimate for p in parts))
+    return sum(p.value for p in parts)
+
+
 def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,
                    quad: QuadratureSpec) -> complex:
     """Rebuild chi(omega) from its absorptive part alone.
 
     The real part comes from the dispersion integral
-    (2/pi) PV int_0^inf w' Im chi(w') / (w'^2 - omega^2) dw', evaluated as a
-    principal value on a finite window plus a mapped tail, all their pieces
-    one lockstep batch; the imaginary part is taken from the model.
+    (2/pi) PV int_0^inf w' Im chi(w') / (w'^2 - omega^2) dw' (_dispersion,
+    one pole); the imaginary part is taken from the model.
     """
     terms = _terms(model, kind)
     omega = float(omega)
-    check_kk_frequency(omega)
-
-    def g(w):
-        im = lorentz_chi(terms, w).imag
-        return (2.0 / math.pi) * w * im / (w * w - omega * omega)
-
-    cut = max(4.0 * frequency_scale(terms), 2.0 * omega)
-    pv, tail = _integrate_pieces(g, [_pv_pieces(omega, 0.0, cut),
-                                     _semi_infinite_pieces(g, cut)], quad)
-    err = pv.error_estimate + tail.error_estimate
-    if not (pv.converged and tail.converged):
-        raise NonConvergenceError(
-            f"dispersion integral did not converge at omega = {omega:g}",
-            residual=err)
-    return complex(pv.value + tail.value, chi(model, kind, omega).imag)
+    check_kk_frequency(terms, omega)
+    return complex(_dispersion(terms, (omega,), quad),
+                   chi(model, kind, omega).imag)
 
 
 def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
@@ -108,48 +127,23 @@ def verify_identity_1(model: SusceptibilityModel, omega_minus: float,
 
     LHS: regulated integral of (2/pi) w (w^2 - a) Im chi(w) over the positive
     axis with pole pairs at omega_minus and omega_plus_prime, reduced to
-    explicit residue terms plus a principal-value remainder. RHS: the closed
-    form [(om^2 - a) chi(om) - (op^2 - a) chi(op)] / (om^2 - op^2). Returns
-    IdentityReport(lhs, rhs, residual); the identity holds for any real
-    shift a. The shift enters the LHS after integration, as -a times the
-    integral of w Im chi, so no shift that specs.check_identity admits
-    overflows an integrand value.
+    explicit residue terms plus a principal-value remainder (_dispersion,
+    two poles). RHS: the closed form [(om^2 - a) chi(om) - (op^2 - a)
+    chi(op)] / (om^2 - op^2). Returns IdentityReport(lhs, rhs, residual);
+    the identity holds for any real shift a. The shift enters the LHS after
+    integration, as -a times the integral of w Im chi, so no shift that
+    specs.check_identity admits overflows an integrand value.
     """
     om = float(omega_minus)
     op = float(omega_plus_prime)
     a = float(numerator_shift)
     check_identity(model, om, op, a)
     dm2 = om * om - op * op
-    terms = model.electric_terms
-
     chi_om = chi(model, "electric", om)
     chi_op = chi(model, "electric", op)
     rhs = ((om * om - a) * chi_om - (op * op - a) * chi_op) / dm2
     residue = 1j * ((om * om - a) * chi_om.imag - (op * op - a) * chi_op.imag) / dm2
-
-    if not terms:
-        return IdentityReport(0j, 0j, 0.0)
-
-    lower, upper = pole_windows(model, om, op)
-
-    def regulated(cube):
-        # of (2/pi) w^3 Im chi / ((w^2 - om^2)(w^2 - op^2)), or w for w^3
-        def h(w):
-            im = lorentz_chi(terms, w).imag
-            return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
-                ((w * w - om * om) * (w * w - op * op))
-
-        # both principal values and the tail: one lockstep batch
-        pieces = _integrate_pieces(h, [_pv_pieces(*lower), _pv_pieces(*upper),
-                                       _semi_infinite_pieces(h, upper[2])],
-                                   quad)
-        if not all(p.converged for p in pieces):
-            raise NonConvergenceError(
-                "two-pole integral did not converge",
-                residual=sum(p.error_estimate for p in pieces))
-        return sum(p.value for p in pieces)
-
-    lhs = residue + regulated(True)
+    lhs = residue + _dispersion(model.electric_terms, (om, op), quad, cube=True)
     if a:
-        lhs -= a * regulated(False)
+        lhs -= a * _dispersion(model.electric_terms, (om, op), quad)
     return IdentityReport(lhs, rhs, abs(lhs - rhs))

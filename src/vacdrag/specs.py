@@ -11,7 +11,8 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 Each computation that can reject its inputs first calls the one `check_*`
 predicate here that is written for it, and the scenario validator calls the
 same predicate on every row, so validation rejects exactly what a run
-rejects, with the same message.
+rejects, with the same message. The two dispersion integrals share one
+pole rule: finite, within MAX_POLE_FREQUENCY, inside its pole_windows window.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ __all__ = [
     "LorentzOscillator",
     "MAX_CONVOLUTION_PANELS",
     "MAX_POLE_FREQUENCY",
+    "MAX_WAVENUMBER",
     "MotionFrame",
     "NonConvergenceError",
     "QuadratureSpec",
     "SusceptibilityModel",
+    "check_dissipation",
     "check_identity",
     "check_kk_frequency",
-    "check_not_comoving",
     "check_rate_inputs",
     "check_reciprocity",
     "check_reflected_green",
@@ -330,15 +332,8 @@ def check_reciprocity(model: SusceptibilityModel, beta: float, kx: float,
         raise ValueError("free-carrier term is singular at zero frequency")
 
 
-def check_kk_frequency(omega: float) -> None:
-    """Raise ValueError unless the Kramers-Kronig reconstruction frequency
-    is > 0: the dispersion integral runs over the positive axis."""
-    if not omega > 0.0:
-        raise ValueError("reconstruction frequency must be > 0")
-
-
-# The two-pole integrand forms w^4 in its denominator, at abscissae w up to
-# about 2^20 times the larger pole (its tail maps w = 1/u onto small u):
+# A dispersion integrand forms up to w^4 (two poles), at abscissae w up to
+# about 2^20 times the top pole (its tail maps w = 1/u onto small u):
 # keeping (2^20 |omega|)^4 below float max / 64 keeps every product finite.
 MAX_POLE_FREQUENCY = (sys.float_info.max / 64.0) ** 0.25 / 2.0 ** 20
 
@@ -372,23 +367,45 @@ def max_identity_shift(model: SusceptibilityModel, omega_minus: float,
     return _SHIFT_HEADROOM * min(gap, 1.0) / size if size else math.inf
 
 
-def frequency_scale(terms) -> float:
-    """The frequency past which the Lorentz terms have died away, at least
-    1: the largest resonance + damping."""
-    scale = max((t.resonance + t.damping for t in terms), default=1.0)
-    return max(scale, 1.0)
+def band_edge(terms) -> float:
+    """4 x the largest resonance + damping, that at least 1: the Lorentz
+    terms absorb below it."""
+    return 4.0 * max(max((t.resonance + t.damping for t in terms), default=1.0), 1.0)
 
 
-def pole_windows(model: SusceptibilityModel, omega_minus: float,
-                 omega_plus: float) -> tuple:
-    """The two-pole identity's principal-value windows, as ((pole, a, b),
-    (pole, a, b)): the lower of |omega_minus| and omega_plus in [0, mid],
-    the upper in [mid, cut], mid their midpoint and cut = max(4
-    frequency_scale, 2 x the upper pole)."""
-    p_lo, p_hi = sorted((abs(omega_minus), omega_plus))
-    mid = 0.5 * (p_lo + p_hi)
-    cut = max(4.0 * frequency_scale(model.electric_terms), 2.0 * p_hi)
-    return (p_lo, 0.0, mid), (p_hi, mid, cut)
+def pole_windows(terms, poles) -> tuple:
+    """The principal-value windows (pole, a, b) of a dispersion integral with
+    a pole at each |p| of poles, ascending: [0, mid], ..., [mid', cut], the
+    mids between poles and cut = max(band_edge, 2 x the top pole). Raises
+    ValueError for a pole within 1e-12 of its window's width of an end of
+    its window, as quadrature.principal_value requires."""
+    poles = sorted(abs(p) for p in poles)
+    ends = [0.0] + [0.5 * (lo + hi) for lo, hi in zip(poles, poles[1:])]
+    ends.append(max(band_edge(terms), 2.0 * poles[-1]))
+    for pole, a, b in zip(poles, ends, ends[1:]):
+        if min(pole - a, b - pole) <= 1e-12 * (b - a):
+            raise ValueError(f"pole {pole:g} lies within 1e-12 of an end of its "
+                             f"principal-value window [{a:g}, {b:g}]")
+    return tuple(zip(poles, ends, ends[1:]))
+
+
+def _check_pole_bound(poles, name: str, overflow: str) -> None:
+    """The poles are finite and within MAX_POLE_FREQUENCY, or ValueError."""
+    if not all(math.isfinite(p) for p in poles):
+        raise ValueError(f"{name} must be finite")
+    if max(abs(p) for p in poles) > MAX_POLE_FREQUENCY:
+        raise ValueError(f"{overflow} must be <= {MAX_POLE_FREQUENCY:.6g}")
+
+
+def check_kk_frequency(terms, omega: float) -> None:
+    """Raise ValueError for a reconstruction frequency <= 0, then by the
+    pole rule of check_identity. Each rule rejects one end of a log axis,
+    so validate checks its ends, and the bound's message names no row."""
+    if not omega > 0.0:
+        raise ValueError("reconstruction frequency must be > 0")
+    _check_pole_bound((omega,), "reconstruction frequency", "reconstruction "
+                      "frequency overflows the dispersion integrand: omega")
+    pole_windows(terms, (omega,))
 
 
 def check_identity(model: SusceptibilityModel, omega_minus: float,
@@ -397,15 +414,10 @@ def check_identity(model: SusceptibilityModel, omega_minus: float,
     order: pole frequencies that are not finite, overflow its integrand
     (beyond MAX_POLE_FREQUENCY) or are degenerate, omega_minus^2 =
     omega_plus^2 to 1e-9 relative; a shift beyond max_identity_shift;
-    omega_plus <= 0, or a pole within 1e-12 of its window's width of an end
-    of its principal-value window (pole_windows), as
-    quadrature.principal_value requires."""
-    if not (math.isfinite(omega_minus) and math.isfinite(omega_plus)):
-        raise ValueError("pole frequencies must be finite")
-    if max(abs(omega_minus), abs(omega_plus)) > MAX_POLE_FREQUENCY:
-        raise ValueError(f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
-                         f"overflow the two-pole integrand: |omega| must be "
-                         f"<= {MAX_POLE_FREQUENCY:.6g}")
+    omega_plus <= 0, or a pole too near an end of its window (pole_windows)."""
+    _check_pole_bound((omega_minus, omega_plus), "pole frequencies",
+                      f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
+                      f"overflow the two-pole integrand: |omega|")
     dm2 = omega_minus * omega_minus - omega_plus * omega_plus
     if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
                               omega_plus * omega_plus, 1.0):
@@ -415,17 +427,28 @@ def check_identity(model: SusceptibilityModel, omega_minus: float,
                          f"poles ({omega_minus:g}, {omega_plus:g})")
     if not omega_plus > 0.0:
         raise ValueError(f"omega_plus must be > 0, got {omega_plus:g}")
-    for pole, a, b in pole_windows(model, omega_minus, omega_plus):
-        if min(pole - a, b - pole) <= 1e-12 * (b - a):
-            raise ValueError(f"pole {pole:g} lies within 1e-12 of an end of its "
-                             f"principal-value window [{a:g}, {b:g}]")
+    pole_windows(model.electric_terms, (omega_minus, omega_plus))
 
 
-def check_not_comoving(beta: float, kx: float, omega: float) -> None:
-    """Raise ValueError at the comoving resonance omega = V kx, where the
-    dissipation identity's prefactor gamma (omega - V kx) vanishes."""
+# The wave operator and the bath of the dissipation identity form products
+# of two of kx, ky, kz and omega with a susceptibility entry, up to gamma^2
+# chi: keeping (2^20 |k|)^2 below float max / 64 leaves a factor 2^40 for
+# that entry.
+MAX_WAVENUMBER = (sys.float_info.max / 64.0) ** 0.5 / 2.0 ** 20
+
+
+def check_dissipation(beta: float, kx: float, ky: float, kz: float,
+                      omega: float) -> None:
+    """Raise ValueError, in order, at the comoving resonance omega = V kx,
+    where the dissipation identity's prefactor gamma (omega - V kx)
+    vanishes, and for a k-point with |kx|, |ky|, |kz| or |omega| beyond
+    MAX_WAVENUMBER, whose wave operator overflows."""
     if omega - beta * kx == 0.0:
         raise ValueError("comoving resonance: omega - V kx must be nonzero")
+    if not max(abs(kx), abs(ky), abs(kz), abs(omega)) <= MAX_WAVENUMBER:
+        raise ValueError(f"k-point ({kx:g}, {ky:g}, {kz:g}, {omega:g}) overflows "
+                         f"the wave operator: |kx|, |ky|, |kz| and |omega| "
+                         f"must be <= {MAX_WAVENUMBER:.6g}")
 
 
 def model_to_dict(model: SusceptibilityModel) -> dict:

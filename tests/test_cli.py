@@ -187,7 +187,7 @@ ROW_PREDICATES = {
     ("fresnel", None): ("check_reflection",),
     ("kk-check", "omega"): ("check_kk_frequency",),
     ("identity-check", None): ("check_identity",),
-    ("dissipation-check", None): ("check_not_comoving",),
+    ("dissipation-check", None): ("check_dissipation",),
     ("reciprocity-check", None): ("check_reciprocity",),
 }
 
@@ -255,6 +255,18 @@ LOG_KX_MIDDLE = ("sweep_kx.json",
                   "sweep_axis": {"name": "kx", "min": 0.1, "max": 0.9, "count": 3,
                                  "spacing": "log"}},
                  "mode lies on the light cone (xi = 0)")
+
+KK_LOW_POLE = ("kk_check.json",
+               {"sweep_axis": {"name": "omega", "min": 1e-13, "max": 3.0,
+                               "count": 5, "spacing": "log"}},
+               "pole 1e-13 lies within 1e-12 of an end of its principal-value "
+               "window [0, 4]")
+
+# A wave operator that overflows: ky = 1e200.
+DISSIPATION_OVERFLOW = (
+    "dissipation_check.json", {"points": [[0.8, 1e200, 0.5, 1.1]]},
+    "k-point (0.8, 1e+200, 0.5, 1.1) overflows the wave operator: |kx|, |ky|, "
+    "|kz| and |omega| must be <= 1.59834e+147")
 
 # Bundled scenarios of the other kinds, changed (by update) to an input that
 # the computation rejects, with the message it rejects it with.
@@ -324,6 +336,20 @@ KIND_REJECTS = [
         "electric_terms": [{"plasma_strength": 0.0, "resonance": 1.0, "damping": 0.1}],
         "magnetic_terms": [{"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}]}},
      "model_file: kk-check needs an electric term with plasma_strength > 0"),
+    # the identity's pole rule: the first row of a log axis, 1e-13, inside
+    # 1e-12 of the end 0 of its principal-value window
+    KK_LOW_POLE,
+    # its last rows beyond MAX_POLE_FREQUENCY: validate checks the ends, run
+    # meets 1e100 first, so the message names no frequency
+    ("kk_check.json", {"sweep_axis": {"name": "omega", "min": 0.3, "max": 1e200,
+                                      "count": 5, "spacing": "log"}},
+     "reconstruction frequency overflows the dispersion integrand: omega must "
+     "be <= 3.90422e+70"),
+    DISSIPATION_OVERFLOW,
+    ("dissipation_check.json", {"points": [[0.8, 0.3, 0.5, 1.1],
+                                           [0.8, 0.3, 0.5, 1e155]]},
+     "k-point (0.8, 0.3, 0.5, 1e+155) overflows the wave operator: |kx|, |ky|, "
+     "|kz| and |omega| must be <= 1.59834e+147"),
 ]
 
 
@@ -503,7 +529,7 @@ def test_provenance_has_quad_only_for_kinds_that_take_it(monkeypatch,
                                                          scenarios_dir):
     """A record's provenance holds the quadrature settings its computation
     was handed, and none for a kind that takes no quad (fresnel, a kx
-    sweep)."""
+    sweep, dissipation-check)."""
     monkeypatch.setattr(cli, "_run_rows", lambda *args: ([], [], {}))
     without = set()
     for path in sorted(scenarios_dir.glob("*.json")):
@@ -516,7 +542,7 @@ def test_provenance_has_quad_only_for_kinds_that_take_it(monkeypatch,
         else:
             assert "quad" not in provenance, path.name
             without.add(path.name)
-    assert without == {"fresnel.json", "sweep_kx.json"}
+    assert without == {"dissipation_check.json", "fresnel.json", "sweep_kx.json"}
 
 
 def accepted_keys(kind, axis):
@@ -530,9 +556,8 @@ def accepted_keys(kind, axis):
 
 
 # Each kind's keys besides kind: frame, quad and model_file only where its
-# computation is handed them. The beta axis keeps frame, as the three rate
-# axes share one rule set, and dissipation-check keeps quad, which
-# green_dissipation_identity takes.
+# computation reads them. The beta axis keeps frame, as the three rate
+# axes share one rule set.
 ACCEPTED_KEYS = {
     ("rate-free", None): {"frame", "quad", "detector"},
     ("rate-surface", None): {"model_file", "frame", "quad", "detector"},
@@ -543,7 +568,7 @@ ACCEPTED_KEYS = {
     ("fresnel", None): {"model_file", "frame", "kx", "ky", "omega"},
     ("kk-check", "omega"): {"model_file", "quad", "sweep_axis"},
     ("identity-check", None): {"model_file", "quad", "pairs", "shift"},
-    ("dissipation-check", None): {"model_file", "frame", "quad", "points"},
+    ("dissipation-check", None): {"model_file", "frame", "points"},
     ("reciprocity-check", None): {"model_file", "frame", "quad", "kx", "omega",
                                   "point_a", "point_b"},
 }
@@ -765,6 +790,8 @@ FIELD_MESSAGES = [
      "detector: kappa components must be finite"),
     ("finite_time.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "z0": 1.0}},
      "detector.omega: required"),
+    # the dissipation identity is algebraic and reads no quad
+    ("dissipation_check.json", {"quad": {}}, "quad: unknown field"),
 ]
 
 
@@ -908,7 +935,6 @@ def test_run_fresnel_and_check_kinds(tmp_path):
             "model_file": "bundled:lorentz_dielectric",
             "frame": {"beta": 0.3},
             "points": [[0.8, 0.3, 0.5, 1.1]],
-            "quad": {},
         },
         "reciprocity": {
             "kind": "reciprocity-check",

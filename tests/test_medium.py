@@ -1,6 +1,7 @@
 """Rest-frame response models and dispersion-relation checks."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vacdrag.medium import (
     verify_identity_1,
 )
 from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
+from vacdrag.specs import MAX_POLE_FREQUENCY, band_edge
 
 LORENTZ = SusceptibilityModel(
     electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
@@ -153,6 +155,42 @@ def test_kk_log_grid_spot_checks():
             assert abs(rec - exact) <= 1e-5 * abs(exact)
 
 
+def test_kk_far_pole_samples_the_absorption_band():
+    """At omega = 1e5 the plain piece [0, omega / 2] holds the whole
+    absorption band near its left end, where the first Kronrod panel puts no
+    node: cut at the band edge, the reconstruction of both bundled models is
+    right to abs_tol."""
+    for name in ("drude_metal", "lorentz_dielectric"):
+        model = load_model(f"bundled:{name}")
+        rec = kk_reconstruct(model, "electric", 1e5, QUAD)
+        exact = chi(model, "electric", 1e5)
+        assert abs(rec - exact) <= 3.0 * QUAD.abs_tol, name
+
+
+@pytest.mark.parametrize("omega, message", [
+    (1e-13, r"pole 1e-13 lies within 1e-12 of an end of its principal-value "
+            r"window \[0, 4\]"),
+    (1e200, "reconstruction frequency overflows the dispersion integrand"),
+    (float("inf"), "reconstruction frequency must be finite"),
+    (0.0, "reconstruction frequency must be > 0")])
+def test_kk_shares_the_identity_pole_rule(omega, message):
+    with pytest.raises(ValueError, match=message):
+        kk_reconstruct(DRUDE, "electric", omega, QUAD)
+
+
+def test_kk_runs_at_both_ends_of_its_pole_rule():
+    """The smallest frequency the window rule admits and MAX_POLE_FREQUENCY
+    both reconstruct to tolerance, so a log axis whose ends validate runs."""
+    for model in (LORENTZ, DRUDE):
+        low = math.nextafter(1e-12 * band_edge(model.electric_terms), math.inf)
+        for omega in (low, MAX_POLE_FREQUENCY):
+            rec = kk_reconstruct(model, "electric", omega, QUAD)
+            exact = chi(model, "electric", omega)
+            assert abs(rec - exact) <= max(1e-7 * abs(exact), QUAD.abs_tol)
+        with pytest.raises(ValueError, match="principal-value window"):
+            kk_reconstruct(model, "electric", math.nextafter(low, 0.0), QUAD)
+
+
 def test_kk_nonconvergence_reports_residual():
     starved = QuadratureSpec(max_subdivisions=1)
     with pytest.raises(NonConvergenceError) as err:
@@ -207,6 +245,9 @@ def test_each_integrand_is_one_adaptive_loop(monkeypatch):
     monkeypatch.setattr(vacdrag.quadrature, "_adapt", spy)
     kk_reconstruct(LORENTZ, "electric", 0.5, QUAD)
     assert members == [5]       # fold, two plain sides, head, tail
+    members.clear()
+    kk_reconstruct(LORENTZ, "electric", 1e5, QUAD)
+    assert members == [6]       # and [0, omega / 2] cut at the band edge
     members.clear()
     verify_identity_1(LORENTZ, 0.7, 1.3, QUAD)
     assert members == [8]

@@ -18,9 +18,10 @@ where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
 count of `convolution_panels`, the key document of `cli._cache_key`, the
 unknown-key check of `cli.scenario_from_dict` and its key set, the
-finiteness check of `LorentzOscillator.__post_init__` and the unknown-key
-check of `model_from_dict`), an edit of its source compiled again in its
-module. A
+finiteness check of `LorentzOscillator.__post_init__`, the unknown-key
+check of `model_from_dict`, the window rule of `check_kk_frequency`, the
+band cut of `medium._dispersion` and the bound of `check_dissipation`), an
+edit of its source compiled again in its module. A
 dotted name (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -277,6 +278,17 @@ MUTATIONS = [
     ("quadrature", "_integrate_pieces",
      rewritten("tail_without_jacobian", "y[..., tail] /= x[tail] ** 2", "pass"),
      {"quadrature", "medium"}, test_medium.test_kk_below_resonance),
+    ("specs", "check_kk_frequency",
+     rewritten("kk_pole_windows_unchecked", "pole_windows(terms, (omega,))", "pass"),
+     {"specs", "cli", "medium"}, kind_rejects(test_cli.KK_LOW_POLE)),
+    ("medium", "_dispersion",
+     rewritten("band_edge_uncut", "kind == _PLAIN and lo < edge < hi", "False"),
+     {"medium"}, test_medium.test_kk_far_pole_samples_the_absorption_band),
+    ("specs", "check_dissipation",
+     rewritten("dissipation_point_unbounded",
+               "max(abs(kx), abs(ky), abs(kz), abs(omega)) <= MAX_WAVENUMBER",
+               "True"),
+     {"specs", "cli", "greens"}, kind_rejects(test_cli.DISSIPATION_OVERFLOW)),
     ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
      kind_rejects(next(row for row in test_cli.KIND_REJECTS
                        if row[0] == "dissipation_check.json"))),
