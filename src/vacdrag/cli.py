@@ -312,7 +312,10 @@ def _fresnel(inputs, row):
 
 
 def _kk(inputs, row):
+    """chi at the row's frequency, once kk_reconstruct's predicate holds
+    there; then the reconstruction, which may not converge."""
     model = inputs["model_file"]
+    check_kk_frequency(model.electric_terms, row["omega"])
     exact = _pkg.medium.chi(model, "electric", row["omega"])
     row.update(re_chi=exact.real, im_chi=exact.imag)
     rec = _pkg.medium.kk_reconstruct(model, "electric", row["omega"], inputs["quad"])

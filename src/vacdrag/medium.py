@@ -9,9 +9,9 @@ is analytic in the upper half plane and obeys chi(-omega) = conj(chi(omega))
 on the real axis, so the Kramers-Kronig reconstruction and the two-pole
 frequency-integral identity verified here have exact closed-form references.
 Setting a term's resonance to zero gives the free-carrier (Drude) limit.
-The sum is written once, as specs.lorentz_chi, which chi and the one
-dispersion integral (_dispersion, one pole or two) call. The model
-dataclasses and their loaders are defined in specs and re-exported here.
+The sum is written once, as lorentz_chi, which chi and the one dispersion
+integral (_dispersion, one pole or two) call. The model dataclasses and
+their loaders are defined in specs and re-exported here.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .quadrature import (_PLAIN, _integrate_pieces, _pv_pieces,
                          _semi_infinite_pieces)
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
                     SusceptibilityModel, band_edge, check_identity,
-                    check_kk_frequency, load_model, lorentz_chi,
-                    model_from_dict, model_to_dict, pole_windows)
+                    check_kk_frequency, load_model, model_from_dict,
+                    model_to_dict, pole_windows)
 
 __all__ = [
     "IdentityReport",
@@ -58,10 +58,21 @@ def _terms(model: SusceptibilityModel, kind: str):
     return model.electric_terms if kind == "electric" else model.magnetic_terms
 
 
+def lorentz_chi(terms, omega):
+    """The sum of the Lorentz terms at omega, a number (in Python complex
+    arithmetic) or an ndarray (elementwise; +0 zeros shaped like it for no
+    terms). Unchecked: callers reject a free-carrier term at omega = 0."""
+    total = 0j
+    for t in terms:
+        total += t.plasma_strength / (t.resonance ** 2 - omega * omega
+                                      - 1j * t.damping * omega)
+    return total if terms else 0.0 * omega + 0j
+
+
 def chi(model: SusceptibilityModel, kind: str, omega):
     """Susceptibility at a real or upper-half-plane frequency, a number (in
     Python complex arithmetic, so chi(-w) == conj(chi(w)) bit-for-bit) or an
-    ndarray (elementwise): one sequence of checks, then specs.lorentz_chi."""
+    ndarray (elementwise): one sequence of checks, then lorentz_chi."""
     terms = _terms(model, kind)
     if np.isscalar(omega):
         omega = complex(omega)

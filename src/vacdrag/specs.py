@@ -11,8 +11,9 @@ names from here, and the old paths (`vacdrag.quadrature.QuadratureSpec`,
 Each computation that can reject its inputs first calls the one `check_*`
 predicate here that is written for it, and the scenario validator calls the
 same predicate on every row, so validation rejects exactly what a run
-rejects, with the same message. The two dispersion integrals share one
-pole rule: finite, within MAX_POLE_FREQUENCY, inside its pole_windows window.
+rejects, with the same message. One range rule, check_scale, bounds every
+dimensionful input where it enters: the detector's and the quadrature's
+numbers in their constructors, each row's in its predicate.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ __all__ = [
     "DetectorSpec",
     "LorentzOscillator",
     "MAX_CONVOLUTION_PANELS",
-    "MAX_POLE_FREQUENCY",
-    "MAX_WAVENUMBER",
     "MotionFrame",
     "NonConvergenceError",
     "QuadratureSpec",
+    "SCALE",
     "SusceptibilityModel",
     "check_dissipation",
     "check_identity",
@@ -41,11 +41,11 @@ __all__ = [
     "check_reciprocity",
     "check_reflected_green",
     "check_reflection",
+    "check_scale",
     "convolution_panels",
     "is_finite",
     "load_model",
     "lorentz_gamma",
-    "max_identity_shift",
     "model_from_dict",
     "model_to_dict",
 ]
@@ -84,6 +84,32 @@ def _set_state(self, state: dict) -> None:
     _keep_hash(self)
 
 
+# Every dimensionful input (c = hbar = 1) is 0 or within [1/SCALE, SCALE] in
+# magnitude, so the products the code forms stay within the normal floats,
+# 2^-1022 to 2^1024. A dispersion integrand reaches w = 2^20 times its top
+# pole in its 1/u tail and forms w^4 / prod (w^2 - p^2) and a shift times
+# w Im chi: at most about 2^480, and 2^-400 from squared poles at the low
+# end. The wave operator and the bath form two wavenumbers times gamma^2
+# chi, gamma^2 <= 2^53 for any float |beta| < 1; the rate's folds form
+# kappa^2 kpar^4 / omega^2, ky_cut = 25 / z0 <= 2^105: about 2^820 at most.
+# Near a Doppler zero, omega - beta kx of in-range omega != 0 and kx is 0,
+# rejected where chi is singular, or at least about 2^-153, so a Drude chi
+# ~ s / (gamma damping (omega - beta kx)) stays below about 2^260 for
+# order-one model terms.
+SCALE = 2.0 ** 100
+_RANGE = f"[{1.0 / SCALE:.6g}, {SCALE:.6g}]"
+
+
+def check_scale(name: str, *values) -> None:
+    """Raise ValueError unless every value is 0 or within [1/SCALE, SCALE]
+    in magnitude; NaN, +-inf and ints beyond float range fail too. The
+    message names name.format(*values), formatted only then."""
+    for value in values:
+        if not (value == 0.0 or 1.0 / SCALE <= abs(value) <= SCALE):
+            raise ValueError(f"{name.format(*values)} must be finite, of "
+                             f"magnitude 0 or within {_RANGE}")
+
+
 class NonConvergenceError(RuntimeError):
     """Raised when an operation cannot meet its tolerance; carries the
     residual error estimate that was achieved."""
@@ -117,16 +143,17 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be > 0")
         if not math.isfinite(self.rel_tol):
             raise ValueError("rel_tol must be finite")
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be > 0")
+        if not self.abs_tol >= sys.float_info.min:
+            raise ValueError(f"abs_tol must be >= {sys.float_info.min:.6g}, the "
+                             "smallest normal float")
         if not math.isfinite(self.abs_tol):
             raise ValueError("abs_tol must be finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.k_max is not None and not self.k_max > 0.0:
-            raise ValueError("k_max must be > 0 when set")
-        if self.k_max is not None and not math.isfinite(self.k_max):
-            raise ValueError("k_max must be finite when set")
+        if self.k_max is not None:
+            if not self.k_max > 0.0:
+                raise ValueError("k_max must be > 0 when set")
+            check_scale("k_max", self.k_max)
         _keep_hash(self)
 
 
@@ -169,8 +196,7 @@ class DetectorSpec:
             raise ValueError("kappa must have three components")
         if not all(_is_real(c) for c in kappa):
             raise ValueError("kappa components must be real numbers")
-        if not all(is_finite(c) for c in kappa):
-            raise ValueError("kappa components must be finite")
+        check_scale("kappa components", *kappa)
         kappa = tuple(float(c) for c in kappa)
         object.__setattr__(self, "kappa", kappa)
         for name in ("omega", "z0"):
@@ -179,8 +205,7 @@ class DetectorSpec:
                 continue
             if not _is_real(value):
                 raise ValueError(f"{name} must be a real number")
-            if not is_finite(value):
-                raise ValueError(f"{name} must be a finite number")
+            check_scale(name, value)
             object.__setattr__(self, name, float(value))
         if not self.omega > 0.0:
             raise ValueError("omega must be > 0")
@@ -242,9 +267,10 @@ def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
 
     In order: beta = 0 gives the exact zero before any check; then z0 is
     required, k_max must be set and must exceed omega / |beta|, and for the
-    finite-time window 1.8 omega / |beta|. A model with no terms gives the
-    exact zero after these checks for the rate, before them for the
-    finite-time probability.
+    finite-time window [0.2 omega, 1.8 omega] 1.8 omega / |beta|, which
+    keeps the window's top in range; then its bottom must be in range. A
+    model with no terms gives the exact zero after these checks for the
+    rate, before them for the finite-time probability.
     """
     empty = not model.electric_terms and not model.magnetic_terms
     if frame.beta == 0.0 or (finite_time and empty):
@@ -258,6 +284,10 @@ def check_rate_inputs(det: DetectorSpec, frame: MotionFrame,
     if finite_time and quad.k_max <= 1.8 * det.omega / abs(frame.beta):
         raise ValueError("quad.k_max must exceed 1.8 omega / |beta| for the "
                          "finite-time window")
+    if finite_time and det.omega < 5.0 / SCALE:
+        raise ValueError(f"omega must be >= {5.0 / SCALE:.6g}, so that the "
+                         f"finite-time window [0.2 omega, 1.8 omega] lies within "
+                         f"{_RANGE}")
     return empty
 
 
@@ -283,35 +313,38 @@ def convolution_panels(T: float, omega: float) -> int:
     return 1 << (math.ceil(cycles / _CYCLES_PER_PANEL) - 1).bit_length()
 
 
-def _free_carrier(model: SusceptibilityModel) -> bool:
-    """Whether the model has a free-carrier term, singular at zero frequency."""
-    return any(t.resonance == 0.0 for t in model.electric_terms + model.magnetic_terms)
+def _free_carrier(terms) -> bool:
+    """Whether a term is a free-carrier one, singular at zero frequency."""
+    return any(t.resonance == 0.0 for t in terms)
 
 
 def check_reflection(model: SusceptibilityModel, beta: float, kx: float,
                      ky: float, omega: float) -> None:
-    """Raise ValueError for a lab-frame mode whose reflection amplitudes are
-    undefined: normal incidence, which has no transverse basis; a mode on
-    the light cone, kx^2 + ky^2 = omega^2 to 1e-12 relative (xi = 0); or,
-    for a model with a free-carrier term, a Doppler frequency gamma (omega -
-    beta kx) of zero, formed as kinematics.doppler forms it, where that
-    term's chi is singular."""
+    """Raise ValueError for a lab-frame mode out of range (check_scale) or
+    whose reflection amplitudes are undefined: normal incidence, which has
+    no transverse basis; a mode on the light cone, kx^2 + ky^2 = omega^2 to
+    1e-12 relative (xi = 0); or, for a model with a free-carrier term, a
+    Doppler frequency gamma (omega - beta kx) of zero, formed as
+    kinematics.doppler forms it, where that term's chi is singular."""
+    check_scale("kx, ky and omega", kx, ky, omega)
     kpar2 = kx * kx + ky * ky
     if kpar2 == 0.0:
         raise ValueError("normal incidence has no transverse basis")
     if abs(kpar2 - omega * omega) <= 1e-12 * max(kpar2, omega * omega):
         raise ValueError("mode lies on the light cone (xi = 0)")
-    if omega - beta * kx == 0.0 and _free_carrier(model):
+    if omega - beta * kx == 0.0 and _free_carrier(model.electric_terms
+                                                  + model.magnetic_terms):
         raise ValueError("free-carrier term is singular at zero frequency")
 
 
 def check_reflected_green(kx: float, omega: float, k_max: float | None) -> None:
-    """Raise ValueError for a reflected-Green mode that cannot be
-    integrated: omega = 0, where the p dyad's 1 / omega^2 diverges; a
-    grazing mode, kx^2 = omega^2 to 1e-12 relative, where the light circle
-    shrinks to ky = 0 and the reflected ky integral is not integrable; or a
-    ky cut k_max at or inside the light circle ky^2 = omega^2 - kx^2, whose
-    segments it would cut off."""
+    """Raise ValueError for a reflected-Green mode out of range
+    (check_scale) or that cannot be integrated: omega = 0, where the p
+    dyad's 1 / omega^2 diverges; a grazing mode, kx^2 = omega^2 to 1e-12
+    relative, where the light circle shrinks to ky = 0 and the reflected ky
+    integral is not integrable; or a ky cut k_max at or inside the light
+    circle ky^2 = omega^2 - kx^2, whose segments it would cut off."""
+    check_scale("kx and omega", kx, omega)
     if omega == 0.0:
         raise ValueError("omega must be nonzero: the reflected p dyad divides "
                          "by omega^2")
@@ -328,43 +361,9 @@ def check_reciprocity(model: SusceptibilityModel, beta: float, kx: float,
     zero Doppler frequency of any of the three Green functions: omega - beta
     kx at (kx, beta) and (-kx, -beta), omega + beta kx at (-kx, beta)."""
     check_reflected_green(kx, omega, k_max)
-    if 0.0 in (omega - beta * kx, omega + beta * kx) and _free_carrier(model):
+    if 0.0 in (omega - beta * kx, omega + beta * kx) and \
+            _free_carrier(model.electric_terms + model.magnetic_terms):
         raise ValueError("free-carrier term is singular at zero frequency")
-
-
-# A dispersion integrand forms up to w^4 (two poles), at abscissae w up to
-# about 2^20 times the top pole (its tail maps w = 1/u onto small u):
-# keeping (2^20 |omega|)^4 below float max / 64 keeps every product finite.
-MAX_POLE_FREQUENCY = (sys.float_info.max / 64.0) ** 0.25 / 2.0 ** 20
-
-
-def lorentz_chi(terms, omega):
-    """The sum of the Lorentz terms at omega, a number (in Python complex
-    arithmetic) or an ndarray (elementwise; +0 zeros shaped like it for no
-    terms). Unchecked: callers reject a free-carrier term at omega = 0."""
-    total = 0j
-    for t in terms:
-        total += t.plasma_strength / (t.resonance ** 2 - omega * omega
-                                      - 1j * t.damping * omega)
-    return total if terms else 0.0 * omega + 0j
-
-
-_SHIFT_HEADROOM = sys.float_info.max / 64.0
-
-
-def max_identity_shift(model: SusceptibilityModel, omega_minus: float,
-                       omega_plus: float) -> float:
-    """The largest numerator shift |a| the two-pole identity takes at these
-    poles. Each side is linear in a, whose coefficient is at most 2
-    (|chi(om)| + |chi(op)|) / |om^2 - op^2|; keeping |a| (|chi(om)| +
-    |chi(op)|) / min(|om^2 - op^2|, 1) below float max / 64 keeps every
-    shifted term finite; a free-carrier pole at zero raises ValueError."""
-    terms = model.electric_terms
-    if 0.0 in (omega_minus, omega_plus) and any(t.resonance == 0.0 for t in terms):
-        raise ValueError("free-carrier term is singular at zero frequency")
-    size = abs(lorentz_chi(terms, omega_minus)) + abs(lorentz_chi(terms, omega_plus))
-    gap = abs(omega_minus * omega_minus - omega_plus * omega_plus)
-    return _SHIFT_HEADROOM * min(gap, 1.0) / size if size else math.inf
 
 
 def band_edge(terms) -> float:
@@ -389,66 +388,46 @@ def pole_windows(terms, poles) -> tuple:
     return tuple(zip(poles, ends, ends[1:]))
 
 
-def _check_pole_bound(poles, name: str, overflow: str) -> None:
-    """The poles are finite and within MAX_POLE_FREQUENCY, or ValueError."""
-    if not all(math.isfinite(p) for p in poles):
-        raise ValueError(f"{name} must be finite")
-    if max(abs(p) for p in poles) > MAX_POLE_FREQUENCY:
-        raise ValueError(f"{overflow} must be <= {MAX_POLE_FREQUENCY:.6g}")
-
-
 def check_kk_frequency(terms, omega: float) -> None:
-    """Raise ValueError for a reconstruction frequency <= 0, then by the
-    pole rule of check_identity. Each rule rejects one end of a log axis,
-    so validate checks its ends, and the bound's message names no row."""
+    """Raise ValueError for a reconstruction frequency <= 0, out of range
+    (check_scale) or too near an end of its window (pole_windows). Each rule
+    rejects one end of a log axis, so validate checks its ends, and the
+    range message names no row."""
     if not omega > 0.0:
         raise ValueError("reconstruction frequency must be > 0")
-    _check_pole_bound((omega,), "reconstruction frequency", "reconstruction "
-                      "frequency overflows the dispersion integrand: omega")
+    check_scale("reconstruction frequency", omega)
     pole_windows(terms, (omega,))
 
 
 def check_identity(model: SusceptibilityModel, omega_minus: float,
                    omega_plus: float, shift: float) -> None:
     """Raise ValueError for inputs the two-pole identity cannot take, in
-    order: pole frequencies that are not finite, overflow its integrand
-    (beyond MAX_POLE_FREQUENCY) or are degenerate, omega_minus^2 =
-    omega_plus^2 to 1e-9 relative; a shift beyond max_identity_shift;
-    omega_plus <= 0, or a pole too near an end of its window (pole_windows)."""
-    _check_pole_bound((omega_minus, omega_plus), "pole frequencies",
-                      f"pole frequencies ({omega_minus:g}, {omega_plus:g}) "
-                      f"overflow the two-pole integrand: |omega|")
+    order: pole frequencies out of range (check_scale) or degenerate,
+    omega_minus^2 = omega_plus^2 to 1e-9 relative; a pole at 0 with a
+    free-carrier term; a shift out of range; omega_plus <= 0, or a pole too
+    near an end of its window (pole_windows)."""
+    check_scale("pole frequencies ({:g}, {:g})", omega_minus, omega_plus)
     dm2 = omega_minus * omega_minus - omega_plus * omega_plus
     if abs(dm2) <= 1e-9 * max(omega_minus * omega_minus,
                               omega_plus * omega_plus, 1.0):
         raise ValueError("pole frequencies are degenerate")
-    if abs(shift) > max_identity_shift(model, omega_minus, omega_plus):
-        raise ValueError(f"shift {shift:g} overflows the two-pole identity at "
-                         f"poles ({omega_minus:g}, {omega_plus:g})")
+    if 0.0 in (omega_minus, omega_plus) and _free_carrier(model.electric_terms):
+        raise ValueError("free-carrier term is singular at zero frequency")
+    check_scale("shift {:g}", shift)
     if not omega_plus > 0.0:
         raise ValueError(f"omega_plus must be > 0, got {omega_plus:g}")
     pole_windows(model.electric_terms, (omega_minus, omega_plus))
-
-
-# The wave operator and the bath of the dissipation identity form products
-# of two of kx, ky, kz and omega with a susceptibility entry, up to gamma^2
-# chi: keeping (2^20 |k|)^2 below float max / 64 leaves a factor 2^40 for
-# that entry.
-MAX_WAVENUMBER = (sys.float_info.max / 64.0) ** 0.5 / 2.0 ** 20
 
 
 def check_dissipation(beta: float, kx: float, ky: float, kz: float,
                       omega: float) -> None:
     """Raise ValueError, in order, at the comoving resonance omega = V kx,
     where the dissipation identity's prefactor gamma (omega - V kx)
-    vanishes, and for a k-point with |kx|, |ky|, |kz| or |omega| beyond
-    MAX_WAVENUMBER, whose wave operator overflows."""
+    vanishes, and for a k-point out of range (check_scale)."""
     if omega - beta * kx == 0.0:
         raise ValueError("comoving resonance: omega - V kx must be nonzero")
-    if not max(abs(kx), abs(ky), abs(kz), abs(omega)) <= MAX_WAVENUMBER:
-        raise ValueError(f"k-point ({kx:g}, {ky:g}, {kz:g}, {omega:g}) overflows "
-                         f"the wave operator: |kx|, |ky|, |kz| and |omega| "
-                         f"must be <= {MAX_WAVENUMBER:.6g}")
+    check_scale("k-point ({:g}, {:g}, {:g}, {:g}): kx, ky, kz and omega",
+                kx, ky, kz, omega)
 
 
 def model_to_dict(model: SusceptibilityModel) -> dict:

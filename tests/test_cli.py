@@ -25,9 +25,8 @@ from vacdrag.cli import (
     run_scenario,
     scenario_from_dict,
 )
-from vacdrag.specs import (MAX_POLE_FREQUENCY, DetectorSpec, LorentzOscillator,
-                           MotionFrame, QuadratureSpec, load_model,
-                           max_identity_shift)
+from vacdrag.specs import (SCALE, DetectorSpec, LorentzOscillator, MotionFrame,
+                           QuadratureSpec, check_scale, load_model)
 
 BASE_RATE = {
     "kind": "rate-surface",
@@ -262,11 +261,26 @@ KK_LOW_POLE = ("kk_check.json",
                "pole 1e-13 lies within 1e-12 of an end of its principal-value "
                "window [0, 4]")
 
-# A wave operator that overflows: ky = 1e200.
+# The input range of every dimensionful number, as its messages state it.
+RANGE = "finite, of magnitude 0 or within [7.88861e-31, 1.26765e+30]"
+
+# A k-point out of range: ky = 1e200.
 DISSIPATION_OVERFLOW = (
     "dissipation_check.json", {"points": [[0.8, 1e200, 0.5, 1.1]]},
-    "k-point (0.8, 1e+200, 0.5, 1.1) overflows the wave operator: |kx|, |ky|, "
-    "|kz| and |omega| must be <= 1.59834e+147")
+    f"k-point (0.8, 1e+200, 0.5, 1.1): kx, ky, kz and omega must be {RANGE}")
+
+# The rate kinds' numbers enter through the detector and the quadrature:
+# omega = 1e-300, whose square the p coefficients divide by, underflows.
+RATE_OMEGA_TINY = ("rate_surface.json",
+                   {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 1e-300,
+                                 "z0": 1.0}},
+                   f"detector: omega must be {RANGE}")
+
+# kappa^2 overflows the rate's folds.
+RATE_KAPPA_HUGE = ("rate_surface.json",
+                   {"detector": {"kappa": [1e155, 0.3, 1.1], "omega": 0.1,
+                                 "z0": 1.0}},
+                   f"detector: kappa components must be {RANGE}")
 
 # Bundled scenarios of the other kinds, changed (by update) to an input that
 # the computation rejects, with the message it rejects it with.
@@ -292,15 +306,12 @@ KIND_REJECTS = [
     LOG_KX_MIDDLE,
     ("reciprocity_check.json", {"omega": 0.0},
      "omega must be nonzero: the reflected p dyad divides by omega^2"),
-    ("identity_check.json", {"shift": 1e308},
-     "shift 1e+308 overflows the two-pole identity at poles (0.7, 1.3)"),
+    ("identity_check.json", {"shift": 1e308}, f"shift 1e+308 must be {RANGE}"),
     ("identity_check.json", {"model_file": "bundled:drude_metal",
                              "pairs": [[0.7, 1.3], [0.0, 1.3]]},
      "free-carrier term is singular at zero frequency"),
-    # w^3 overflows the integrand before the poles' squares do
     ("identity_check.json", {"pairs": [[1e200, 2e200]]},
-     "pole frequencies (1e+200, 2e+200) overflow the two-pole integrand: "
-     "|omega| must be <= 3.90422e+70"),
+     f"pole frequencies (1e+200, 2e+200) must be {RANGE}"),
     # the principal-value windows [0, mid] and [mid, cut] of the two poles
     ("identity_check.json", {"pairs": [[0.7, 1.3], [0.7, 1e13]]},
      "pole 0.7 lies within 1e-12 of an end of its principal-value window "
@@ -339,17 +350,46 @@ KIND_REJECTS = [
     # the identity's pole rule: the first row of a log axis, 1e-13, inside
     # 1e-12 of the end 0 of its principal-value window
     KK_LOW_POLE,
-    # its last rows beyond MAX_POLE_FREQUENCY: validate checks the ends, run
-    # meets 1e100 first, so the message names no frequency
+    # its last rows out of range: validate checks the ends, run meets 1e100
+    # first, so the message names no frequency
     ("kk_check.json", {"sweep_axis": {"name": "omega", "min": 0.3, "max": 1e200,
                                       "count": 5, "spacing": "log"}},
-     "reconstruction frequency overflows the dispersion integrand: omega must "
-     "be <= 3.90422e+70"),
+     f"reconstruction frequency must be {RANGE}"),
     DISSIPATION_OVERFLOW,
     ("dissipation_check.json", {"points": [[0.8, 0.3, 0.5, 1.1],
                                            [0.8, 0.3, 0.5, 1e155]]},
-     "k-point (0.8, 0.3, 0.5, 1e+155) overflows the wave operator: |kx|, |ky|, "
-     "|kz| and |omega| must be <= 1.59834e+147"),
+     f"k-point (0.8, 0.3, 0.5, 1e+155): kx, ky, kz and omega must be {RANGE}"),
+    # the rate kinds, through their detector and quadrature numbers
+    RATE_OMEGA_TINY,
+    # the inner ky tolerance 0.1 abs_tol rounds to 0
+    ("rate_surface.json", {"quad": {"rel_tol": 1e-5, "abs_tol": 5e-324,
+                                    "k_max": 12.0}},
+     "quad: abs_tol must be >= 2.22507e-308, the smallest normal float"),
+    ("rate_surface.json", {"quad": {"rel_tol": 1e-5, "abs_tol": 1e-18,
+                                    "k_max": 1e155}},
+     f"quad: k_max must be {RANGE}"),
+    RATE_KAPPA_HUGE,
+    # ky_cut = 25 / z0 overflows
+    ("rate_surface.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 0.1,
+                                        "z0": 1e-300}},
+     f"detector: z0 must be {RANGE}"),
+    ("sweep_z0.json", {"sweep_axis": {"name": "z0", "min": 1e-300, "max": 2.0,
+                                      "count": 3, "spacing": "log"}},
+     f"z0 must be {RANGE}"),
+    # an omega in range whose finite-time window [0.2 omega, 1.8 omega] is not
+    ("finite_time.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 2.0 / SCALE,
+                                       "z0": 1.0}},
+     "omega must be >= 3.9443e-30, so that the finite-time window [0.2 omega, "
+     "1.8 omega] lies within [7.88861e-31, 1.26765e+30]"),
+    # a k-point whose lhs and rhs both underflow to a "perfect" 0, and a Drude
+    # term near its zero Doppler frequency at gamma^2 ~ 5e11, whose wave
+    # operator overflows to nan
+    ("dissipation_check.json", {"points": [[0.8, 0.3, 0.5, 1e140]]},
+     f"k-point (0.8, 0.3, 0.5, 1e+140): kx, ky, kz and omega must be {RANGE}"),
+    ("dissipation_check.json", {"model_file": "bundled:drude_metal",
+                                "frame": {"beta": 1.0 - 1e-12},
+                                "points": [[1.0, 1e147, 1.0, 1.0]]},
+     f"k-point (1, 1e+147, 1, 1): kx, ky, kz and omega must be {RANGE}"),
 ]
 
 
@@ -367,35 +407,32 @@ def test_validate_rejects_what_each_kind_rejects(tmp_path, capsys, scenarios_dir
 
 def test_identity_check_takes_the_largest_admitted_shift(tmp_path, capsys,
                                                         scenarios_dir):
-    """The largest shift specs admits for the bundled pole pairs runs to
-    finite cells that satisfy the identity; the next float up is rejected by
-    validate and run alike."""
+    """Shifts at both ends of the range, of either sign, run on the bundled
+    pole pairs to finite cells that satisfy the identity; the next float
+    beyond either end is rejected by validate and run alike."""
     doc = json.loads((scenarios_dir / "identity_check.json").read_text())
-    model = load_model(doc["model_file"])
-    bounds = [max_identity_shift(model, om, op) for om, op in doc["pairs"]]
-    doc["shift"] = min(bounds)
-    path = write_scenario(tmp_path, doc)
     out = tmp_path / "out.csv"
-    assert run_cli(["validate", "--scenario", path]) == 0
-    assert run_cli(["run", "--scenario", path, "--output", out]) == 0
-    header, *rows = (line.split(",") for line in out.read_text().splitlines())
-    residual = header.index("relative_residual")
-    for row in rows:
-        assert all(math.isfinite(float(cell)) for cell in row[:-1])
-        assert float(row[residual]) < 1e-12
-    doc["shift"] = math.nextafter(min(bounds), math.inf)
-    om, op = doc["pairs"][bounds.index(min(bounds))]
-    assert_rejected(tmp_path, capsys, doc,
-                    f"shift {doc['shift']:g} overflows the two-pole identity at "
-                    f"poles ({om:g}, {op:g})")
+    for shift in (SCALE, -SCALE, 1.0 / SCALE, -1.0 / SCALE):
+        doc["shift"] = shift
+        path = write_scenario(tmp_path, doc)
+        assert run_cli(["validate", "--scenario", path]) == 0
+        assert run_cli(["run", "--scenario", path, "--output", out]) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        residual = header.index("relative_residual")
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row[:-1])
+            assert float(row[residual]) < 1e-12
+    for shift in (math.nextafter(SCALE, math.inf), math.nextafter(1.0 / SCALE, 0.0)):
+        doc["shift"] = shift
+        assert_rejected(tmp_path, capsys, doc, f"shift {shift:g} must be {RANGE}")
 
 
 def test_identity_check_takes_the_largest_admitted_pole(tmp_path, capsys,
                                                        scenarios_dir):
-    """Poles at MAX_POLE_FREQUENCY run to finite cells that satisfy the
-    identity; the next float up is rejected by validate and run alike."""
+    """Poles at SCALE run to finite cells that satisfy the identity; the next
+    float up is rejected by validate and run alike."""
     doc = json.loads((scenarios_dir / "identity_check.json").read_text())
-    top = MAX_POLE_FREQUENCY
+    top = SCALE
     doc["pairs"] = [[0.5 * top, top], [-top, 0.7 * top]]
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "out.csv"
@@ -409,8 +446,7 @@ def test_identity_check_takes_the_largest_admitted_pole(tmp_path, capsys,
     doc["pairs"] = [[0.7, 1.3], [0.5 * top, math.nextafter(top, math.inf)]]
     assert_rejected(tmp_path, capsys, doc,
                     f"pole frequencies ({0.5 * top:g}, "
-                    f"{math.nextafter(top, math.inf):g}) overflow the two-pole "
-                    f"integrand: |omega| must be <= {top:.6g}")
+                    f"{math.nextafter(top, math.inf):g}) must be {RANGE}")
 
 
 def test_validate_checks_every_sweep_row(tmp_path, capsys, scenarios_dir):
@@ -694,8 +730,7 @@ FIELD_MESSAGES = [
      "omega must be nonzero: the reflected p dyad divides by omega^2"),
     # squares that overflow: the degeneracy test alone would compare nan
     ("identity_check.json", {"pairs": [[0.7, 1.3], [-1e155, 2e155]]},
-     "pole frequencies (-1e+155, 2e+155) overflow the two-pole integrand: "
-     "|omega| must be <= 3.90422e+70"),
+     f"pole frequencies (-1e+155, 2e+155) must be {RANGE}"),
     # the semi-infinite tail switch is a constant of the quadrature, and an
     # unknown quad key like any other
     ("rate_surface.json", {"quad": {"tail_switch": 10.0}},
@@ -781,13 +816,13 @@ FIELD_MESSAGES = [
     ("fresnel.json", {"kx": 10 ** 400}, "kx: must be a finite number"),
     ("finite_time.json", {"detector": {"kappa": [0.8, 0.3, 1.1], "omega": 10 ** 400,
                                        "z0": 1.0}},
-     "detector: omega must be a finite number"),
+     f"detector: omega must be {RANGE}"),
     ("sweep_beta.json", {"sweep_axis": {"name": "beta", "min": -10 ** 400,
                                         "max": 0.6, "count": 3}},
      "sweep_axis.min/max: need finite numbers with min <= max"),
     ("rate_surface.json", {"detector": {"kappa": [0.8, 10 ** 400, 1.1],
                                         "omega": 0.1, "z0": 1.0}},
-     "detector: kappa components must be finite"),
+     f"detector: kappa components must be {RANGE}"),
     ("finite_time.json", {"detector": {"kappa": [1.0, 0.0, 0.0], "z0": 1.0}},
      "detector.omega: required"),
     # the dissipation identity is algebraic and reads no quad
@@ -814,13 +849,13 @@ def test_validation_messages_are_pinned(tmp_path, capsys, scenarios_dir,
 # rejected by name, by validate and by the spec constructors alike.
 NON_FINITE = [
     ({"detector": {"kappa": [0.8, math.nan, 1.1], "omega": 0.1, "z0": 1.0}},
-     "detector: kappa components must be finite"),
+     f"detector: kappa components must be {RANGE}"),
     ({"detector": {"kappa": [-math.inf, 0.3, 1.1], "omega": 0.1, "z0": 1.0}},
-     "detector: kappa components must be finite"),
+     f"detector: kappa components must be {RANGE}"),
     ({"quad": {"rel_tol": 1e-5, "abs_tol": 1e-18, "k_max": math.inf}},
-     "quad: k_max must be finite when set"),
+     f"quad: k_max must be {RANGE}"),
     ({"detector": {"kappa": [0.8, 0.3, 1.1], "omega": math.inf, "z0": 1.0}},
-     "detector: omega must be a finite number"),
+     f"detector: omega must be {RANGE}"),
 ]
 
 
@@ -835,11 +870,11 @@ def test_validate_rejects_non_finite_inputs(tmp_path, capsys, scenarios_dir,
 
 def test_specs_reject_non_finite_inputs():
     for kappa in ((0.8, math.nan, 1.1), (math.inf, 0.3, 1.1), (10 ** 400, 0, 1)):
-        with pytest.raises(ValueError, match="kappa components must be finite"):
+        with pytest.raises(ValueError, match="kappa components must be finite, of"):
             DetectorSpec(kappa=kappa, omega=0.1, z0=1.0)
     for name in ("omega", "z0"):
         for value in (math.inf, math.nan, 10 ** 400):
-            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            with pytest.raises(ValueError, match=f"{name} must be finite, of"):
                 DetectorSpec(**dict({"kappa": (1.0, 0.0, 0.0), "omega": 0.1,
                                      "z0": 1.0}, **{name: value}))
     for k_max in (math.inf, math.nan):
@@ -854,6 +889,22 @@ def test_specs_reject_non_finite_inputs():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be"):
                 LorentzOscillator(**dict(term, **{name: value}))
+
+
+def test_scale_admits_zero_and_its_two_ends():
+    """The range of every dimensionful input is 0 and [1/SCALE, SCALE] in
+    magnitude: the next floats beyond its ends, NaN, inf and an int beyond
+    float range fail, named by the caller."""
+    check_scale("x", 0.0, -0.0, SCALE, -SCALE, 1.0 / SCALE, -1.0 / SCALE, 1)
+    for value in (math.nextafter(SCALE, math.inf), -math.nextafter(1.0 / SCALE, 0.0),
+                  5e-324, math.nan, -math.inf, 10 ** 400):
+        with pytest.raises(ValueError) as exc:
+            check_scale("x", 1.0, value)
+        assert str(exc.value) == f"x must be {RANGE}"
+    quad = QuadratureSpec(abs_tol=sys.float_info.min, k_max=SCALE)
+    assert quad.abs_tol == sys.float_info.min and quad.k_max == SCALE
+    with pytest.raises(ValueError, match="abs_tol must be >= 2.22507e-308"):
+        QuadratureSpec(abs_tol=math.nextafter(sys.float_info.min, 0.0))
 
 
 def test_specs_keep_their_field_hash_across_pickling():

@@ -16,10 +16,11 @@ from vacdrag.greens import (
     reflection_coefficients,
     surface_green_coincident,
 )
+from vacdrag import kinematics
 from vacdrag.kinematics import MotionFrame
 from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi
 from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
-from vacdrag.specs import MAX_WAVENUMBER
+from vacdrag.specs import SCALE
 
 LORENTZ = SusceptibilityModel(electric_terms=(LorentzOscillator(1.0, 1.0, 0.1),),
                               label="single resonance")
@@ -373,38 +374,42 @@ def test_dissipation_identity_zero_doppler_rejected():
                                    0.5 * 1.2, QUAD)
 
 
-def test_dissipation_identity_keeps_nan():
-    """At a k-point within MAX_WAVENUMBER whose wave operator still
-    overflows, a Drude term near its zero Doppler frequency at gamma^2 ~
-    5e11, the residual and its relative size are NaN, not a perfect 0."""
+def test_dissipation_identity_keeps_nan(monkeypatch):
+    """A susceptibility that comes out NaN gives a NaN residual and relative
+    residual, not a perfect 0."""
+    monkeypatch.setattr(kinematics, "chi", lambda model, kind, omega: complex(math.nan))
     with np.errstate(all="ignore"):
-        rep = green_dissipation_identity(DRUDE, MotionFrame(beta=1.0 - 1e-12), 1.0,
-                                         np.array([1e147, 1.0]), 1.0, QUAD)
+        rep = green_dissipation_identity(LORENTZ, MotionFrame(beta=0.3), 0.8,
+                                         np.array([0.3, 0.5]), 1.1, QUAD)
     assert math.isnan(rep.residual) and math.isnan(rep.relative_residual)
 
 
 @pytest.mark.parametrize("point", [(0.8, 1e200, 0.5, 1.1), (0.8, 0.3, 0.5, 1e155),
-                                   (MAX_WAVENUMBER * (1.0 + 1e-15), 0.3, 0.5, 1.1)])
+                                   (math.nextafter(SCALE, math.inf), 0.3, 0.5, 1.1),
+                                   (0.8, 0.3, 0.5, math.nextafter(1.0 / SCALE, 0.0))])
 def test_dissipation_identity_rejects_overflowing_k_points(point):
     kx, ky, kz, omega = point
-    with pytest.raises(ValueError, match="overflows the wave operator"):
+    with pytest.raises(ValueError, match="must be finite, of magnitude 0 or within"):
         green_dissipation_identity(LORENTZ, MotionFrame(beta=0.3), kx,
                                    np.array([ky, kz]), omega, QUAD)
 
 
 def test_dissipation_identity_is_finite_at_the_bound():
-    """Every component at +-MAX_WAVENUMBER, the others of order one, gives
-    finite residuals with both bundled models (numpy warnings are errors)."""
+    """Every component at +-SCALE and +-1/SCALE, the others of order one,
+    gives finite residuals, with lhs and rhs not both zero, for both bundled
+    models up to beta = 1 - 1e-12 (numpy warnings are errors)."""
     for model in (LORENTZ, DRUDE):
-        for beta in (0.0, 0.3, -0.8, 0.999999):
+        for beta in (0.0, 0.3, -0.8, 0.999999, 1.0 - 1e-12):
             for i in range(4):
-                for sign in (1.0, -1.0):
-                    kx, ky, kz, omega = (sign * MAX_WAVENUMBER if j == i else c
+                for end in (SCALE, -SCALE, 1.0 / SCALE, -1.0 / SCALE):
+                    kx, ky, kz, omega = (end if j == i else c
                                          for j, c in enumerate((0.8, 0.3, 0.5, 1.1)))
                     rep = green_dissipation_identity(model, MotionFrame(beta=beta),
                                                      kx, (ky, kz), omega)
-                    assert math.isfinite(rep.residual), (model.label, beta, i, sign)
-                    assert math.isfinite(rep.relative_residual)
+                    case = (model.label, beta, i, end)
+                    assert math.isfinite(rep.residual), case
+                    assert math.isfinite(rep.relative_residual), case
+                    assert np.any(np.asarray(rep.lhs)) or np.any(np.asarray(rep.rhs)), case
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ Every binding means what an edit of the source would reach: `rates` imports
 the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
 name from `greens`, `greens` imports `doppler` and
 `moving_susceptibility_tensors` from `kinematics`, `medium` imports the
-piece integrator `_integrate_pieces` from `quadrature` and the Lorentz sum
-`lorentz_chi` from `specs`, `rates` and `cli` import the panel rule
-`convolution_panels` from `specs`, and test modules import what they
-check. A row whose oracle passes under its mutant is a fault the suite
-cannot see, and fails here. A mutant is a wrapper around the
+piece integrator `_integrate_pieces` from `quadrature`, `rates` and `cli`
+import the panel rule `convolution_panels` from `specs`, and test modules
+import what they check. A row whose oracle passes under its mutant is a
+fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
@@ -20,8 +19,10 @@ count of `convolution_panels`, the key document of `cli._cache_key`, the
 unknown-key check of `cli.scenario_from_dict` and its key set, the
 finiteness check of `LorentzOscillator.__post_init__`, the unknown-key
 check of `model_from_dict`, the window rule of `check_kk_frequency`, the
-band cut of `medium._dispersion` and the bound of `check_dissipation`), an
-edit of its source compiled again in its module. A
+band cut of `medium._dispersion`, the range call of `check_dissipation`,
+the range of `check_scale` and the range calls of
+`DetectorSpec.__post_init__`), an edit of its source compiled again in its
+module. A
 dotted name (`_RateSpline._plan`) is a method, bound only on its class, and a
 subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
 oracle may be a parametrized test bound to one of its rows: the fixtures it
@@ -220,9 +221,9 @@ MUTATIONS = [
     ("kinematics", "moving_susceptibility_tensors", chi_eb_sign_flipped,
      {"kinematics", "greens"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
-    ("specs", "lorentz_chi", damping_sign_flipped, {"specs", "medium"},
+    ("medium", "lorentz_chi", damping_sign_flipped, {"medium"},
      test_medium.test_kk_below_resonance),
-    ("specs", "lorentz_chi", damping_sign_flipped, {"specs", "medium"},
+    ("medium", "lorentz_chi", damping_sign_flipped, {"medium"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
     ("greens", "_segment_ky", inside_jacobian_dropped, {"greens"},
      test_greens.test_semi_infinite_green_inside_light_circle_matches_dense_grid),
@@ -285,10 +286,17 @@ MUTATIONS = [
      rewritten("band_edge_uncut", "kind == _PLAIN and lo < edge < hi", "False"),
      {"medium"}, test_medium.test_kk_far_pole_samples_the_absorption_band),
     ("specs", "check_dissipation",
-     rewritten("dissipation_point_unbounded",
-               "max(abs(kx), abs(ky), abs(kz), abs(omega)) <= MAX_WAVENUMBER",
-               "True"),
+     rewritten("dissipation_point_unbounded", "check_scale(", "(lambda *args: None)("),
      {"specs", "cli", "greens"}, kind_rejects(test_cli.DISSIPATION_OVERFLOW)),
+    ("specs", "check_scale",
+     rewritten("scale_lower_end_dropped", "1.0 / SCALE <= abs(value) <= SCALE",
+               "abs(value) <= SCALE"),
+     {"specs"}, kind_rejects(test_cli.RATE_OMEGA_TINY)),
+    # every range call of the method: check_scale a local that checks nothing
+    ("specs", "DetectorSpec.__post_init__",
+     rewritten("detector_scale_unchecked", "def __post_init__(self):",
+               "def __post_init__(self, check_scale=lambda *args: None):"),
+     {"specs"}, kind_rejects(test_cli.RATE_KAPPA_HUGE)),
     ("cli", "_KINDS[dissipation-check]", predicate_dropped, {"cli"},
      kind_rejects(next(row for row in test_cli.KIND_REJECTS
                        if row[0] == "dissipation_check.json"))),
