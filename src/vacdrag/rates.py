@@ -57,7 +57,10 @@ Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
 with no terms give the exact zero, and otherwise z0 and a k_max beyond
 omega / |beta| (1.8 omega / |beta| for the finite-time window) are
-required.
+required. rate_surface checks on every call; finite_time_probability once
+per cached rate spline, whose key fixes the verdict. Every k-node lies at
+or above the least float k >= omega / |beta| with a positive Doppler
+frequency (_k_floor), so a free-carrier term's chi is never taken at 0.
 
 finite_time_probability replaces the golden-rule delta with the finite-time
 sinc kernel: the rate function is sampled at the Chebyshev points of a
@@ -68,7 +71,8 @@ one convolution plan per panel count: the window cut into P = 2^k panels of
 at most 16 kernel cycles each (specs.convolution_panels, which caps P at
 2^14 and so bounds T), each with a 64-node Gauss-Legendre rule. The kernel
 is even in the gap offset, so a plan pairs the nodes +-u of the grid, and a
-query on a cached spline is one sin over half the grid and one dot product.
+query on a cached spline is one sin over half the grid, in place in a fresh
+array, and one BLAS dot product.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 from .greens import _doppler_medium, _reflection
+from .kinematics import doppler
 from .quadrature import integrate_adaptive, worst_component
 from .specs import (DetectorSpec, MotionFrame, NonConvergenceError,
                     QuadratureSpec, SusceptibilityModel, check_rate_inputs,
@@ -123,6 +128,7 @@ _GRADE = 6.0                        # lambda of the graded ky map
 _GRADE_NORM = math.expm1(_GRADE)
 _GRADE_SLOPE = 2.0 * _GRADE / _GRADE_NORM
 _COARSE, _FINE, _REFINE = 128, 255, 6   # the crossing search
+_FLOOR_STEPS = 8                    # ulps searched above the threshold
 
 
 def _split_map(t, b, on, length, graded=True):
@@ -146,6 +152,24 @@ def _split_map(t, b, on, length, graded=True):
     return x, np.where(on, slope, 1.0)
 
 
+def _k_floor(frame, omega, k_lo):
+    """The least float k >= k_lo at which the density's Doppler frequency
+    gamma (|beta| k - omega), formed by kinematics.doppler, is > 0. Every
+    k-node is taken at or above it: k = k_lo + span u^2 rounds onto k_lo
+    once span u^2 is below half an ulp of k_lo, and at a zero Doppler
+    frequency a free-carrier term's chi is singular. As k_lo = omega /
+    |beta| is correctly rounded, the floor is 0 to 3 ulps above it (at most
+    2 in 2e5 random draws), so raising a node to it moves k by no more than
+    its own rounding, and a node above it keeps its bits."""
+    kx_sign = -math.copysign(1.0, frame.beta)
+    k = k_lo
+    for _ in range(_FLOOR_STEPS):
+        if doppler(frame, -omega, kx_sign * k)[0] > 0.0:
+            break
+        k = math.nextafter(k, math.inf)
+    return k
+
+
 def _light_cone_crossings(model, frame, omega, k_lo, span):
     """The zeros k* of the kernel's b^2(k) on the outer domain, as u in (0,
     1) with k = k_lo + span u^2: the sign changes on a grid of _COARSE cell
@@ -153,9 +177,10 @@ def _light_cone_crossings(model, frame, omega, k_lo, span):
     into _FINE + 1 parts _REFINE times, to about 3e-17 in u. Two zeros
     within one coarse cell are missed, which costs sweeps only."""
     kx_sign = -math.copysign(1.0, frame.beta)
+    k_floor = _k_floor(frame, omega, k_lo)
 
     def opened(u):
-        k = k_lo + span * u * u
+        k = np.maximum(k_lo + span * u * u, k_floor)
         return _doppler_medium(model, frame, kx_sign * k, -omega)[2] > 0.0
 
     u = (np.arange(_COARSE) + 0.5) / _COARSE    # cap > 0: no Drude pole
@@ -209,6 +234,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     kx_sign = -math.copysign(1.0, frame.beta)  # the density's mode (-k, -omega)
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
+    k_floor = _k_floor(frame, omega, k_lo)
     crossings = _light_cone_crossings(model, frame, omega, k_lo, span)
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
@@ -228,7 +254,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         # of a sweep, then one lockstep batch of (s, p) ky integrals: one
         # member per outer panel, its 15 k-nodes
         u, du = _outer_map(s, crossings) if crossings.size else (s, 1.0)
-        k = (k_lo + span * u * u).reshape(-1, 15).T
+        k = np.maximum(k_lo + span * u * u, k_floor).reshape(-1, 15).T
         ksq = k * k
         eps, mu, b2 = _doppler_medium(model, frame, kx_sign * k, -omega)
         # Re xi_m^2 vanishes at ky = b; a member with b > 0 at any of its
@@ -346,17 +372,24 @@ class _RateSpline:
             if len(self.plans) > _MAX_PLANS:
                 del self.plans[next(iter(self.plans))]
         half_u, coef = plan
-        s = np.sin(T * half_u)
-        s *= s
-        return float(coef @ s)
+        x = T * half_u
+        np.sin(x, out=x)
+        x *= x
+        return float(coef.dot(x))
 
 
 @lru_cache(maxsize=32)
 def _rate_spline(model, frame, det, quad):
     """The rate's degree-64 Chebyshev series in the detector gap through the
     65 Chebyshev points, taken in ascending order, of the finite-time window
-    [0.2 omega, 1.8 omega], with its convolution plans (see _RateSpline). An
-    unconverged node raises NonConvergenceError, naming its gap frequency."""
+    [0.2 omega, 1.8 omega], with its convolution plans (see _RateSpline), or
+    None where P(T) is the exact zero. check_rate_inputs(..., finite_time=
+    True) runs here, once per key, which fixes its verdict: the exact zero
+    is cached as None, and a rejected input raises its ValueError and is
+    never cached, so every call repeats the message. An unconverged node
+    raises NonConvergenceError, naming its gap frequency."""
+    if check_rate_inputs(det, frame, model, quad, finite_time=True):
+        return None
     omega = det.omega
 
     def gamma_at(gaps):
@@ -381,12 +414,12 @@ def finite_time_probability(det: DetectorSpec, frame: MotionFrame,
     The golden-rule delta is broadened to W_T(x) = 4 sin^2(x T / 2) / x^2 and
     convolved with the rate function over a window of width 0.8 omega around
     the detector gap; P(T)/T approaches the stationary rate as T grows. The
-    first call for a (model, frame, det, quad) builds the rate spline; later
-    calls, for any T, reuse it. T must be > 0 and at most 16 pi 2^14 / (0.8
-    omega), 1.03e7 at omega = 0.1 (specs.convolution_panels); otherwise
-    ValueError is raised before any other check.
+    first call for a (model, frame, det, quad) checks the rate inputs and
+    builds the rate spline; later calls, for any T, reuse both. T must be >
+    0 and at most 16 pi 2^14 / (0.8 omega), 1.03e7 at omega = 0.1
+    (specs.convolution_panels); otherwise ValueError is raised before any
+    other check.
     """
     panels = convolution_panels(T, det.omega)
-    if check_rate_inputs(det, frame, model, quad, finite_time=True):
-        return 0.0
-    return _rate_spline(model, frame, det, quad).probability(T, panels)
+    spline = _rate_spline(model, frame, det, quad)
+    return 0.0 if spline is None else spline.probability(T, panels)

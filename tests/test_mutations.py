@@ -214,9 +214,9 @@ MUTATIONS = [
     ("greens", "_doppler_medium",
      rewritten("b2_without_mu", "(eps * mu).real", "eps.real"), {"greens", "rates"},
      kernel_branch_points(test_rates.MAGNETIC_RESONANCE, 0.75)),
-    ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens"},
+    ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens", "rates"},
      test_greens.test_fresnel_doppler_argument_bookkeeping),
-    ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens"},
+    ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens", "rates"},
      test_kinematics.test_moving_chi_matches_raw_integral_route),
     ("kinematics", "moving_susceptibility_tensors", chi_eb_sign_flipped,
      {"kinematics", "greens"},

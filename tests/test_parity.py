@@ -22,6 +22,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +141,30 @@ def outcome(doc: dict) -> str:
 def test_validate_and_run_agree_at_any_leaf(case, value):
     name, path = case
     assert outcome(with_leaf(name, path, value)) in KEPT
+
+
+# Several leaves at once at the ends of the input range, where an outer
+# k-node of a Drude rate rounded onto the threshold omega / |beta|: the
+# Doppler frequency was 0, where the free-carrier chi is singular, so
+# validate passed and run raised. The second has k_max one ulp beyond the
+# threshold, so that every node rounds onto it.
+DRUDE_AT_THRESHOLD = [
+    {"kind": "rate-surface", "model_file": "bundled:drude_metal",
+     "frame": {"beta": 0.5},
+     "detector": {"kappa": [SCALE, 0.3, SCALE], "omega": SCALE / 4,
+                  "z0": 1.0 / SCALE},
+     "quad": {"rel_tol": 1e-4, "abs_tol": 1e-18, "k_max": SCALE}},
+    {"kind": "rate-surface", "model_file": "bundled:drude_metal",
+     "frame": {"beta": 0.5},
+     "detector": {"kappa": [0.8, 0.3, 1.1], "omega": 1.0, "z0": 1.0},
+     "quad": {"rel_tol": 1e-4, "abs_tol": 1e-18,
+              "k_max": math.nextafter(2.0, math.inf)}},
+]
+
+
+@pytest.mark.parametrize("doc", DRUDE_AT_THRESHOLD, ids=["range-ends", "one-ulp"])
+def test_no_rate_node_meets_the_drude_pole(doc):
+    assert outcome(doc) == "ran"
 
 
 def main() -> int:

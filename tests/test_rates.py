@@ -619,6 +619,104 @@ def test_finite_time_rejects_T_beyond_the_cap_before_any_array(monkeypatch, T):
         finite_time_probability(det(), MotionFrame(beta=0.0), VACUUM, FT_QUAD, T)
 
 
+# 600 2^k has 15.3 2^k kernel cycles at omega = 0.1: 2^k panels
+PANEL_LADDER = (0.5, 50.0, 600.0, 1200.0, 2400.0, 4800.0, 9600.0)
+
+
+def test_cache_hits_return_the_first_calls_bits(monkeypatch):
+    """Every P(T) on a cached spline, at P = 1 to 16 and again after those
+    plans were evicted and rebuilt, has the bits of the first call."""
+    from vacdrag.rates import _MAX_PLANS, _rate_spline
+
+    unconverged_above(monkeypatch, 1.0)
+    frame = MotionFrame(beta=0.5)
+
+    def ladder():
+        return [finite_time_probability(det(), frame, LORENTZ, FT_QUAD, T)
+                for T in PANEL_LADDER]
+    first = ladder()
+    spline = _rate_spline(LORENTZ, frame, det(), FT_QUAD)
+    assert sorted(spline.plans) == [1, 2, 4, 8, 16]
+    assert all(p > 0.0 for p in first)
+    assert [p.hex() for p in ladder()] == [p.hex() for p in first]
+    for k in range(_MAX_PLANS):
+        finite_time_probability(det(), frame, LORENTZ, FT_QUAD, 600.0 * 2 ** (5 + k))
+    assert not {1, 2, 4, 8, 16} & set(spline.plans)
+    assert [p.hex() for p in ladder()] == [p.hex() for p in first]
+    _rate_spline.cache_clear()
+
+
+def no_rate_computed(monkeypatch):
+    """rate_surface as a stand-in that fails the test when called."""
+    from vacdrag import rates
+
+    def no_rate(*args):
+        raise AssertionError("rate computed")
+    monkeypatch.setattr(rates, "rate_surface", no_rate)
+    rates._rate_spline.cache_clear()
+
+
+@pytest.mark.parametrize("detector, quad, message", [
+    (det(z0=None), FT_QUAD, "z0 is required"),
+    (det(), QuadratureSpec(k_max=0.3), r"1\.8 omega / \|beta\|"),
+])
+def test_rejected_rate_inputs_raise_on_every_call(monkeypatch, detector, quad,
+                                                  message):
+    """An input check_rate_inputs rejects is never cached: a repeated call
+    raises the first call's message, and no rate is computed."""
+    from vacdrag import rates
+
+    no_rate_computed(monkeypatch)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message) as exc:
+            finite_time_probability(detector, MotionFrame(beta=0.5), LORENTZ,
+                                    quad, 50.0)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+    assert rates._rate_spline.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("beta, model", [(0.0, LORENTZ), (0.5, VACUUM)])
+def test_exact_zero_on_every_call(monkeypatch, beta, model):
+    """beta = 0 and a model with no terms give 0.0, first from the check and
+    then from the cache, with no rate computed."""
+    from vacdrag import rates
+
+    no_rate_computed(monkeypatch)
+    for T in (50.0, 50.0, 2400.0):
+        assert finite_time_probability(det(), MotionFrame(beta=beta), model,
+                                       FT_QUAD, T) == 0.0
+    assert rates._rate_spline.cache_info()[:2] == (2, 1)    # hits, misses
+    rates._rate_spline.cache_clear()
+
+
+def test_cache_clear_forces_exactly_one_rebuild(monkeypatch):
+    """After _rate_spline.cache_clear(), the first P(T) rebuilds the spline
+    (65 more rate calls) and every later one reuses it, with the bits of
+    the first build."""
+    from vacdrag import rates
+
+    calls = []
+    unconverged_above(monkeypatch, 1.0)
+    fake = rates.rate_surface
+
+    def counted(*args):
+        calls.append(args)
+        return fake(*args)
+    monkeypatch.setattr(rates, "rate_surface", counted)
+    frame = MotionFrame(beta=0.5)
+    first = [finite_time_probability(det(), frame, LORENTZ, FT_QUAD, T)
+             for T in PANEL_LADDER]
+    assert len(calls) == 65
+    rates._rate_spline.cache_clear()
+    again = [finite_time_probability(det(), frame, LORENTZ, FT_QUAD, T)
+             for T in PANEL_LADDER * 2]
+    assert len(calls) == 130
+    assert again == first * 2
+    rates._rate_spline.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # finite-time convolution plans
 # ---------------------------------------------------------------------------

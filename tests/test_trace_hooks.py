@@ -134,3 +134,40 @@ def test_traced_cli_run_records_the_cli_spans(tmp_path, scenarios_dir):
                  "cli._run_sweep[pool]"):
         assert name in hooks.names, name
         assert hooks.name.count(hooks.names.index(name)) == 1, name
+
+
+def test_traced_queries_on_one_spline_record_each_span(monkeypatch):
+    """n P(T) calls on one spline: one `rates.spline_build`, n - 1 cache
+    hits and n `rates.finite_time_probability` spans. The tracer rebinds
+    `rates._rate_spline` where finite_time_probability looks it up; were
+    it bound out of the tracer's reach, the golden-rule spline and
+    convolution metrics would read zero."""
+    tracer = load_tracer()
+    hooks = tracer.Tracer()
+
+    def rate(det, frame, model, quad):
+        w = det.omega
+        return vacdrag.rates.RateResult(
+            gamma=w ** 3, error_estimate=0.0, converged=True,
+            k_lower=w / frame.beta, k_max=quad.k_max,
+            breakdown={"s": 0.0, "p": w ** 3})
+    monkeypatch.setattr(vacdrag.rates, "rate_surface", rate)
+    args = (DetectorSpec(kappa=(0.8, 0.3, 1.1), omega=0.1, z0=1.0),
+            MotionFrame(beta=0.5), load_model("bundled:lorentz_dielectric"),
+            QuadratureSpec(rel_tol=1e-6, abs_tol=1e-18, k_max=50.0))
+    times = (0.5, 50.0, 600.0, 2400.0, 9600.0, 50.0, 0.5)
+    vacdrag.rates._rate_spline.cache_clear()
+    hooks.install()
+    try:
+        probs = [vacdrag.rates.finite_time_probability(*args, T) for T in times]
+    finally:
+        hooks.uninstall()
+        vacdrag.rates._rate_spline.cache_clear()
+    assert all(p > 0.0 for p in probs)
+    spans = {label: hooks.name.count(hooks.names.index(label))
+             for label in ("rates.spline_build", "rates.spline_lookup",
+                           "rates.finite_time_probability")}
+    assert spans == {"rates.spline_build": 1,
+                     "rates.spline_lookup": len(times) - 1,
+                     "rates.finite_time_probability": len(times)}
+    assert hooks.counts["rates.spline_cache_hits"] == len(times) - 1
