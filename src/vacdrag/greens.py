@@ -16,10 +16,10 @@ dissipation identity relating G W G-dagger to the anti-Hermitian part of G,
 and the velocity-reversal transpose relation that replaces reciprocity for
 moving media.
 
-Branch conventions: xi = sqrt(kpar^2 - omega^2) is real positive in the
-evanescent sector and -i sign(omega) sqrt(omega^2 - kpar^2) in the
-propagating sector; the medium-side xi_m takes the principal branch pushed to
-the same retarded side, so a lossless medium reduces to the vacuum branch.
+Branch conventions: _xi_medium gives every decay constant, the principal
+branch of sqrt(kpar^2 - eps mu omega^2) pushed to the retarded side where
+the radicand is lossless and negative; eps = mu = 1 is the vacuum xi, real
+positive evanescent and -i sign(omega) sqrt(omega^2 - kpar^2) propagating.
 Polarization vectors are normalized analytically, e.e = 1 (not e.e* = 1).
 The real contact divergence of the coincident free part is excluded; only
 its imaginary part (the light-cone residue) is kept.
@@ -35,7 +35,7 @@ import numpy as np
 from .kinematics import MotionFrame, doppler, moving_susceptibility_tensors
 from .medium import SusceptibilityModel, chi
 from .quadrature import (NonConvergenceError, QuadratureSpec,
-                         _semi_infinite_split, integrate_adaptive,
+                         _semi_infinite_pieces, integrate_adaptive,
                          worst_component)
 from .specs import (check_dissipation, check_reciprocity,
                     check_reflected_green, check_reflection)
@@ -111,17 +111,10 @@ def im_free_green_coincident(kx: float, omega: float) -> ComplexTensor3:
     return ComplexTensor3(np.diag([xx, tt, tt]))
 
 
-def _xi_vacuum(kpar2, omega):
-    """Vacuum decay constant, vectorized; retarded branch in the propagating
-    sector (outgoing wave for the sign of omega)."""
-    rad = np.asarray(kpar2, dtype=float) - omega * omega
-    root = np.sqrt(np.abs(rad))
-    return np.where(rad >= 0.0, root + 0j, -1j * np.copysign(1.0, omega) * root)
-
-
 def _xi_medium(kpar2, eps, mu, omega):
-    """Medium-side decay constant with the branch continuous in the loss:
-    numpy's complex sqrt is the principal branch, Re >= 0."""
+    """Decay constant with the branch continuous in the loss: numpy's
+    complex sqrt is the principal branch, Re >= 0, and a lossless radicand
+    below zero takes the retarded branch. eps = mu = 1.0 is the vacuum."""
     # mu omega^2 first: for a scalar mu = 1 one complex product per point
     rad = np.asarray(kpar2 - eps * (mu * omega * omega), dtype=complex)
     out = np.sqrt(rad)
@@ -168,7 +161,7 @@ def reflection_coefficients(model: SusceptibilityModel, frame: MotionFrame,
     check_reflection(model, frame.beta, kx, ky, omega)
     kpar2 = kx * kx + ky * ky
     eps, mu, _ = _doppler_medium(model, frame, kx, omega)
-    xi = complex(_xi_vacuum(kpar2, omega))
+    xi = complex(_xi_medium(kpar2, 1.0, 1.0, omega))
     rs, rp = _reflection(eps, mu, kpar2, omega, xi)
     return ReflectionCoefficients(r11=complex(rs), r22=complex(rp),
                                   r12=0j, r21=0j)
@@ -205,7 +198,7 @@ def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
     return out
 
 
-# The kinds of ky segment: ky itself, the 1/u tail (_semi_infinite_split),
+# The kinds of ky segment: ky itself, the 1/u tail (_semi_infinite_pieces),
 # and the substitutions inside and outside the light circle ky = kc.
 PLAIN, TAIL, INSIDE, OUTSIDE = range(4)
 _SEGMENT = ("plain", "tail", "inside", "outside")
@@ -244,10 +237,11 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
                         (r, INSIDE, 0.0, 0.5 * math.sqrt(3.0) * kc),
                         (r, OUTSIDE, 0.0, math.sqrt(edge ** 2 - kc * kc))]
         if k_max is None:
-            s, grows = _semi_infinite_split(lambda ky: _dyad_pair(
-                eps, mu, kx, omega, ky, _xi_vacuum(kx * kx + ky * ky, omega),
+            pieces, spent = _semi_infinite_pieces(lambda ky: _dyad_pair(
+                eps, mu, kx, omega, ky, _xi_medium(kx * kx + ky * ky, 1.0, 1.0, omega),
                 dy, zsum), edge)
-            if grows:
+            s = pieces[0][2]
+            if not spent.converged:
                 raise NonConvergenceError(f"reflected Green tail grows at "
                                           f"{where[r]}, ky > {s:.6g}", math.inf)
             members += [(r, PLAIN, edge, s), (r, TAIL, 0.0, 1.0 / s)]
@@ -263,7 +257,7 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
         ky, jac = _segment_ky(kind, x, kc2)
         xi = np.where(kind == OUTSIDE, x + 0j,
                       np.where(kind == INSIDE, -1j * np.copysign(1.0, omega) * x,
-                               _xi_vacuum(kx * kx + ky * ky, omega)))
+                               _xi_medium(kx * kx + ky * ky, 1.0, 1.0, omega)))
         out = _dyad_pair(col[0], col[1], kx, omega, ky, xi, dy, zsum)
         out *= jac
         bad = ~np.isfinite(out)

@@ -45,6 +45,11 @@ value makes resabs non-finite: only then are the values scanned, and a
 non-finite one aborts with the leftmost offending abscissa of the sweep.
 QuadratureSpec and NonConvergenceError are defined in specs and
 re-exported here.
+
+Four fast paths serve a lone integral and the first sweep: the lone and
+first-sweep branches of `_split` and `_sums`, and `_adapt`'s guard on the
+panel places. They give the bits of the general path; without them
+perfbench's green-checks op_s read 1.57-1.58 ms against 1.29-1.30 (+21%).
 """
 
 from __future__ import annotations
@@ -192,7 +197,7 @@ def _rows(x, at, size, width):
 def _sums(x, slot, col, counts, size):
     """Each working integral's sum of its entries of x (..., N), sequential
     in spatial order: shape (..., size)."""
-    if size == 1:
+    if size == 1:       # one of 4 fast paths: green-checks op_s +21% without them
         return np.add.accumulate(x, axis=-1)[..., -1:]
     width = counts.max()
     return np.add.accumulate(_rows(x, slot * width + col, size, width),
@@ -209,14 +214,14 @@ def _split(errs, inv_scale, tol, slot, col, counts, budget):
     a prefix leaves is an exact sequential sum, best panel first.
     """
     size, n = inv_scale.shape[-1], errs.shape[-1]
-    if n == size:
+    if n == size:       # one of 4 fast paths: green-checks op_s +21% without them
         return np.arange(n), 1      # each integral halves its one panel
     if errs.ndim > 1:
         scale = inv_scale if size == 1 else inv_scale[..., slot]
         bad = (errs * scale).reshape(-1, n).max(axis=0)
     else:
         bad = errs
-    if size == 1:
+    if size == 1:       # one of 4 fast paths: green-checks op_s +21% without them
         order = np.argsort(-bad, kind="stable")
         # rest[i]: the error left once the n - 1 - i worst are bisected
         rest = np.add.accumulate(errs[..., order[::-1]], axis=-1)
@@ -338,7 +343,7 @@ def _adapt(f, a, b, spec):
         n += m
         level += 1
         counts += split
-        if size > 1:        # a lone integral needs no places
+        if size > 1:        # one of 4 fast paths: a lone integral needs no places
             col = np.arange(n) - (np.cumsum(counts) - counts)[slot]
         value = _sums(vals, slot, col, counts, size)
         err = _sums(errs, slot, col, counts, size)
@@ -386,7 +391,7 @@ _PLAIN, _FOLD, _TAIL = range(3)
 _TAIL_SWITCH = 10.0
 
 
-def _pv_pieces(pole, a, b, window=None):
+def _pv_pieces(pole, a, b):
     """principal_value's pieces, (kind, lo, hi, pole) each, and what they
     have spent beforehand: the window [pole - w, pole + w] folded onto
     [0, w], where the odd part cancels, and the plain rest on either side."""
@@ -398,19 +403,18 @@ def _pv_pieces(pole, a, b, window=None):
     dmin = min(pole - a, b - pole)
     if dmin <= 1e-12 * (b - a):
         raise ValueError("pole must lie strictly inside the interval")
-    w = 0.5 * dmin if window is None else float(window)
-    if not 0.0 < w <= dmin:
-        raise ValueError("window must lie within the interval on both sides")
+    w = 0.5 * dmin
     sides = [(_PLAIN, lo, hi, 0.0)
              for lo, hi in ((a, pole - w), (pole + w, b)) if lo < hi]
     return [(_FOLD, 0.0, w, pole)] + sides, IntegralResult(0.0, 0.0, 0, True)
 
 
-def _semi_infinite_split(f, a):
-    """(s, grows) for f over [a, infinity): the head [a, s] is integrated
-    directly and the tail mapped onto (0, 1/s] by x = 1/u; grows says a
-    cheap pre-pass finds x^2 |f| growing far out, in some component, so the
-    tail is not integrable at this precision."""
+def _semi_infinite_pieces(f, a):
+    """integrate_semi_infinite's pieces, the plain head [a, s] integrated
+    directly and the tail mapped onto (0, 1/s] by x = 1/u, and the 4 probe
+    values spent on s: a cheap pre-pass that finds x^2 |f| growing far out,
+    in some component, leaves the tail out and the whole unconverged, as not
+    integrable at this precision."""
     a = float(a)
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
@@ -421,19 +425,10 @@ def _semi_infinite_split(f, a):
     with np.errstate(all="ignore"):
         y = np.asarray(f(probes))
         weight = np.abs(y) * probes ** 2
-    grows = not np.isfinite(weight).all() or \
-        (weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any()
-    return s, bool(grows)
-
-
-def _semi_infinite_pieces(f, a):
-    """integrate_semi_infinite's pieces, the plain head [a, s] and the tail
-    on (0, 1/s], and the 4 probe values spent on s (_semi_infinite_split);
-    a growing tail is left out, and the whole unconverged."""
-    s, grows = _semi_infinite_split(f, a)
-    if grows:
-        return [(_PLAIN, float(a), s, 0.0)], IntegralResult(0.0, math.inf, 4, False)
-    return [(_PLAIN, float(a), s, 0.0), (_TAIL, 0.0, 1.0 / s, 0.0)], \
+    if not np.isfinite(weight).all() or \
+            (weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any():
+        return [(_PLAIN, a, s, 0.0)], IntegralResult(0.0, math.inf, 4, False)
+    return [(_PLAIN, a, s, 0.0), (_TAIL, 0.0, 1.0 / s, 0.0)], \
         IntegralResult(0.0, 0.0, 4, True)
 
 
@@ -448,7 +443,9 @@ def _integrate_pieces(f, groups, spec):
     def pieces(arg):
         x, member = arg
         k = kind[member]
-        if not k.any():         # plain pieces only: _PLAIN is 0
+        # plain pieces only (_PLAIN is 0); fast path: green-checks op_s read
+        # +4% and +6% in two runs without it
+        if not k.any():
             return f(x)
         at, fold, tail = pole[member], k == _FOLD, k == _TAIL
         # f at x, pole + t or 1/u, then at pole - t for each folded abscissa
@@ -473,16 +470,15 @@ def _integrate_pieces(f, groups, spec):
     return out
 
 
-def principal_value(f, pole, a, b, spec: QuadratureSpec,
-                    window: float | None = None) -> IntegralResult:
+def principal_value(f, pole, a, b, spec: QuadratureSpec) -> IntegralResult:
     """Cauchy principal value of f over [a, b] with a simple pole inside.
 
-    A symmetric window about the pole is folded onto [0, w], where the odd
-    part cancels analytically, and the regular remainder is integrated
-    beside it, every piece a member of one batch. `window` overrides the
-    default half-distance window.
+    A symmetric window about the pole, half as wide as the pole's distance
+    to the nearer end, is folded onto [0, w], where the odd part cancels
+    analytically, and the regular remainder is integrated beside it, every
+    piece a member of one batch.
     """
-    return _integrate_pieces(f, [_pv_pieces(pole, a, b, window)], spec)[0]
+    return _integrate_pieces(f, [_pv_pieces(pole, a, b)], spec)[0]
 
 
 def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:

@@ -66,13 +66,13 @@ finite_time_probability replaces the golden-rule delta with the finite-time
 sinc kernel: the rate function is sampled at the Chebyshev points of a
 frequency window, interpolated by its Chebyshev series, and convolved with
 4 sin^2(x T / 2) / x^2. P(T)/T approaches the stationary rate like 1/T.
-This rate spline is cached per (model, frame, detector, quad) and carries
-one convolution plan per panel count: the window cut into P = 2^k panels of
-at most 16 kernel cycles each (specs.convolution_panels, which caps P at
-2^14 and so bounds T), each with a 64-node Gauss-Legendre rule. The kernel
-is even in the gap offset, so a plan pairs the nodes +-u of the grid, and a
-query on a cached spline is one sin over half the grid, in place in a fresh
-array, and one BLAS dot product.
+This rate spline is cached per (model, frame, detector, quad) and keeps
+one convolution plan per panel count, 15 at most (16 MiB): the window cut
+into P = 2^k panels of at most 16 kernel cycles each (convolution_panels
+caps P at 2^14 and so bounds T), each with a 64-node Gauss-Legendre rule.
+The kernel is even in the gap offset, so a plan pairs the nodes +-u of
+the grid, and a query on a cached spline is one sin over half the grid,
+in place in a fresh array, and one BLAS dot product.
 """
 
 from __future__ import annotations
@@ -170,14 +170,13 @@ def _k_floor(frame, omega, k_lo):
     return k
 
 
-def _light_cone_crossings(model, frame, omega, k_lo, span):
+def _light_cone_crossings(model, frame, omega, k_lo, span, k_floor):
     """The zeros k* of the kernel's b^2(k) on the outer domain, as u in (0,
-    1) with k = k_lo + span u^2: the sign changes on a grid of _COARSE cell
-    midpoints of u (no node at the Drude pole omega_m = 0), each bracket cut
-    into _FINE + 1 parts _REFINE times, to about 3e-17 in u. Two zeros
-    within one coarse cell are missed, which costs sweeps only."""
+    1) with k = max(k_lo + span u^2, k_floor): the sign changes on a grid of
+    _COARSE cell midpoints of u (no node at the Drude pole omega_m = 0), each
+    bracket cut into _FINE + 1 parts _REFINE times, to about 3e-17 in u. Two
+    zeros within one coarse cell are missed, which costs sweeps only."""
     kx_sign = -math.copysign(1.0, frame.beta)
-    k_floor = _k_floor(frame, omega, k_lo)
 
     def opened(u):
         k = np.maximum(k_lo + span * u * u, k_floor)
@@ -235,7 +234,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
     k_floor = _k_floor(frame, omega, k_lo)
-    crossings = _light_cone_crossings(model, frame, omega, k_lo, span)
+    crossings = _light_cone_crossings(model, frame, omega, k_lo, span, k_floor)
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
 
@@ -317,9 +316,6 @@ def rate_vs_distance(det: DetectorSpec, frame: MotionFrame,
             for z in z0_ladder]
 
 
-_MAX_PLANS = 8   # convolution plans kept per spline, oldest evicted first
-
-
 @cache
 def _gauss_legendre():
     """The 64-node Gauss-Legendre rule on [-1, 1], built on first use: every
@@ -369,8 +365,6 @@ class _RateSpline:
         plan = self.plans.get(panels)
         if plan is None:
             plan = self.plans[panels] = self._plan(panels)
-            if len(self.plans) > _MAX_PLANS:
-                del self.plans[next(iter(self.plans))]
         half_u, coef = plan
         x = T * half_u
         np.sin(x, out=x)

@@ -649,6 +649,14 @@ MODEL_UNKNOWN_KEY = ("fresnel.json", {"model_file": {
     "electric_terms": [{"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}],
     "magentic_terms": []}}, "model_file: magentic_terms: unknown field")
 
+# A rel_tol one ulp below QUADPACK's floor of 50 eps: every panel's error
+# estimate is at least 50 eps of its integral of |f|, so only abs_tol could
+# stop the rate's loop, and it ran out of max_subdivisions after seconds.
+REL_TOL_BELOW_FLOOR = ("rate_surface.json", {"quad": {
+    "rel_tol": math.nextafter(50.0 * sys.float_info.epsilon, 0.0),
+    "abs_tol": 1e-18, "k_max": 12.0}},
+    "quad: rel_tol must be >= 1.11022e-14, 50 eps, the floor of QUADPACK's dqagse")
+
 # One malformed document per field rule, as (bundled scenario, update,
 # message), made into a document by bundled_updated. The message is the whole of what validate and run write to stderr, so the
 # wording and the "; " join order of several bad fields are pinned.
@@ -830,6 +838,7 @@ FIELD_MESSAGES = [
      "detector.omega: required"),
     # the dissipation identity is algebraic and reads no quad
     ("dissipation_check.json", {"quad": {}}, "quad: unknown field"),
+    REL_TOL_BELOW_FLOOR,
 ]
 
 

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 import reference
 from vacdrag.greens import (
     SurfaceGeometry,
+    _reflected_green,
+    _xi_medium,
     green_dissipation_identity,
     im_free_green_coincident,
     reciprocity_check,
@@ -122,6 +124,50 @@ def test_fresnel_rest_frame_with_magnetic_response_matches_textbook_grid():
             assert abs(rc.r11 - rs) < 1e-12 * max(1.0, abs(rs))
             assert abs(rc.r22 - rp) < 1e-12 * max(1.0, abs(rp))
     assert largest_mu > 1.0
+
+
+def retarded_xi(kpar2, omega):
+    """The vacuum decay constant in closed form: sqrt(kpar^2 - omega^2),
+    real and positive in the evanescent sector, and -i sign(omega)
+    sqrt(omega^2 - kpar^2) in the propagating sector."""
+    rad = kpar2 - omega * omega
+    if rad >= 0.0:
+        return complex(math.sqrt(rad), 0.0)
+    return complex(0.0, -math.copysign(math.sqrt(-rad), omega))
+
+
+def test_vacuum_branch_is_the_lossless_xi_medium():
+    """_xi_medium at eps = mu = 1 is the retarded vacuum branch bit for bit,
+    for a number and an array: kpar^2 on both sides of omega^2 and at it,
+    for either sign of omega."""
+    def bits(z):
+        return [(c.real.hex(), c.imag.hex()) for c in map(complex, np.ravel(z))]
+
+    for omega in (0.7, -0.7, 1.0, -3.5, 1e-3):
+        kpar2 = np.array([0.0, 0.25 * omega * omega, math.nextafter(omega * omega, 0.0),
+                          omega * omega, math.nextafter(omega * omega, math.inf),
+                          4.0 * omega * omega, 1e6])
+        expected = [retarded_xi(float(k), omega) for k in kpar2]
+        got = _xi_medium(kpar2, 1.0, 1.0, omega)
+        assert got.shape == kpar2.shape
+        assert bits(got) == bits(expected)
+        for k, z in zip(kpar2, expected):
+            assert bits(_xi_medium(float(k), 1.0, 1.0, omega)) == bits(z)
+        assert _xi_medium(omega * omega, 1.0, 1.0, omega) == 0.0
+
+
+@pytest.mark.parametrize("kx, omega, start", [(0.3, 1.0, "10"), (0.0, 20.0, "80")])
+def test_reflected_green_growing_tail_names_where_it_starts(kx, omega, start):
+    """At zsum = 0 nothing damps the dyad, and its p entry grows like ky:
+    the tail probe finds x^2 |f| growing and the Green function stops
+    before any quadrature, naming the request and the tail's start s
+    (_TAIL_SWITCH, or beyond twice the light circle's radius)."""
+    with pytest.raises(NonConvergenceError,
+                       match=re.escape(f"reflected Green tail grows at kx = {kx:.6g}, "
+                                       f"beta = 0.4, ky > {start}")) as exc:
+        _reflected_green(LORENTZ, [(MotionFrame(beta=0.4), kx, omega, 0.0, 0.0)],
+                         QuadratureSpec(k_max=None))
+    assert exc.value.residual == math.inf
 
 
 def test_fresnel_vacuum_no_interface():

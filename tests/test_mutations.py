@@ -17,7 +17,8 @@ where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
 count of `convolution_panels`, the key document of `cli._cache_key`, the
 unknown-key check of `cli.scenario_from_dict` and its key set, the
-finiteness check of `LorentzOscillator.__post_init__`, the unknown-key
+rel_tol floor of `QuadratureSpec.__post_init__`, the finiteness check of
+`LorentzOscillator.__post_init__`, the unknown-key
 check of `model_from_dict`, the window rule of `check_kk_frequency`, the
 band cut of `medium._dispersion`, the range call of `check_dissipation`,
 the range of `check_scale` and the range calls of
@@ -314,6 +315,10 @@ MUTATIONS = [
      {"cli"}, field_message(test_cli.OTHER_KINDS_KEY)),
     ("cli", "_KINDS[kk-check]", kk_quad_takes_k_max, {"cli"},
      field_message(test_cli.UNTRUNCATED_K_MAX)),
+    ("specs", "QuadratureSpec.__post_init__",
+     rewritten("rel_tol_floor_dropped", "if not self.rel_tol >= _REL_TOL_FLOOR:",
+               "if False:"),
+     {"specs"}, field_message(test_cli.REL_TOL_BELOW_FLOOR)),
     ("specs", "LorentzOscillator.__post_init__",
      rewritten("oscillator_finiteness_unchecked",
                "if not math.isfinite(getattr(self, name)):", "if False:"),

@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import signal
+import sys
 import time
 import warnings
 from collections import Counter
@@ -32,13 +33,17 @@ from vacdrag.specs import SCALE, NonConvergenceError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-# The sweep's edge values, then the ends of the input range.
+# The sweep's edge values, the ends of the input range, and QUADPACK's
+# rel_tol floor of 50 eps with the float below it.
+REL_TOL_FLOOR = 50.0 * sys.float_info.epsilon
 EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e-13, -1e-13, 1e13, 1e60, 1e155,
                1e300, -1.0, 1.0 - 1e-12, -(1.0 - 1e-12),
-               1.0 / SCALE, -1.0 / SCALE, SCALE, -SCALE)
+               1.0 / SCALE, -1.0 / SCALE, SCALE, -SCALE,
+               REL_TOL_FLOOR, math.nextafter(REL_TOL_FLOOR, 0.0))
 
-# The longest case seen: a 3-row rate sweep at a rel_tol no rule meets runs
-# out of its subdivision budget in about 3 s a row.
+# The longest case seen: a 3-row beta sweep at rel_tol 50 eps, the floor,
+# converges in about 11 s. A reciprocity-check point offset y >= 1e13 fails
+# to converge within about 1 s.
 LIMIT_S = 30
 
 # Outcomes that keep the rule; anything else names what broke it.

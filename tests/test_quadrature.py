@@ -162,6 +162,17 @@ def test_spec_validation():
         QuadratureSpec(k_max=-2.0)
 
 
+def test_rel_tol_floor_is_fifty_eps():
+    """QUADPACK's floor: 50 eps is admitted and meets a relative stop test
+    on a smooth integrand; the next float below it is rejected."""
+    floor = 50.0 * np.finfo(float).eps
+    spec = QuadratureSpec(rel_tol=floor, abs_tol=1e-300)
+    res = integrate_adaptive(np.exp, 0.0, 1.0, spec)
+    assert res.converged and res.value == pytest.approx(math.e - 1.0, rel=1e-15)
+    with pytest.raises(ValueError, match=r"rel_tol must be >= 1.11022e-14, 50 eps"):
+        QuadratureSpec(rel_tol=math.nextafter(floor, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # batched bisection: one integrand call per sweep
 # ---------------------------------------------------------------------------
@@ -522,15 +533,20 @@ def test_pv_antisymmetric_under_integrand_negation():
 
 
 def test_pv_window_halving_invariance():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-10)
+    """The fold does not depend on its window: over [-1, 2] the window about
+    the pole 0.3 is 0.65 wide on each side, over [-0.1, 2] 0.2, and the two
+    principal values differ by the plain integral over [-1, -0.1]."""
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-10)
 
     def f(x):
         return np.cos(x) / (x - 0.3)
 
-    full = principal_value(f, 0.3, -1.0, 2.0, spec, window=0.4)
-    half = principal_value(f, 0.3, -1.0, 2.0, spec, window=0.2)
-    assert full.converged and half.converged
-    assert abs(full.value - half.value) < spec.abs_tol
+    full = principal_value(f, 0.3, -1.0, 2.0, spec)
+    part = principal_value(f, 0.3, -0.1, 2.0, spec)
+    rest = integrate_adaptive(f, -1.0, -0.1, spec)
+    assert full.converged and part.converged and rest.converged
+    bound = full.error_estimate + part.error_estimate + rest.error_estimate
+    assert abs(full.value - (part.value + rest.value)) <= bound < spec.abs_tol
 
 
 def test_pv_pole_at_endpoint_rejected():

@@ -17,6 +17,7 @@ from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
+    _k_floor,
     _light_cone_crossings,
     _outer_map,
     _split_map,
@@ -237,8 +238,9 @@ def test_crossing_search_finds_the_medium_light_cone(model, beta):
     rounding."""
     omega, k_max = 0.1, 20.0
     k_lo = omega / beta
-    u = _light_cone_crossings(model, MotionFrame(beta=beta), omega, k_lo,
-                              k_max - k_lo)
+    frame = MotionFrame(beta=beta)
+    u = _light_cone_crossings(model, frame, omega, k_lo, k_max - k_lo,
+                              _k_floor(frame, omega, k_lo))
     assert u.shape == (1,)
     k_star = k_lo + (k_max - k_lo) * u[0] ** 2
     grid = np.linspace(k_lo * (1.0 + 1e-9), k_max, 200001)
@@ -261,7 +263,8 @@ def test_branch_points_are_zeros_of_the_kernels_xi_medium(model, beta):
     omega, k_max = 0.1, 20.0
     k_lo = omega / beta
     frame = MotionFrame(beta=beta)
-    u = _light_cone_crossings(model, frame, omega, k_lo, k_max - k_lo)
+    u = _light_cone_crossings(model, frame, omega, k_lo, k_max - k_lo,
+                              _k_floor(frame, omega, k_lo))
     k_star = k_lo + (k_max - k_lo) * u ** 2
     grid = np.linspace(k_lo * (1.0 + 1e-9), k_star[0], 2001)[:-1]
     k = np.concatenate((grid, k_star))
@@ -294,8 +297,9 @@ def test_no_crossing_keeps_the_plain_outer_map(monkeypatch):
     for beta, omega in [(0.5, w) for w in spline_nodes()] + [
             (0.2, 0.1), (0.4, 0.1), (0.6, 0.1)]:
         k_lo = omega / beta
-        assert _light_cone_crossings(model, MotionFrame(beta=beta), omega, k_lo,
-                                     12.0 - k_lo).size == 0
+        frame = MotionFrame(beta=beta)
+        assert _light_cone_crossings(model, frame, omega, k_lo, 12.0 - k_lo,
+                                     _k_floor(frame, omega, k_lo)).size == 0
 
     def refuse(s, crossings):
         raise AssertionError("outer map called without a crossing")
@@ -624,9 +628,9 @@ PANEL_LADDER = (0.5, 50.0, 600.0, 1200.0, 2400.0, 4800.0, 9600.0)
 
 
 def test_cache_hits_return_the_first_calls_bits(monkeypatch):
-    """Every P(T) on a cached spline, at P = 1 to 16 and again after those
-    plans were evicted and rebuilt, has the bits of the first call."""
-    from vacdrag.rates import _MAX_PLANS, _rate_spline
+    """Every P(T) on a cached spline, at P = 1 to 16, has the bits of the
+    first call, and so it has after plans for every larger P were built."""
+    from vacdrag.rates import _rate_spline
 
     unconverged_above(monkeypatch, 1.0)
     frame = MotionFrame(beta=0.5)
@@ -639,9 +643,9 @@ def test_cache_hits_return_the_first_calls_bits(monkeypatch):
     assert sorted(spline.plans) == [1, 2, 4, 8, 16]
     assert all(p > 0.0 for p in first)
     assert [p.hex() for p in ladder()] == [p.hex() for p in first]
-    for k in range(_MAX_PLANS):
-        finite_time_probability(det(), frame, LORENTZ, FT_QUAD, 600.0 * 2 ** (5 + k))
-    assert not {1, 2, 4, 8, 16} & set(spline.plans)
+    for k in range(5, 15):
+        finite_time_probability(det(), frame, LORENTZ, FT_QUAD, 600.0 * 2 ** k)
+    assert sorted(spline.plans) == [2 ** k for k in range(15)]
     assert [p.hex() for p in ladder()] == [p.hex() for p in first]
     _rate_spline.cache_clear()
 
@@ -793,16 +797,19 @@ def test_convolution_plan_reused_without_spline_evaluation():
     assert calls == [64]
 
 
-def test_convolution_plans_bounded_oldest_evicted():
-    from vacdrag.rates import _MAX_PLANS
-
+def test_one_plan_per_panel_count_all_kept():
+    """A spline queried at every panel count P = 2^0 ... 2^14 that
+    specs.convolution_panels allows holds one plan per distinct P, 15 at
+    most, and a re-query at any of them returns its first bits."""
     rs = synthetic_rate_spline()
-    # 15.3 2^k kernel cycles: 2^k panels
-    times = [600.0 * 2 ** k for k in range(_MAX_PLANS + 3)]
-    for T in times:
-        probability(rs, T)
-        assert len(rs.plans) <= _MAX_PLANS
-    assert list(rs.plans) == [2 ** k for k in range(3, _MAX_PLANS + 3)]
+    # 15.3 2^k kernel cycles: 2^k panels, the last at the cap
+    times = [600.0 * 2 ** k for k in range(15)]
+    assert convolution_panels(times[-1], rs.omega) == MAX_CONVOLUTION_PANELS
+    first = [probability(rs, T) for T in times]
+    assert list(rs.plans) == [2 ** k for k in range(15)]
+    again = [probability(rs, T) for T in times[::-1]][::-1]
+    assert [p.hex() for p in again] == [p.hex() for p in first]
+    assert len(rs.plans) == 15
 
 
 def golden_rule_workload(seed):
@@ -819,8 +826,6 @@ def golden_rule_workload(seed):
 
 
 def test_golden_rule_ladders_keep_every_plan():
-    from vacdrag.rates import _MAX_PLANS
-
     for seed in range(1, 21):
         workload = golden_rule_workload(seed)
         rs = synthetic_rate_spline(workload.det.omega)
@@ -828,7 +833,7 @@ def test_golden_rule_ladders_keep_every_plan():
         for T in workload.ladder:
             panels.add(convolution_panels(T, rs.omega))
             probability(rs, T)
-        assert len(panels) <= _MAX_PLANS
+        assert len(panels) <= 5
         assert set(rs.plans) == panels
 
 
