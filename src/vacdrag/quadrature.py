@@ -27,6 +27,15 @@ is at the width floor, its ends within 1000 eps of its midpoint, where the
 outer abscissae of its halves could round onto their ends (an integrand
 singular at an end).
 
+An integral starts from one panel over its interval, its evaluations 30
+per panel held less 15. With `halved` it starts from that panel's two
+halves, the panels its first sweep would bisect it into, for 30 per panel
+held less 30: an integral that one panel cannot resolve skips a panel whose
+estimate served only to scale its badness, and one that it can pays a
+panel more. Only the rate's integrals pass it (rates.rate_surface), whose
+first panel never meets the tolerance; some Green and dispersion pieces
+converge on theirs.
+
 A lone `integrate_adaptive` is a batch of one, its integrand called with
 the abscissae alone. With `batch=m` the integrand is called with the pair
 (x, member) of abscissae and the index of the integral each belongs to. A
@@ -252,11 +261,14 @@ def _at_floor(lo, hi):
     return np.maximum(np.abs(lo), np.abs(hi)) <= (1.0 + 1000.0 * _EPS) * mid
 
 
-def _adapt(f, a, b, spec):
+def _adapt(f, a, b, spec, halved=False):
     """The adaptive loop for m integrals over their own intervals [a_i,
     b_i], in lockstep: (value, error, evaluations, converged), each with a
     trailing axis of m. With ndarray ends f is called with the pair (x,
     member); with float ends it is one integral, called with x alone.
+    With `halved`, each integral starts from the two halves of its
+    interval, unless max_subdivisions is 1 or the interval is at the width
+    floor (_at_floor).
 
     The panels sit in flat arrays, grouped by integral and in spatial order
     within each. Badness scales a panel's error per component by the
@@ -279,9 +291,24 @@ def _adapt(f, a, b, spec):
     col = np.zeros(size, dtype=np.intp)
     counts = np.ones(size, dtype=np.intp)
     stuck = np.zeros(size, dtype=bool)
-    value, err = _panel(f, pa, pb, ids if pair else None)
+    if halved and budget > 1:
+        # the panels the first sweep would bisect each interval into
+        counts += ~_at_floor(pa, pb)
+        slot = np.repeat(slot, counts)
+        col = np.arange(slot.size) - (np.cumsum(counts) - counts)[slot]
+        mid = (0.5 * (pa + pb))[slot]
+        pa = np.where(col > 0, mid, pa[slot])
+        pb = np.where(col + 1 < counts[slot], mid, pb[slot])
+        level = 1
+        vals, errs = _panel(f, pa, pb, slot if pair else None)
+        value = _sums(vals, slot, col, counts, size)
+        err = _sums(errs, slot, col, counts, size)
+    else:
+        value, err = vals, errs = _panel(f, pa, pb, ids if pair else None)
+    # 15 abscissae a starting panel and 30 a bisection: 30 counts - start
+    start = 15 * counts
     tol = _tolerance(value, spec)
-    vals, errs, inv_scale = value, err, 1.0 / tol
+    inv_scale = 1.0 / tol
     while True:
         ok = (err <= tol).reshape(-1, size).all(axis=0)
         done = ok | (counts >= budget) | stuck
@@ -293,7 +320,7 @@ def _adapt(f, a, b, spec):
             # 0.0 + turns a -0.0 total into 0.0, as a sum from zero would
             out[0][..., gone] = 0.0 + value[..., done]
             out[1][..., gone] = err[..., done]
-            out[2][gone] = 30 * counts[done] - 15
+            out[2][gone] = 30 * counts[done] - start[gone]
             out[3][gone] = ok[done]
             if done.all():
                 return out
@@ -357,8 +384,8 @@ def _finish(value, err, evals, converged):
     return IntegralResult(value, err, int(evals), bool(converged))
 
 
-def integrate_adaptive(f, a, b, spec: QuadratureSpec,
-                       batch: int | None = None) -> IntegralResult:
+def integrate_adaptive(f, a, b, spec: QuadratureSpec, batch: int | None = None,
+                       halved: bool = False) -> IntegralResult:
     """Integrate f over the finite interval [a, b] to spec tolerances.
 
     With batch=m, f holds m independent integrals that advance in lockstep,
@@ -368,6 +395,14 @@ def integrate_adaptive(f, a, b, spec: QuadratureSpec,
     member[j] at x[j]. The result then has ndarrays of shape (..., m) for
     value and error_estimate and of shape (m,) for evaluations and
     converged, each entry as integrating that member alone would give.
+
+    With halved=True every integral starts from the two halves of its
+    interval, unless max_subdivisions is 1 or the interval is at the width
+    floor. Where one panel over the interval cannot meet the tolerance, a
+    plain integrand gets the default start's bits for 15 fewer evaluations
+    (30 per panel held, less 30), and a vector one takes its badness scale
+    from the halves' estimate; where one panel can, it costs 15 more. Only
+    the rate's integrals pass it (see the module docstring).
     """
     if not (batch is None or isinstance(batch, (int, np.integer)) and batch >= 1):
         raise ValueError("batch must be a positive integer")
@@ -379,8 +414,10 @@ def integrate_adaptive(f, a, b, spec: QuadratureSpec,
     if not (a < b).all():
         raise ValueError("require a < b")
     if batch is None:
-        return _finish(*(r[..., 0] for r in _adapt(f, float(a), float(b), spec)))
-    return IntegralResult(*_adapt(f, np.full(batch, a), np.full(batch, b), spec))
+        return _finish(*(r[..., 0] for r in _adapt(f, float(a), float(b), spec,
+                                                  halved)))
+    return IntegralResult(*_adapt(f, np.full(batch, a), np.full(batch, b), spec,
+                                  halved))
 
 
 # The kinds of piece: x itself, a window folded about a pole, x = 1/u on a

@@ -30,28 +30,32 @@ b^2 = -Re xi_m^2 at ky = 0 is positive near the threshold, and the ky
 integrand has a square-root branch point at ky = b, clipped to ky_cut / 2.
 A batch member with b > 0 at any of its k-nodes integrates over t in [0,
 ky_cut] with [0, ky_cut / 2] mapped onto [0, b] and [ky_cut / 2, ky_cut]
-onto [b, ky_cut] (_split_map): its first bisection lands on b. Each piece
-is graded toward b, ky = b +- width e(a)^2 with e(a) = expm1(lambda a) /
-expm1(lambda): squared at b, so that sqrt(|ky - b|) is smooth in t, and
-near b finer than a plain square by (lambda / expm1(lambda))^2, about 2e-4
-at lambda = 6, which resolves the width that loss gives the branch point.
-lambda is a constant, not a knob: it moves only where the panels fall, not
-the integral. Every other member, and every member when beta n < 1,
-integrates ky = t directly, and a sweep with no mapped member skips the
-map.
+onto [b, ky_cut] (_split_map). Each piece is graded toward b, ky = b +-
+width e(a)^2 with e(a) = expm1(lambda a) / expm1(lambda): squared at b, so
+that sqrt(|ky - b|) is smooth in t, and near b finer than a plain square
+by (lambda / expm1(lambda))^2, about 2e-4 at lambda = 6, which resolves the
+width that loss gives the branch point. lambda is a constant, not a knob:
+it moves only where the panels fall, not the integral. Every other member,
+and every member when beta n < 1, integrates ky = t directly, and a sweep
+with no mapped member skips the map. Every member starts from the halves
+of [0, ky_cut] (integrate_adaptive's `halved`), split at ky = b where
+mapped: ky_cut spans at least 50 decay lengths of e^(-2 xi z0), so one
+panel over it never meets the tolerance, and its estimate would be thrown
+away.
 
 b closes at each k* where b^2 changes sign, and the outer integrand has a
 kink there. _light_cone_crossings finds them from the kernel's b^2 on a
 coarse grid of the outer variable, each narrowed in its bracket, and the
 outer map then goes through the same two-piece helper, with plain squares
 (e(a) = a): s = 1/2 goes onto k*, each piece squared toward it and the
-onset at k_lo still squared (_outer_map; m crossings take 2^L >= m cells).
-In such a call, a member whose nodes all lie past a k* (b = 0) but with
-b^2 > -(ky_cut / 2)^2 has the branch point at ky = i sqrt(-b^2) near the
-real axis, and its ky map is graded toward ky = 0 (the helper at b = 0). A
-call with no crossing, every beta n < 1 call among them, keeps k = k_lo +
-span s^2 and the plain ky for every member with b = 0. A missed crossing
-costs sweeps, not accuracy.
+onset at k_lo still squared (_outer_map; m crossings take 2^L >= m cells),
+and the outer integral starts from the halves split there. In such a call,
+a member whose nodes all lie past a k* (b = 0) but with b^2 > -(ky_cut /
+2)^2 has the branch point at ky = i sqrt(-b^2) near the real axis, and its
+ky map is graded toward ky = 0 (the helper at b = 0). A call with no
+crossing, every beta n < 1 call among them, keeps k = k_lo + span s^2, the
+plain ky for every member with b = 0 and an outer integral that starts
+from its whole interval. A missed crossing costs sweeps, not accuracy.
 
 Both entry points check their inputs with specs.check_rate_inputs, the
 predicate `vacdrag validate` applies to a scenario: beta = 0 and a model
@@ -291,7 +295,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
             return out
 
         res = integrate_adaptive(density, 0.0, ky_cut, inner_quad,
-                                 batch=k.shape[1])
+                                 batch=k.shape[1], halved=True)
         if not res.converged.all():
             c, j, i = worst_component(res, inner_quad)
             raise NonConvergenceError(
@@ -300,7 +304,7 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         # (2, 15, panels) -> (2, nodes), the nodes of each panel together
         return res.value.transpose(0, 2, 1).reshape(2, -1) * (2.0 * span * u * du)
 
-    res = integrate_adaptive(outer, 0.0, 1.0, quad)
+    res = integrate_adaptive(outer, 0.0, 1.0, quad, halved=bool(crossings.size))
     g_s, g_p = (float(v) for v in omega ** 2 * res.value)
     e_s, e_p = (float(e) for e in omega ** 2 * res.error_estimate)
     return RateResult(gamma=g_s + g_p, error_estimate=e_s + e_p,

@@ -12,8 +12,8 @@ Each computation that can reject its inputs first calls the one `check_*`
 predicate here that is written for it, and the scenario validator calls the
 same predicate on every row, so validation rejects exactly what a run
 rejects, with the same message. One range rule, check_scale, bounds every
-dimensionful input where it enters: the detector's and the quadrature's
-numbers in their constructors, each row's in its predicate.
+dimensionful input where it enters: the detector's, the quadrature's and a
+model term's numbers in their constructors, each row's in its predicate.
 """
 
 from __future__ import annotations
@@ -85,18 +85,21 @@ def _set_state(self, state: dict) -> None:
     _keep_hash(self)
 
 
-# Every dimensionful input (c = hbar = 1) is 0 or within [1/SCALE, SCALE] in
-# magnitude, so the products the code forms stay within the normal floats,
-# 2^-1022 to 2^1024. A dispersion integrand reaches w = 2^20 times its top
-# pole in its 1/u tail and forms w^4 / prod (w^2 - p^2) and a shift times
-# w Im chi: at most about 2^480, and 2^-400 from squared poles at the low
-# end. The wave operator and the bath form two wavenumbers times gamma^2
-# chi, gamma^2 <= 2^53 for any float |beta| < 1; the rate's folds form
-# kappa^2 kpar^4 / omega^2, ky_cut = 25 / z0 <= 2^105: about 2^820 at most.
-# Near a Doppler zero, omega - beta kx of in-range omega != 0 and kx is 0,
+# Every dimensionful input (c = hbar = 1), a model's terms included, is 0 or
+# within [1/SCALE, SCALE] in magnitude, so the products the code forms stay
+# within the normal floats, 2^-1022 to 2^1024, with every input at an end of
+# the range. A dispersion integrand reaches w = 2^20 times its top pole, at
+# most band_edge = 4 (resonance + damping) <= 2^103, in its 1/u tail and
+# forms w^4 / prod (w^2 - p^2) and a shift times w Im chi <= s / damping:
+# at most about 2^500, and 2^-400 from squared poles at the low end. Near a
+# Doppler zero, omega - beta kx of in-range omega != 0 and kx is 0,
 # rejected where chi is singular, or at least about 2^-153, so a Drude chi
-# ~ s / (gamma damping (omega - beta kx)) stays below about 2^260 for
-# order-one model terms.
+# ~ s / (gamma damping (omega - beta kx)) stays below 2^100 / (2^-100
+# 2^-153) = 2^353. The wave operator and the bath form two wavenumbers
+# times gamma^2 chi, gamma^2 <= 2^53 for any float |beta| < 1: 2^606 at
+# most; the decay constant forms eps mu omega^2, 2^906 with an electric and
+# a magnetic Drude term both at the ends; the rate's folds form kappa^2
+# kpar^4 / omega^2, ky_cut = 25 / z0 <= 2^105: about 2^820 at most.
 SCALE = 2.0 ** 100
 _RANGE = f"[{1.0 / SCALE:.6g}, {SCALE:.6g}]"
 
@@ -249,6 +252,7 @@ class LorentzOscillator:
         for name in _OSCILLATOR_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            check_scale(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -645,6 +645,16 @@ UNTRUNCATED_K_MAX = ("kk_check.json", {"quad": {"k_max": 5.0}},
 NON_FINITE_MODEL = ("rate_surface.json", {"model_file": {"electric_terms": [
     {"plasma_strength": math.inf, "resonance": 1.0, "damping": 0.1}]}},
     "model_file: plasma_strength must be finite")
+# A resonance whose square overflows in chi (the rate's crossing search
+# raised OverflowError after validate passed), and a plasma strength whose
+# dispersion integral underflows to a division by zero: a model's terms
+# take the input range.
+MODEL_TERM_HUGE = ("rate_surface.json", {"model_file": {"electric_terms": [
+    {"plasma_strength": 1.0, "resonance": 1.4e154, "damping": 0.1}]}},
+    f"model_file: resonance must be {RANGE}")
+MODEL_TERM_TINY = ("kk_check.json", {"model_file": {"electric_terms": [
+    {"plasma_strength": 5e-324, "resonance": 1.0, "damping": 0.1}]}},
+    f"model_file: plasma_strength must be {RANGE}")
 MODEL_UNKNOWN_KEY = ("fresnel.json", {"model_file": {
     "electric_terms": [{"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}],
     "magentic_terms": []}}, "model_file: magentic_terms: unknown field")
@@ -839,6 +849,9 @@ FIELD_MESSAGES = [
     # the dissipation identity is algebraic and reads no quad
     ("dissipation_check.json", {"quad": {}}, "quad: unknown field"),
     REL_TOL_BELOW_FLOOR,
+    # model terms out of the input range
+    MODEL_TERM_HUGE,
+    MODEL_TERM_TINY,
 ]
 
 
@@ -901,6 +914,23 @@ def test_specs_reject_non_finite_inputs():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{name} must be"):
                 LorentzOscillator(**dict(term, **{name: value}))
+
+
+def test_model_terms_take_the_input_range():
+    """Each term of a model is 0 (damping excepted) or within [1/SCALE,
+    SCALE], like every dimensionful input."""
+    term = {"plasma_strength": 1.0, "resonance": 1.0, "damping": 0.1}
+    for name in term:
+        for value in (SCALE, 1.0 / SCALE):
+            assert getattr(LorentzOscillator(**dict(term, **{name: value})),
+                           name) == value
+        for value in (math.nextafter(SCALE, math.inf),
+                      math.nextafter(1.0 / SCALE, 0.0), 1.4e154):
+            with pytest.raises(ValueError) as exc:
+                LorentzOscillator(**dict(term, **{name: value}))
+            assert str(exc.value) == f"{name} must be {RANGE}"
+    for name in ("plasma_strength", "resonance"):
+        assert getattr(LorentzOscillator(**dict(term, **{name: 0.0})), name) == 0.0
 
 
 def test_scale_admits_zero_and_its_two_ends():

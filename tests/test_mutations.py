@@ -17,8 +17,9 @@ where the fault sits inside a longer function (`rate_surface`, the piece
 integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
 count of `convolution_panels`, the key document of `cli._cache_key`, the
 unknown-key check of `cli.scenario_from_dict` and its key set, the
-rel_tol floor of `QuadratureSpec.__post_init__`, the finiteness check of
-`LorentzOscillator.__post_init__`, the unknown-key
+rel_tol floor of `QuadratureSpec.__post_init__`, the finiteness check and
+the range call of `LorentzOscillator.__post_init__`, the halved start's
+badness scale in `quadrature._adapt`, the unknown-key
 check of `model_from_dict`, the window rule of `check_kk_frequency`, the
 band cut of `medium._dispersion`, the range call of `check_dissipation`,
 the range of `check_scale` and the range calls of
@@ -323,6 +324,15 @@ MUTATIONS = [
      rewritten("oscillator_finiteness_unchecked",
                "if not math.isfinite(getattr(self, name)):", "if False:"),
      {"specs"}, field_message(test_cli.NON_FINITE_MODEL)),
+    ("specs", "LorentzOscillator.__post_init__",
+     rewritten("oscillator_scale_unchecked", "check_scale(name, getattr(self, name))",
+               "pass"),
+     {"specs"}, field_message(test_cli.MODEL_TERM_HUGE)),
+    ("quadrature", "_adapt",
+     rewritten("halved_start_unit_scale", "inv_scale = 1.0 / tol\n",
+               "inv_scale = 1.0 / tol if level == 0 else np.ones_like(tol)\n"),
+     {"quadrature"},
+     test_quadrature.test_halved_vector_integrand_ranks_its_panels_per_component),
     ("specs", "model_from_dict",
      rewritten("model_keys_unchecked", "if unknown:", "if False:"),
      {"specs", "medium"}, field_message(test_cli.MODEL_UNKNOWN_KEY)),

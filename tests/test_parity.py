@@ -8,8 +8,9 @@ NonConvergenceError. The one exception is the exact zero at beta = 0, whose
 k_lower and k_max cells are inf by design.
 
 Run as a script, `PYTHONPATH=src python tests/test_parity.py`, it sweeps
-every leaf of every bundled scenario over EDGE_VALUES and prints the count of
-each outcome and every case that breaks the rule.
+every leaf of every bundled scenario over EDGE_VALUES, and every term of the
+bundled model that a scenario names, through a temporary model file, and
+prints the count of each outcome and every case that breaks the rule.
 """
 
 import copy
@@ -17,6 +18,7 @@ import json
 import math
 import signal
 import sys
+import tempfile
 import time
 import warnings
 from collections import Counter
@@ -32,6 +34,7 @@ from vacdrag.cli import ScenarioValidationError, run_scenario, scenario_from_dic
 from vacdrag.specs import SCALE, NonConvergenceError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+MODELS = Path(__file__).resolve().parent.parent / "src" / "vacdrag" / "models"
 
 # The sweep's edge values, the ends of the input range, and QUADPACK's
 # rel_tol floor of 50 eps with the float below it.
@@ -76,13 +79,34 @@ def _leaves(node, path=()):
 CASES = [(name, path) for name, doc in BUNDLED.items() for path in _leaves(doc)]
 
 
-def with_leaf(name: str, path: tuple, value: float) -> dict:
-    doc = copy.deepcopy(BUNDLED[name])
+def _bundled_model(name: str) -> dict:
+    """The document of the bundled model that scenario `name` names."""
+    model = BUNDLED[name]["model_file"].removeprefix("bundled:")
+    return json.loads((MODELS / f"{model}.json").read_text())
+
+
+# (scenario, path within its model document): the sweep's model-term leaves
+MODEL_CASES = [(name, path) for name, doc in BUNDLED.items()
+               if "model_file" in doc for path in _leaves(_bundled_model(name))]
+
+
+def _set(doc: dict, path: tuple, value: float) -> dict:
     node = doc
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
     return doc
+
+
+def with_leaf(name: str, path: tuple, value: float) -> dict:
+    return _set(copy.deepcopy(BUNDLED[name]), path, value)
+
+
+def with_model_leaf(name: str, path: tuple, value: float, model_file: Path) -> dict:
+    """Scenario name with its model's leaf at path set to value, the model
+    written to model_file."""
+    model_file.write_text(json.dumps(_set(_bundled_model(name), path, value)))
+    return dict(copy.deepcopy(BUNDLED[name]), model_file=str(model_file))
 
 
 def _unchecked(doc: dict):
@@ -174,14 +198,22 @@ def test_no_rate_node_meets_the_drude_pole(doc):
 
 def main() -> int:
     counts, broken = Counter(), []
-    for name, path in CASES:
-        for value in EDGE_VALUES:
-            result = outcome(with_leaf(name, path, value))
-            counts[result if result in KEPT else "broken"] += 1
-            if result not in KEPT:
-                broken.append(f"{name} {'.'.join(map(str, path))} = {value!r}: {result}")
+    with tempfile.TemporaryDirectory() as tmp:
+        model_file = Path(tmp) / "model.json"
+        cases = [(name, path, lambda v, n=name, p=path: with_leaf(n, p, v))
+                 for name, path in CASES]
+        cases += [(name, ("model_file",) + path,
+                   lambda v, n=name, p=path: with_model_leaf(n, p, v, model_file))
+                  for name, path in MODEL_CASES]
+        for name, path, make in cases:
+            for value in EDGE_VALUES:
+                result = outcome(make(value))
+                counts[result if result in KEPT else "broken"] += 1
+                if result not in KEPT:
+                    broken.append(f"{name} {'.'.join(map(str, path))} = {value!r}: "
+                                  f"{result}")
     print("\n".join(broken))
-    print(dict(counts), f"{len(CASES)} leaves x {len(EDGE_VALUES)} values")
+    print(dict(counts), f"{len(cases)} leaves x {len(EDGE_VALUES)} values")
     return bool(broken)
 
 

@@ -309,6 +309,63 @@ def test_no_crossing_keeps_the_plain_outer_map(monkeypatch):
     assert r.converged and r.gamma > 0.0
 
 
+def count_panels(monkeypatch):
+    """Spy on quadrature's adaptive loop. Returns the list of [members,
+    panels in its first _panel call] of every _adapt, in the order they
+    start, and a one-entry list that counts the _panel calls."""
+    from vacdrag import quadrature
+    adapt, panel = quadrature._adapt, quadrature._panel
+    starts, open_ = [], []
+    calls = [0]
+
+    def spy_adapt(f, a, b, spec, halved=False):
+        open_.append([np.size(a), None])
+        starts.append(open_[-1])
+        try:
+            return adapt(f, a, b, spec, halved)
+        finally:
+            open_.pop()
+
+    def spy_panel(f, a, b, member=None):
+        calls[0] += 1
+        if open_ and open_[-1][1] is None:
+            open_[-1][1] = a.size
+        return panel(f, a, b, member)
+
+    monkeypatch.setattr(quadrature, "_adapt", spy_adapt)
+    monkeypatch.setattr(quadrature, "_panel", spy_panel)
+    return starts, calls
+
+
+@pytest.mark.parametrize("model, beta, outer", [(MAGNETIC_RESONANCE, 0.75, 2),
+                                                (LORENTZ, 0.5, 1)],
+                         ids=["crossing", "no-crossing"])
+def test_rate_integrals_start_from_their_first_bisection(monkeypatch, model, beta,
+                                                         outer):
+    """Every inner ky batch starts from the two halves of each member's
+    interval, ky = b for a mapped member; the outer does where s = 1/2 is a
+    crossing k*, and otherwise starts from its whole interval."""
+    starts, _ = count_panels(monkeypatch)
+    r = rate_surface(det(), MotionFrame(beta=beta), model,
+                     QuadratureSpec(rel_tol=1e-5, abs_tol=1e-18, k_max=20.0))
+    assert r.converged
+    (members, first), *inner = starts
+    assert (members, first) == (1, outer)
+    assert inner and all(panels == 2 * members for members, panels in inner)
+
+
+def test_rate_surface_scenario_panel_count(monkeypatch, scenarios_dir):
+    """scenarios/rate_surface.json takes 48 _panel calls (55 when every ky
+    integral evaluated its whole interval first) for the same bits."""
+    from vacdrag import cli
+    doc = json.loads((scenarios_dir / "rate_surface.json").read_text())
+    _, calls = count_panels(monkeypatch)
+    row, = cli.run_scenario(cli.scenario_from_dict(doc))["outputs"]["rows"]
+    assert calls == [48]
+    assert (row["gamma"].hex(), row["error_estimate"].hex()) == \
+        ("0x1.e83a7556b625ep-9", "0x1.0d372e7c15238p-25")
+
+
 @pytest.mark.parametrize("z0", [0.2, 1.0])
 @pytest.mark.parametrize("name", ["lorentz_dielectric", "drude_metal"])
 def test_surface_rate_approaches_the_near_field_limit(name, z0):
