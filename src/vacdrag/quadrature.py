@@ -27,14 +27,14 @@ is at the width floor, its ends within 1000 eps of its midpoint, where the
 outer abscissae of its halves could round onto their ends (an integrand
 singular at an end).
 
-An integral starts from one panel over its interval, its evaluations 30
-per panel held less 15. With `halved` it starts from that panel's two
-halves, the panels its first sweep would bisect it into, for 30 per panel
-held less 30: an integral that one panel cannot resolve skips a panel whose
-estimate served only to scale its badness, and one that it can pays a
-panel more. Only the rate's integrals pass it (rates.rate_surface), whose
-first panel never meets the tolerance; some Green and dispersion pieces
-converge on theirs.
+An integral starts from its interval cut into equal panels of 15
+abscissae, its two halves with `halved` (unless max_subdivisions is 1 or
+it is at the width floor) and one panel otherwise; a bisection costs 30.
+Halved, an integral that one panel cannot resolve skips a panel whose
+estimate only scaled its badness, and one that it can pays a panel more.
+Every batch the package builds starts halved: the pieces of
+`_integrate_pieces`, greens' ky segments, the rate's ky integrals and its
+outer integral with a light-cone crossing, but not that without one.
 
 A lone `integrate_adaptive` is a batch of one, its integrand called with
 the abscissae alone. With `batch=m` the integrand is called with the pair
@@ -55,10 +55,10 @@ non-finite one aborts with the leftmost offending abscissa of the sweep.
 QuadratureSpec and NonConvergenceError are defined in specs and
 re-exported here.
 
-Four fast paths serve a lone integral and the first sweep: the lone and
-first-sweep branches of `_split` and `_sums`, and `_adapt`'s guard on the
-panel places. They give the bits of the general path; without them
-perfbench's green-checks op_s read 1.57-1.58 ms against 1.29-1.30 (+21%).
+Three fast paths serve a lone integral: the lone branches of `_split` and
+`_sums`, and `_adapt`'s guard on the panel places. Like the hot path's
+other special cases they keep the general path's bits, and each names the
+slowdown measured without it (in process, one CPU, best of 7 repeats).
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def _rows(x, at, size, width):
 def _sums(x, slot, col, counts, size):
     """Each working integral's sum of its entries of x (..., N), sequential
     in spatial order: shape (..., size)."""
-    if size == 1:       # one of 4 fast paths: green-checks op_s +21% without them
+    if size == 1:   # lone paths (3): green-checks +10-12%, golden-rule +5-7% without
         return np.add.accumulate(x, axis=-1)[..., -1:]
     width = counts.max()
     return np.add.accumulate(_rows(x, slot * width + col, size, width),
@@ -223,14 +223,12 @@ def _split(errs, inv_scale, tol, slot, col, counts, budget):
     a prefix leaves is an exact sequential sum, best panel first.
     """
     size, n = inv_scale.shape[-1], errs.shape[-1]
-    if n == size:       # one of 4 fast paths: green-checks op_s +21% without them
-        return np.arange(n), 1      # each integral halves its one panel
     if errs.ndim > 1:
         scale = inv_scale if size == 1 else inv_scale[..., slot]
         bad = (errs * scale).reshape(-1, n).max(axis=0)
     else:
         bad = errs
-    if size == 1:       # one of 4 fast paths: green-checks op_s +21% without them
+    if size == 1:   # lone paths (3): green-checks +10-12%, golden-rule +5-7% without
         order = np.argsort(-bad, kind="stable")
         # rest[i]: the error left once the n - 1 - i worst are bisected
         rest = np.add.accumulate(errs[..., order[::-1]], axis=-1)
@@ -266,9 +264,9 @@ def _adapt(f, a, b, spec, halved=False):
     b_i], in lockstep: (value, error, evaluations, converged), each with a
     trailing axis of m. With ndarray ends f is called with the pair (x,
     member); with float ends it is one integral, called with x alone.
-    With `halved`, each integral starts from the two halves of its
-    interval, unless max_subdivisions is 1 or the interval is at the width
-    floor (_at_floor).
+    Each integral starts from its interval cut into `counts` equal panels:
+    its two halves with `halved`, unless max_subdivisions is 1 or the
+    interval is at the width floor (_at_floor), and one panel otherwise.
 
     The panels sit in flat arrays, grouped by integral and in spatial order
     within each. Badness scales a panel's error per component by the
@@ -284,27 +282,23 @@ def _adapt(f, a, b, spec, halved=False):
     # tiny) wide, and after s sweeps no panel is narrower than about
     # (b - a) / 2^s, so the sweeps before `deep` need not look for one
     floor = 2000.0 * (_EPS * np.maximum(np.abs(pa), np.abs(pb)) + _TINY)
-    deep, level = math.log2(((pb - pa) / floor).min()) - 1.0, 0
-    # the integral in each working slot; each panel's slot and its place
-    # among its integral's panels; each integral's panel count
-    ids = slot = np.arange(size)
-    col = np.zeros(size, dtype=np.intp)
+    deep = math.log2(((pb - pa) / floor).min()) - 1.0
+    # the integral in each working slot; each integral's panel count, 2 when
+    # halved; each panel's slot and its place among its integral's panels
+    ids = np.arange(size)
     counts = np.ones(size, dtype=np.intp)
-    stuck = np.zeros(size, dtype=bool)
     if halved and budget > 1:
-        # the panels the first sweep would bisect each interval into
         counts += ~_at_floor(pa, pb)
-        slot = np.repeat(slot, counts)
-        col = np.arange(slot.size) - (np.cumsum(counts) - counts)[slot]
-        mid = (0.5 * (pa + pb))[slot]
-        pa = np.where(col > 0, mid, pa[slot])
-        pb = np.where(col + 1 < counts[slot], mid, pb[slot])
-        level = 1
-        vals, errs = _panel(f, pa, pb, slot if pair else None)
-        value = _sums(vals, slot, col, counts, size)
-        err = _sums(errs, slot, col, counts, size)
-    else:
-        value, err = vals, errs = _panel(f, pa, pb, ids if pair else None)
+    slot = np.repeat(ids, counts)
+    col = np.arange(slot.size) - (np.cumsum(counts) - counts)[slot]
+    mid = (0.5 * (pa + pb))[slot]
+    pa = np.where(col > 0, mid, pa[slot])
+    pb = np.where(col + 1 < counts[slot], mid, pb[slot])
+    level = counts.max() - 1
+    vals, errs = _panel(f, pa, pb, slot if pair else None)
+    value = _sums(vals, slot, col, counts, size)
+    err = _sums(errs, slot, col, counts, size)
+    stuck = np.zeros(size, dtype=bool)
     # 15 abscissae a starting panel and 30 a bisection: 30 counts - start
     start = 15 * counts
     tol = _tolerance(value, spec)
@@ -337,7 +331,7 @@ def _adapt(f, a, b, spec, halved=False):
         pick, split = _split(errs, inv_scale, tol, slot, col, counts, budget)
         m = pick.size
         lo, hi = pa[pick], pb[pick]
-        if level >= deep:
+        if level >= deep:       # golden-rule and rate-points +1-2% without the gate
             narrow = _at_floor(lo, hi)
             if narrow.any():
                 # the integral stops unconverged, as on a spent budget
@@ -349,7 +343,7 @@ def _adapt(f, a, b, spec, halved=False):
         cb = np.repeat(hi, 2)
         cb[::2] = mid
         cv, ce = _panel(f, ca, cb, np.repeat(ids[slot[pick]], 2) if pair else None)
-        if m == n:
+        if m == n:      # all bisected: green-checks +0.9%, golden-rule +0.5% without
             pa, pb, vals, errs = ca, cb, cv, ce
             slot = np.repeat(slot, 2)
         else:
@@ -370,7 +364,7 @@ def _adapt(f, a, b, spec, halved=False):
         n += m
         level += 1
         counts += split
-        if size > 1:        # one of 4 fast paths: a lone integral needs no places
+        if size > 1:        # lone paths (see _sums): a lone integral needs no places
             col = np.arange(n) - (np.cumsum(counts) - counts)[slot]
         value = _sums(vals, slot, col, counts, size)
         err = _sums(errs, slot, col, counts, size)
@@ -401,8 +395,8 @@ def integrate_adaptive(f, a, b, spec: QuadratureSpec, batch: int | None = None,
     floor. Where one panel over the interval cannot meet the tolerance, a
     plain integrand gets the default start's bits for 15 fewer evaluations
     (30 per panel held, less 30), and a vector one takes its badness scale
-    from the halves' estimate; where one panel can, it costs 15 more. Only
-    the rate's integrals pass it (see the module docstring).
+    from the halves' estimate; where one panel can, it costs 15 more. So the
+    default stays whole, and the package's batches pass it (module docstring).
     """
     if not (batch is None or isinstance(batch, (int, np.integer)) and batch >= 1):
         raise ValueError("batch must be a positive integer")
@@ -480,8 +474,7 @@ def _integrate_pieces(f, groups, spec):
     def pieces(arg):
         x, member = arg
         k = kind[member]
-        # plain pieces only (_PLAIN is 0); fast path: green-checks op_s read
-        # +4% and +6% in two runs without it
+        # plain pieces only (_PLAIN is 0); fast path: green-checks +5-7% without it
         if not k.any():
             return f(x)
         at, fold, tail = pole[member], k == _FOLD, k == _TAIL
@@ -494,7 +487,7 @@ def _integrate_pieces(f, groups, spec):
         y[..., tail] /= x[tail] ** 2    # |du/dx| on the tail
         return y
 
-    value, err, evals, converged = _adapt(pieces, lo, hi, spec)
+    value, err, evals, converged = _adapt(pieces, lo, hi, spec, halved=True)
     out, start = [], 0
     for members, spent in groups:
         part = slice(start, start + len(members))

@@ -18,9 +18,10 @@ from vacdrag.greens import (
     reflection_coefficients,
     surface_green_coincident,
 )
-from vacdrag import kinematics
+from vacdrag import kinematics, quadrature
 from vacdrag.kinematics import MotionFrame
-from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi
+from vacdrag.medium import (LorentzOscillator, SusceptibilityModel, chi,
+                            kk_reconstruct, verify_identity_1)
 from vacdrag.quadrature import NonConvergenceError, QuadratureSpec
 from vacdrag.specs import SCALE
 
@@ -534,3 +535,39 @@ def test_reflected_green_evaluates_chi_once_per_call(monkeypatch):
             calls.clear()
             reciprocity_check(model, frame, kx, 1.0, POINT_A, POINT_B, quad)
             assert sorted(calls) == sorted(kinds * 3)
+
+
+# ---------------------------------------------------------------------------
+# the start of every batch the package builds
+# ---------------------------------------------------------------------------
+
+def test_green_and_dispersion_batches_start_from_their_halves(monkeypatch):
+    """The first _panel call of each check's lockstep batch evaluates the
+    two halves of every member's interval, one panel for a member at the
+    width floor: the reflected Green's ky segments (a reciprocity check's
+    three Green functions, a surface Green function) and the dispersion
+    pieces (a kk reconstruction, an identity's principal values and tail)."""
+    adapt, panel = quadrature._adapt, quadrature._panel
+    starts = []
+
+    def spy_adapt(f, a, b, spec, halved=False):
+        ends = np.atleast_1d(a), np.atleast_1d(b)
+        starts.append([np.where(quadrature._at_floor(*ends), 1, 2).sum(), None])
+        return adapt(f, a, b, spec, halved)
+
+    def spy_panel(f, a, b, member=None):
+        if starts[-1][1] is None:
+            starts[-1][1] = a.size
+        return panel(f, a, b, member)
+
+    monkeypatch.setattr(quadrature, "_adapt", spy_adapt)
+    monkeypatch.setattr(quadrature, "_panel", spy_panel)
+    frame = MotionFrame(beta=0.5)
+    reciprocity_check(LORENTZ, frame, 0.3, 1.0, POINT_A, POINT_B, QUAD)
+    surface_green_coincident(LORENTZ, REST, SurfaceGeometry(z0=0.7), 0.4, 1.0,
+                             QUAD_SURF)
+    kk_reconstruct(LORENTZ, "electric", 0.5, QUAD)
+    verify_identity_1(LORENTZ, 0.7, 1.3, QUAD)
+    assert len(starts) == 4
+    for expected, first in starts:
+        assert first == expected

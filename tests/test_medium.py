@@ -237,13 +237,15 @@ def test_identity_degenerate_poles_rejected():
 def test_each_integrand_is_one_adaptive_loop(monkeypatch):
     """A reconstruction runs its principal value and its tail, and an
     identity integrand its two principal values and its tail, as one
-    lockstep batch: one _adapt call each, with every piece a member."""
+    lockstep batch: one _adapt call each, with every piece a member that
+    starts from its halves."""
     members = []
     adapt = vacdrag.quadrature._adapt
 
-    def spy(f, a, b, spec):
+    def spy(f, a, b, spec, halved=False):
+        assert halved is True
         members.append(np.size(a))
-        return adapt(f, a, b, spec)
+        return adapt(f, a, b, spec, halved)
 
     monkeypatch.setattr(vacdrag.quadrature, "_adapt", spy)
     kk_reconstruct(LORENTZ, "electric", 0.5, QUAD)

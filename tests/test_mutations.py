@@ -13,22 +13,21 @@ import the panel rule `convolution_panels` from `specs`, and test modules
 import what they check. A row whose oracle passes under its mutant is a
 fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
-where the fault sits inside a longer function (`rate_surface`, the piece
-integrand of `_integrate_pieces`, the cached `_rate_spline`, the panel
-count of `convolution_panels`, the key document of `cli._cache_key`, the
-unknown-key check of `cli.scenario_from_dict` and its key set, the
-rel_tol floor of `QuadratureSpec.__post_init__`, the finiteness check and
-the range call of `LorentzOscillator.__post_init__`, the halved start's
-badness scale in `quadrature._adapt`, the unknown-key
-check of `model_from_dict`, the window rule of `check_kk_frequency`, the
-band cut of `medium._dispersion`, the range call of `check_dissipation`,
-the range of `check_scale` and the range calls of
-`DetectorSpec.__post_init__`), an edit of its source compiled again in its
-module. A
-dotted name (`_RateSpline._plan`) is a method, bound only on its class, and a
-subscripted name (`_KINDS[dissipation-check]`) an entry of a module's table. An
-oracle may be a parametrized test bound to one of its rows: the fixtures it
-still names are the mutation test's own.
+where the fault sits inside a longer function (`rate_surface`, the damping
+of `lorentz_chi`, the piece integrand and the start of `_integrate_pieces`,
+the cached `_rate_spline`, the panel count of `convolution_panels`, the key
+document of `cli._cache_key`, the unknown-key check of
+`cli.scenario_from_dict` and its key set, the rel_tol floor of
+`QuadratureSpec.__post_init__`, the finiteness check and the range call of
+`LorentzOscillator.__post_init__`, the halved start's badness scale in
+`quadrature._adapt`, the unknown-key check of `model_from_dict`, the window
+rule of `check_kk_frequency`, the band cut of `medium._dispersion`, the
+range call of `check_dissipation`, the range of `check_scale` and the range
+calls of `DetectorSpec.__post_init__`), an edit of its source compiled again
+in its module. A dotted name (`_RateSpline._plan`) is a method, bound only
+on its class, and a subscripted name (`_KINDS[dissipation-check]`) an entry
+of a module's table. An oracle may be a parametrized test bound to one of
+its rows: the fixtures it still names are the mutation test's own.
 """
 
 import dataclasses
@@ -227,6 +226,11 @@ MUTATIONS = [
      test_medium.test_kk_below_resonance),
     ("medium", "lorentz_chi", damping_sign_flipped, {"medium"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("medium", "lorentz_chi",
+     rewritten("damping_floored", "- 1j * t.damping * omega",
+               "- 1j * max(t.damping, 1e-2) * omega"),
+     {"medium"},
+     test_rates.test_rate_below_the_medium_light_cone_is_linear_in_the_damping),
     ("greens", "_segment_ky", inside_jacobian_dropped, {"greens"},
      test_greens.test_semi_infinite_green_inside_light_circle_matches_dense_grid),
     ("greens", "_segment_ky", tail_jacobian_dropped, {"greens"},
@@ -281,6 +285,10 @@ MUTATIONS = [
     ("quadrature", "_integrate_pieces",
      rewritten("tail_without_jacobian", "y[..., tail] /= x[tail] ** 2", "pass"),
      {"quadrature", "medium"}, test_medium.test_kk_below_resonance),
+    ("quadrature", "_integrate_pieces",
+     rewritten("pieces_start_whole", "halved=True", "halved=False"),
+     {"quadrature", "medium"},
+     test_greens.test_green_and_dispersion_batches_start_from_their_halves),
     ("specs", "check_kk_frequency",
      rewritten("kk_pole_windows_unchecked", "pole_windows(terms, (omega,))", "pass"),
      {"specs", "cli", "medium"}, kind_rejects(test_cli.KK_LOW_POLE)),

@@ -160,6 +160,24 @@ def test_surface_rate_threshold_accuracy(model, beta, cherenkov):
     assert gap <= loose.error_estimate
 
 
+def test_rate_below_the_medium_light_cone_is_linear_in_the_damping():
+    """Below beta n(0) = 1 no band of real medium modes opens, so as the
+    damping goes to 0 the rate comes from the loss alone and is linear in
+    it. One Lorentz term with plasma_strength R^2 and resonance R = 50 has
+    n(0)^2 = 2 (beta n(0) = 0.71 at beta 0.5) and stays nondispersive across
+    the Doppler band; Gamma / damping reads 1.336547e-6 at each damping from
+    1e-1 to 1e-4, on the detector, frame and quad of rate_surface.json."""
+    ratios = []
+    for damping in (1e-1, 1e-2, 1e-3, 1e-4):
+        model = SusceptibilityModel(electric_terms=(
+            LorentzOscillator(2500.0, 50.0, damping),), label="near lossless")
+        r = rate_surface(det(), MotionFrame(beta=0.5), model,
+                         QuadratureSpec(rel_tol=1e-5, abs_tol=1e-18, k_max=12.0))
+        assert r.converged and r.gamma > 0.0
+        ratios.append(r.gamma / damping)
+    assert max(ratios) - min(ratios) <= 1e-5 * min(ratios), ratios
+
+
 def test_ky_split_maps_onto_both_pieces():
     """The graded ky map: t = 0, ky_cut / 2 and ky_cut go to 0, b and ky_cut,
     ky rises with t, jac is dky/dt, each half of t integrates jac to the
