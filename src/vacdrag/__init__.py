@@ -29,7 +29,7 @@ _LAZY = {name: module for module, names in (
                 "reciprocity_check", "reflection_coefficients",
                 "surface_green_coincident")),
     ("rates", ("RateResult", "finite_time_probability", "rate_free_space",
-               "rate_surface", "rate_vs_distance")),
+               "rate_surface")),
 ) for name in names}
 
 

@@ -5,9 +5,9 @@ half-space enters through reflection coefficients: rest-frame Fresnel
 amplitudes evaluated at the Doppler-shifted frequency gamma (omega - beta kx)
 while the wave equation keeps the lab frequency (the first-order-in-velocity
 scheme), with the polarization-mixing off-diagonal amplitudes dropped at the
-same order. Only this module knows the scheme, in two stages that the rate
-density of `rates` calls too: _doppler_medium (eps, mu and the ky = 0 branch
-set b^2 at the Doppler frequency) and _reflection ((r_s, r_p) per abscissa).
+same order. Only this module knows the scheme, in two stages that `rates`
+calls too: _doppler_medium (eps, mu and the ky = 0 branch set b^2 at the
+Doppler frequency) and _reflection ((r_s, r_p) per abscissa, in _density).
 A reflected Green function integrates the closed-form dyad over
 ky segments: plain, light-circle substitutions that cancel the 1/xi edge
 factor, a 1/u tail; every segment a check needs is a member of one lockstep
@@ -139,7 +139,7 @@ def _doppler_medium(model, frame, kx, omega):
     beyond the medium's light cone. mu is the scalar 1.0 for a model with
     no magnetic terms: no chi call and no complex products with it (without
     that, golden-rule +1-3% and rate-points 0-5%)."""
-    om_minus, _ = doppler(frame, omega, kx)
+    om_minus = doppler(frame, omega, kx)
     eps = 1.0 + chi(model, "electric", om_minus)
     mu = 1.0 + chi(model, "magnetic", om_minus) if model.magnetic_terms else 1.0
     return eps, mu, (eps * mu).real * omega * omega - kx * kx
@@ -322,7 +322,7 @@ def green_dissipation_identity(model: SusceptibilityModel, frame: MotionFrame,
     kx, omega = float(kx), float(omega)
     ky, kz = (float(c) for c in np.asarray(kvec, dtype=float))
     check_dissipation(frame.beta, kx, ky, kz, omega)
-    gamma_omega, _ = doppler(frame, omega, kx)
+    gamma_omega = doppler(frame, omega, kx)
 
     c_ee, c_bb, c_eb, c_be = (np.asarray(t) for t in
                               moving_susceptibility_tensors(model, frame, omega, kx))

@@ -2,10 +2,10 @@
 
 The lab-frame description of the moving half-space trades the isotropic
 rest-frame response for anisotropic, magnetoelectric tensors. Everything here
-is closed-form: the Lorentz factor, the Doppler pair
-omega_mp = gamma (omega -+ beta kx), and the pole-decomposed susceptibility
-tensors where the scalar response enters only through its value at the
-shifted frequency.
+is closed-form: the Lorentz factor, the Doppler frequency
+omega_minus = gamma (omega - beta kx), and the pole-decomposed
+susceptibility tensors where the scalar response enters only through its
+value at that shifted frequency.
 MotionFrame and lorentz_gamma are defined in specs and re-exported here.
 """
 
@@ -33,8 +33,8 @@ _XCROSS = np.array([[0.0, 0.0, 0.0],
 
 
 def doppler(frame: MotionFrame, omega: float, kx: float):
-    """Doppler pair (omega_minus, omega_plus) = gamma (omega -+ beta kx);
-    kx may be an ndarray."""
+    """Doppler frequency omega_minus = gamma (omega - beta kx), the comoving
+    frequency of the lab mode (omega, kx); kx may be an ndarray."""
     omega = float(omega)
     if isinstance(kx, np.ndarray):
         kx = np.asarray(kx, dtype=float)
@@ -44,8 +44,7 @@ def doppler(frame: MotionFrame, omega: float, kx: float):
         finite = math.isfinite(kx)
     if not (math.isfinite(omega) and finite):
         raise ValueError("omega and kx must be finite")
-    shift = frame.beta * kx
-    return frame.gamma * (omega - shift), frame.gamma * (omega + shift)
+    return frame.gamma * (omega - frame.beta * kx)
 
 
 def moving_susceptibility_tensors(model: SusceptibilityModel, frame: MotionFrame,
@@ -59,7 +58,7 @@ def moving_susceptibility_tensors(model: SusceptibilityModel, frame: MotionFrame
     tensor [v]x: chi_ee = Lambda^2 chi_e + gamma^2 beta^2 P_yz chi_b, its
     e <-> b mirror for chi_bb, and chi_eb = -chi_be = gamma^2 (chi_e + chi_b) [v]x.
     """
-    om_minus, _ = doppler(frame, omega_lab, kx)
+    om_minus = doppler(frame, omega_lab, kx)
     ce = chi(model, "electric", om_minus)
     cb = chi(model, "magnetic", om_minus)
     g2 = frame.gamma ** 2

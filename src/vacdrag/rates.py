@@ -11,15 +11,16 @@ integrates the evanescent-sector rate density
 over k in (omega/|V|, k_max), ky folded over both signs. Only modes with
 k > omega/|V| see a negative comoving frequency and contribute; the domain
 is therefore entirely evanescent (xi real) and the k_max truncation is the
-caller's resolution knob, not an error source tracked here. The reflection
-physics is the greens kernel's: each sweep of the outer k integral calls
-its first stage, _doppler_medium, once on the 15 k-nodes of every panel it
-bisects, and all those panels' ky integrals run as one lockstep batch
-(`integrate_adaptive(..., batch=m)`), one member per outer panel with
-components (2, 15), s and p at every node, whose density calls the second
-stage, _reflection. Each member still bisects, and each channel still
-meets its tolerance, as a lone integral would. This module adds only
-kappa's folds with the dyads and the maps.
+caller's resolution knob, not an error source tracked here. The density is
+_density, at given (k^2, ky) with no maps: kappa's folds times Im r_lambda
+from the greens kernel's second stage, _reflection. Each sweep of the outer
+k integral calls the first stage, _doppler_medium, once on the 15 k-nodes
+of every panel it bisects, and all those panels' ky integrals run as one
+lockstep batch (`integrate_adaptive(..., batch=m)`), one member per outer
+panel with components (2, 15), s and p at every node, whose integrand
+gathers each member's arrays, maps ky and calls _density. Each member
+still bisects, and each channel still meets its tolerance, as a lone
+integral would.
 
 Three changes of variable put the known singular points on panel edges.
 The outer integral runs over s in [0, 1], k = k_lo + (k_max - k_lo) s^2,
@@ -101,7 +102,6 @@ __all__ = [
     "finite_time_probability",
     "rate_free_space",
     "rate_surface",
-    "rate_vs_distance",
 ]
 
 
@@ -170,7 +170,7 @@ def _k_floor(frame, omega, k_lo):
     kx_sign = -math.copysign(1.0, frame.beta)
     k = k_lo
     for _ in range(_FLOOR_STEPS):
-        if doppler(frame, -omega, kx_sign * k)[0] > 0.0:
+        if doppler(frame, -omega, kx_sign * k) > 0.0:
             break
         k = math.nextafter(k, math.inf)
     return k
@@ -228,6 +228,37 @@ def _outer_map(s, crossings):
     return lo + u, jac * (width * cells)
 
 
+def _folds(det):
+    """(omega, -2 z0, kappa's fold coefficients): over both signs of ky,
+    fold_s = 2 (kappa_x^2 ky^2 + kappa_y^2 k^2) / kpar^2 and fold_p = 2 (xi^2
+    (kappa_x^2 k^2 + kappa_y^2 ky^2) + kappa_z^2 kpar^4) / (kpar^2 omega^2),
+    with 1 / (2 pi)^2 (and 1 / omega^2 for p) in the coefficients."""
+    omega = det.omega
+    sx, sy, sz = (2.0 / (2.0 * math.pi) ** 2 * c * c for c in det.kappa)
+    return omega, -2.0 * det.z0, sx, sy, *(c / (omega * omega) for c in (sx, sy, sz))
+
+
+def _density(eps, mu, folds, k2, ky, jac=None):
+    """The (s, p) rate density over omega^2, fold_lambda Im r_lambda
+    e^(-2 xi z0) / xi, at k^2 and ky, arrays that broadcast with eps and mu,
+    _doppler_medium's at (-sgn(beta) k, -omega); folds = _folds(det). A
+    map's Jacobian `jac` scales the weight before the folds."""
+    omega, decay, sx, sy, px, py, pz = folds
+    ky2 = ky * ky
+    kpar2 = k2 + ky2
+    xi2 = kpar2 - omega * omega
+    xi = np.sqrt(xi2)
+    rs, rp = _reflection(eps, mu, kpar2, omega, xi)
+    weight = np.exp(decay * xi) / (xi * kpar2)
+    if jac is not None:
+        weight *= jac
+    out = np.empty((2,) + kpar2.shape)
+    np.multiply(weight * (sx * ky2 + sy * k2), rs.imag, out=out[0])
+    np.multiply(weight * (xi2 * (px * k2 + py * ky2) + pz * kpar2 * kpar2),
+                rp.imag, out=out[1])
+    return out
+
+
 def rate_surface(det: DetectorSpec, frame: MotionFrame,
                  model: SusceptibilityModel, quad: QuadratureSpec) -> RateResult:
     """Stationary-detector excitation rate above the moving half-space."""
@@ -235,24 +266,14 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         return rate_free_space(det, frame, quad)    # the same exact zero
     k_lo = _k_lower(det.omega, frame.beta)
     omega = det.omega
-    z0 = det.z0
     kx_sign = -math.copysign(1.0, frame.beta)  # the density's mode (-k, -omega)
-    ky_cut = max(25.0 / z0, 2.0 * omega, 5.0)
+    ky_cut = max(25.0 / det.z0, 2.0 * omega, 5.0)
     span = quad.k_max - k_lo
     k_floor = _k_floor(frame, omega, k_lo)
     crossings = _light_cone_crossings(model, frame, omega, k_lo, span, k_floor)
     inner_quad = replace(quad, rel_tol=max(0.1 * quad.rel_tol, 1e-13),
                          abs_tol=0.1 * quad.abs_tol)
-
-    # kappa's folds with the s and p dyads, summed over both signs of ky,
-    #   fold_s = 2 (kappa_x^2 ky^2 + kappa_y^2 k^2) / kpar^2,
-    #   fold_p = 2 (xi^2 (kappa_x^2 k^2 + kappa_y^2 ky^2) + kappa_z^2 kpar^4)
-    #            / (kpar^2 omega^2),
-    # with 1 / (2 pi)^2 (and 1 / omega^2 for p) in the coefficients
-    norm = 2.0 / (2.0 * math.pi) ** 2
-    sx, sy, sz = (norm * c * c for c in det.kappa)
-    px, py, pz = (c / (omega * omega) for c in (sx, sy, sz))
-    decay = -2.0 * z0
+    folds = _folds(det)
 
     def outer(s):
         # k = k_lo + span u^2: the kernel's first stage once on all k-nodes
@@ -275,27 +296,13 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
         def density(arg):
             # np.take gives C-order (15, n) arrays: no copy in quadrature
             t, member = arg
-            k2 = np.take(ksq, member, axis=1)
+            member_args = (np.take(eps, member, axis=1),
+                           np.take(mu, member, axis=1) if np.ndim(mu) else mu,
+                           folds, np.take(ksq, member, axis=1))
             if split:
-                ky, jac = _split_map(t, np.take(branch, member, axis=1),
-                                     mapped[member], ky_cut)
-            else:
-                ky = t
-            ky2 = ky * ky
-            kpar2 = k2 + ky2
-            xi2 = kpar2 - omega * omega
-            xi = np.sqrt(xi2)
-            e = np.take(eps, member, axis=1)
-            m = np.take(mu, member, axis=1) if np.ndim(mu) else mu
-            rs, rp = _reflection(e, m, kpar2, omega, xi)
-            weight = np.exp(decay * xi) / (xi * kpar2)
-            if split:
-                weight *= jac
-            out = np.empty((2,) + kpar2.shape)
-            np.multiply(weight * (sx * ky2 + sy * k2), rs.imag, out=out[0])
-            np.multiply(weight * (xi2 * (px * k2 + py * ky2) + pz * kpar2 * kpar2),
-                        rp.imag, out=out[1])
-            return out
+                return _density(*member_args, *_split_map(
+                    t, np.take(branch, member, axis=1), mapped[member], ky_cut))
+            return _density(*member_args, t)
 
         res = integrate_adaptive(density, 0.0, ky_cut, inner_quad,
                                  batch=k.shape[1], halved=True)
@@ -313,14 +320,6 @@ def rate_surface(det: DetectorSpec, frame: MotionFrame,
     return RateResult(gamma=g_s + g_p, error_estimate=e_s + e_p,
                       converged=res.converged, k_lower=k_lo,
                       k_max=quad.k_max, breakdown={"s": g_s, "p": g_p})
-
-
-def rate_vs_distance(det: DetectorSpec, frame: MotionFrame,
-                     model: SusceptibilityModel, quad: QuadratureSpec,
-                     z0_ladder) -> list:
-    """Surface rate at each height of a ladder, detector otherwise fixed."""
-    return [rate_surface(replace(det, z0=float(z)), frame, model, quad)
-            for z in z0_ladder]
 
 
 @cache

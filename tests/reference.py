@@ -298,26 +298,20 @@ def chi_np(terms, w):
     return out
 
 
-def rate_surface_dense(e_terms, b_terms, beta, kappa, omega, z0, k_max,
-                       nk=2000, nky=2000, ky_cut=None):
-    """Brute-force double integral for the surface excitation rate.
+def rate_density(e_terms, b_terms, beta, kappa, omega, z0, k, ky):
+    """The (s, p) rate density over omega^2 at (k, ky), arrays that
+    broadcast (chi is taken on k's shape), ky folded over both signs.
 
-    Fixed log-dense k grid and linear ky grid, trapezoid in both directions.
-    Follows the diagonal-reflection rate integrand written out directly;
-    hbar = mu0 = c = 1.
+    Follows the diagonal-reflection rate integrand written out directly:
+    the mode (-sgn(beta) k, ky, -omega), whose rest-frame frequency is
+    gamma (|beta| k - omega); hbar = mu0 = c = 1.
     """
     gamma = 1.0 / np.sqrt(1.0 - beta ** 2)
-    k_lo = omega / beta
-    k = np.geomspace(k_lo * (1 + 1e-9), k_max, nk)
-    if ky_cut is None:
-        ky_cut = max(20.0 / z0, 2 * omega, 5.0)
-    ky = np.linspace(0.0, ky_cut, nky)
-    K, KY = np.meshgrid(k, ky, indexing="ij")
-    kpar2 = K ** 2 + KY ** 2
+    kpar2 = k ** 2 + ky ** 2
     xi = np.sqrt(kpar2 - omega ** 2)
-    Om = gamma * (beta * k - omega)  # rest-frame frequency at (-k, -omega)
-    eps = (1.0 + chi_np(e_terms, Om))[:, None]
-    mum = (1.0 + chi_np(b_terms, Om))[:, None]
+    Om = gamma * (abs(beta) * k - omega)  # rest-frame frequency at (-k, -omega)
+    eps = 1.0 + chi_np(e_terms, Om)
+    mum = 1.0 + chi_np(b_terms, Om)
     # only the susceptibility argument is Doppler shifted; the wave equation
     # keeps the lab frequency (first order in velocity scheme)
     xim = np.sqrt(kpar2 - eps * mum * omega ** 2 + 0j)
@@ -325,17 +319,33 @@ def rate_surface_dense(e_terms, b_terms, beta, kappa, omega, z0, k_max,
     rs = (mum * xi - xim) / (mum * xi + xim)
     rp = (eps * xi - xim) / (eps * xi + xim)
     kxv, kyv, kzv = kappa
-    total = {"s": 0.0, "p": 0.0}
+    w = np.exp(-2 * xi * z0) / xi / (2 * np.pi) ** 2
+    ds = dp = 0.0
     for sgn in (+1.0, -1.0):
-        KYs = sgn * KY
-        e1fac = (kxv * KYs + kyv * K) ** 2 / kpar2
-        e2fac = (xi ** 2 * (kxv * K - kyv * KYs) ** 2 + kzv ** 2 * kpar2 ** 2) \
+        kys = sgn * ky
+        e1fac = (kxv * kys + kyv * k) ** 2 / kpar2
+        e2fac = (xi ** 2 * (kxv * k - kyv * kys) ** 2 + kzv ** 2 * kpar2 ** 2) \
             / (kpar2 * omega ** 2)
-        w = np.exp(-2 * xi * z0) / xi / (2 * np.pi) ** 2
-        for name, fac, r in (("s", e1fac, rs), ("p", e2fac, rp)):
-            g = np.trapezoid(np.trapezoid(w * fac * np.imag(r), ky, axis=1), k)
-            total[name] += omega ** 2 * g
-    return total["s"] + total["p"], total
+        ds = ds + w * e1fac * np.imag(rs)
+        dp = dp + w * e2fac * np.imag(rp)
+    return ds, dp
+
+
+def rate_surface_dense(e_terms, b_terms, beta, kappa, omega, z0, k_max,
+                       nk=2000, nky=2000, ky_cut=None):
+    """Brute-force double integral of rate_density for the surface
+    excitation rate, beta > 0: fixed log-dense k grid and linear ky grid,
+    trapezoid in both directions."""
+    k_lo = omega / beta
+    k = np.geomspace(k_lo * (1 + 1e-9), k_max, nk)
+    if ky_cut is None:
+        ky_cut = max(20.0 / z0, 2 * omega, 5.0)
+    ky = np.linspace(0.0, ky_cut, nky)
+    density = rate_density(e_terms, b_terms, beta, kappa, omega, z0,
+                           k[:, None], ky[None, :])
+    parts = {name: omega ** 2 * np.trapezoid(np.trapezoid(d, ky, axis=1), k)
+             for name, d in zip("sp", density)}
+    return parts["s"] + parts["p"], parts
 
 
 # ---------------------------------------------------------------------------

@@ -58,20 +58,19 @@ def test_frame_carries_derived_gamma():
 
 def test_doppler_rest_frame():
     frame = MotionFrame(beta=0.0)
-    assert doppler(frame, 2.0, 5.0) == (2.0, 2.0)
+    assert doppler(frame, 2.0, 5.0) == 2.0
 
 
 def test_doppler_example_values():
     frame = MotionFrame(beta=0.5)
-    om_minus, om_plus = doppler(frame, 2.0, 1.0)
-    assert om_minus == pytest.approx(1.7320508075688772935, rel=1e-15)
-    assert om_plus == pytest.approx(2.5 / math.sqrt(0.75), rel=1e-15)
+    assert doppler(frame, 2.0, 1.0) == pytest.approx(1.7320508075688772935, rel=1e-15)
+    # the other branch, gamma (omega + beta kx), is the mode at -kx
+    assert doppler(frame, 2.0, -1.0) == pytest.approx(2.5 / math.sqrt(0.75), rel=1e-15)
 
 
 def test_doppler_comoving_null():
     frame = MotionFrame(beta=0.5)
-    om_minus, _ = doppler(frame, 0.5 * 3.7, 3.7)
-    assert om_minus == 0.0
+    assert doppler(frame, 0.5 * 3.7, 3.7) == 0.0
 
 
 def test_doppler_rejects_nonfinite():
@@ -87,10 +86,10 @@ def test_doppler_rejects_nonfinite():
        st.floats(min_value=-100.0, max_value=100.0))
 @settings(max_examples=80, deadline=None)
 def test_doppler_beta_negation_swaps_branches(beta, omega, kx):
-    minus_a, plus_a = doppler(MotionFrame(beta=beta), omega, kx)
-    minus_b, plus_b = doppler(MotionFrame(beta=-beta), omega, kx)
-    assert minus_a == plus_b
-    assert plus_a == minus_b
+    frame = MotionFrame(beta=beta)
+    assert doppler(frame, omega, kx) == frame.gamma * (omega - beta * kx)
+    assert doppler(MotionFrame(beta=-beta), omega, kx) == \
+        frame.gamma * (omega + beta * kx)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ document of `cli._cache_key`, the unknown-key check of
 `LorentzOscillator.__post_init__`, the halved start's badness scale in
 `quadrature._adapt`, the unknown-key check of `model_from_dict`, the window
 rule of `check_kk_frequency`, the band cut of `medium._dispersion`, the
-range call of `check_dissipation`, the range of `check_scale` and the range
-calls of `DetectorSpec.__post_init__`), an edit of its source compiled again
-in its module. A dotted name (`_RateSpline._plan`) is a method, bound only
+range call of `check_dissipation`, the range of `check_scale`, the range
+calls of `DetectorSpec.__post_init__` and the kz fold and the decay of the
+rate density `_density`), an edit of its source compiled again in its
+module. A dotted name (`_RateSpline._plan`) is a method, bound only
 on its class, and a subscripted name (`_KINDS[dissipation-check]`) an entry
 of a module's table. An oracle may be a parametrized test bound to one of
 its rows: the fixtures it still names are the mutation test's own.
@@ -47,7 +48,7 @@ import test_medium
 import test_quadrature
 import test_rates
 from vacdrag import cli, greens
-from vacdrag.specs import NonConvergenceError
+from vacdrag.specs import MotionFrame, NonConvergenceError
 from vacdrag.tensors import ComplexTensor3
 
 
@@ -60,10 +61,10 @@ def rs_without_mu(original):
 
 
 def doppler_swapped(original):
-    """The Doppler pair comes back as (omega_plus, omega_minus)."""
+    """The Doppler shift changes sign: gamma (omega + beta kx) comes back,
+    the other branch, in place of gamma (omega - beta kx)."""
     def mutant(frame, omega, kx):
-        minus, plus = original(frame, omega, kx)
-        return plus, minus
+        return original(MotionFrame(beta=-frame.beta), omega, kx)
     return mutant
 
 
@@ -206,6 +207,9 @@ def rewritten(name, old, new):
     return make
 
 
+KZ_FOLD_HALVED = rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2",
+                           "+ 0.5 * pz * kpar2 * kpar2")
+
 # (module, name, mutant, modules that bind the target, oracle)
 MUTATIONS = [
     ("greens", "_fresnel_amplitudes", rs_without_mu, {"greens"},
@@ -238,15 +242,21 @@ MUTATIONS = [
     ("greens", "_dyad_pair", odd_entries_with_cos, {"greens"},
      test_greens.test_reciprocity_moving_velocity_reversal),
     ("rates", "rate_surface",
-     rewritten("ky_cut_4_over_z0", "max(25.0 / z0,", "max(4.0 / z0,"), {"rates"},
+     rewritten("ky_cut_4_over_z0", "max(25.0 / det.z0,", "max(4.0 / det.z0,"),
+     {"rates"}, test_rates.test_surface_rate_matches_dense_grid_oracle),
+    ("rates", "_density", KZ_FOLD_HALVED, {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),
-    ("rates", "rate_surface",
-     rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2", "+ 0.5 * pz * kpar2 * kpar2"),
-     {"rates"},
-     test_rates.test_surface_rate_matches_dense_grid_oracle),
-    ("rates", "rate_surface",
-     rewritten("kz_fold_halved", "+ pz * kpar2 * kpar2", "+ 0.5 * pz * kpar2 * kpar2"),
-     {"rates"}, near_field("lorentz_dielectric", 1.0)),
+    ("rates", "_density", KZ_FOLD_HALVED, {"rates"},
+     near_field("lorentz_dielectric", 1.0)),
+    ("rates", "_density", KZ_FOLD_HALVED, {"rates"},
+     test_rates.test_density_matches_the_reference_density),
+    ("kinematics", "doppler", doppler_swapped, {"kinematics", "greens", "rates"},
+     test_rates.test_density_matches_the_reference_density),
+    # a fault only where e^(-2 xi z0) < e^-60: no integral moves by a bit
+    ("rates", "_density",
+     rewritten("decay_floored_at_e_minus_60", "np.exp(decay * xi)",
+               "np.exp(np.maximum(decay * xi, -60.0))"),
+     {"rates"}, test_rates.test_density_matches_the_reference_density),
     ("rates", "rate_surface",
      rewritten("outer_jacobian_dropped", " * (2.0 * span * u * du)", ""), {"rates"},
      test_rates.test_surface_rate_matches_dense_grid_oracle),

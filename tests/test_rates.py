@@ -1,4 +1,5 @@
-"""Excitation rates: free-space null, surface rate, distance sweep, finite time."""
+"""Excitation rates: free-space null, the rate density point by point, the
+surface rate, finite time."""
 
 import json
 import math
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import reference
-from vacdrag.greens import (SurfaceGeometry, _doppler_medium, _xi_medium,
-                            surface_green_coincident)
+from vacdrag.greens import (SurfaceGeometry, _doppler_medium, _dyad_pair,
+                            _xi_medium, surface_green_coincident)
 from vacdrag.kinematics import MotionFrame
 from vacdrag.medium import LorentzOscillator, SusceptibilityModel, chi, load_model
 from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
@@ -17,6 +18,8 @@ from vacdrag.quadrature import (NonConvergenceError, QuadratureSpec,
 from vacdrag.rates import (
     DetectorSpec,
     RateResult,
+    _density,
+    _folds,
     _k_floor,
     _light_cone_crossings,
     _outer_map,
@@ -24,7 +27,6 @@ from vacdrag.rates import (
     finite_time_probability,
     rate_free_space,
     rate_surface,
-    rate_vs_distance,
 )
 from vacdrag.specs import (MAX_CONVOLUTION_PANELS, check_rate_inputs,
                            convolution_panels)
@@ -82,6 +84,68 @@ def test_free_space_rate_reports_domain():
     r0 = rate_free_space(det(omega=1.0), MotionFrame(beta=0.0), QUAD)
     assert r0.k_lower == math.inf
     assert r0.gamma == 0.0
+
+
+# ---------------------------------------------------------------------------
+# _density, point by point
+# ---------------------------------------------------------------------------
+
+# both bundled models and mu != 1, both signs of beta; beta n > 1 at 0.9
+POINTWISE_MODELS = (load_model("bundled:lorentz_dielectric"), DRUDE,
+                    MAGNETIC_RESONANCE)
+POINTWISE_BETAS = (0.3, 0.5, -0.7, 0.9)
+
+
+def pointwise_cases(n=50):
+    """For each model and beta: a seeded detector, n seeded (k, ky) of the
+    rate's domain, out to 40 / z0 past the threshold in k and in ky (about
+    half of them where e^(-2 xi z0) < e^-60), _doppler_medium's eps and mu
+    at the density's mode (-sgn(beta) k, -omega), and _density there."""
+    rng = np.random.default_rng(2012)
+    for model in POINTWISE_MODELS:
+        for beta in POINTWISE_BETAS:
+            d = det(omega=rng.uniform(0.05, 0.5), z0=rng.uniform(0.3, 3.0),
+                    kappa=tuple(rng.normal(size=3)))
+            frame = MotionFrame(beta=beta)
+            reach = 40.0 / d.z0
+            k = d.omega / abs(beta) + reach * rng.uniform(0.01, 1.0, n) ** 2
+            ky = reach * rng.uniform(0.0, 1.0, n)
+            eps, mu, _ = _doppler_medium(model, frame, -math.copysign(1.0, beta) * k,
+                                         -d.omega)
+            yield model, frame, d, k, ky, _density(eps, mu, _folds(d), k * k, ky)
+
+
+def test_density_matches_the_reference_density():
+    """_doppler_medium with _density, at 600 points, is the rate density of
+    reference.rate_density, written from the formula, to 1e-13 in each
+    channel at each point."""
+    worst = 0.0
+    for model, frame, d, k, ky, got in pointwise_cases():
+        terms = [tuple((t.plasma_strength, t.resonance, t.damping) for t in side)
+                 for side in (model.electric_terms, model.magnetic_terms)]
+        ref = np.array(reference.rate_density(*terms, frame.beta, d.kappa, d.omega,
+                                              d.z0, k, ky))
+        assert np.all(ref != 0.0)
+        worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+    assert worst <= 1e-13
+
+
+def test_density_is_the_reflected_dyad_contracted_with_kappa():
+    """The two routes to the reflected field agree point by point: the
+    density summed over s and p is (1 / pi) kappa . Im D . kappa, D the
+    greens dyad _dyad_pair of the mode (-sgn(beta) k, ky, -omega) at dy = 0
+    and zsum = 2 z0, to 1e-12."""
+    worst = 0.0
+    for model, frame, d, k, ky, got in pointwise_cases():
+        kx, omega = -math.copysign(1.0, frame.beta) * k, -d.omega
+        eps, mu, _ = _doppler_medium(model, frame, kx, omega)
+        dyad = _dyad_pair(eps, mu, kx, omega, ky,
+                          _xi_medium(k * k + ky * ky, 1.0, 1.0, omega), 0.0, 2.0 * d.z0)
+        kappa = np.array(d.kappa)
+        green = np.einsum("i,ijn,j->n", kappa, dyad.imag, kappa) / math.pi
+        error = np.abs(got.sum(axis=0) - green) / np.abs(green)
+        worst = max(worst, float(error.max()))
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -540,34 +604,17 @@ def test_rate_matches_reflected_green_route(scenarios_dir):
     assert reversed_doppler < -0.5 * rate.gamma
 
 
-# ---------------------------------------------------------------------------
-# rate_vs_distance
-# ---------------------------------------------------------------------------
-
 def test_distance_ladder_decay_envelope():
+    """rate_surface falls with the height at least as fast as the decay
+    e^(-2 xi z0) of its slowest mode, xi at the threshold k = omega / beta."""
     frame = MotionFrame(beta=0.5)
     ladder = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    results = rate_vs_distance(det(), frame, LORENTZ, QUAD, ladder)
+    gammas = [rate_surface(det(z0=z), frame, LORENTZ, QUAD).gamma for z in ladder]
     omega = 0.1
     xi_min = math.sqrt((omega / 0.5) ** 2 - omega ** 2)
-    gammas = [r.gamma for r in results]
     for (z_a, g_a), (z_b, g_b) in zip(zip(ladder, gammas), zip(ladder[1:], gammas[1:])):
         assert g_b < g_a
         assert g_b <= math.exp(-2.0 * xi_min * (z_b - z_a)) * g_a
-
-
-def test_distance_ladder_single_point_consistency():
-    frame = MotionFrame(beta=0.5)
-    quad = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-16, k_max=20.0)
-    lone = rate_vs_distance(det(), frame, LORENTZ, quad, [1.0])
-    direct = rate_surface(det(z0=1.0), frame, LORENTZ, quad)
-    assert lone[0].gamma == direct.gamma
-
-
-def test_distance_ladder_vacuum_all_zero():
-    frame = MotionFrame(beta=0.5)
-    results = rate_vs_distance(det(), frame, VACUUM, QUAD, [0.5, 1.0, 2.0])
-    assert all(r.gamma == 0.0 for r in results)
 
 
 # ---------------------------------------------------------------------------
