@@ -20,8 +20,7 @@ _SUBMODULES = ("cli", "greens", "kinematics", "medium", "quadrature", "rates",
 _LAZY = {name: module for module, names in (
     ("kinematics", ("doppler", "moving_susceptibility_tensors")),
     ("medium", ("IdentityReport", "chi", "kk_reconstruct", "verify_identity_1")),
-    ("quadrature", ("IntegralResult", "integrate_adaptive",
-                    "integrate_semi_infinite", "principal_value")),
+    ("quadrature", ("IntegralResult", "integrate_adaptive")),
     ("tensors", ("ComplexTensor3",)),
     ("greens", ("DissipationReport", "ReciprocityReport",
                 "ReflectionCoefficients", "SurfaceGeometry",

@@ -34,9 +34,8 @@ import numpy as np
 
 from .kinematics import MotionFrame, doppler, moving_susceptibility_tensors
 from .medium import SusceptibilityModel, chi
-from .quadrature import (NonConvergenceError, QuadratureSpec,
-                         _semi_infinite_pieces, integrate_adaptive,
-                         worst_component)
+from .quadrature import (NonConvergenceError, QuadratureSpec, _tail_start,
+                         integrate_adaptive, worst_component)
 from .specs import (check_dissipation, check_reciprocity,
                     check_reflected_green, check_reflection)
 from .tensors import ComplexTensor3
@@ -199,7 +198,7 @@ def _dyad_pair(eps, mu, kx, omega, ky, xi, dy, zsum):
     return out
 
 
-# The kinds of ky segment: ky itself, the 1/u tail (_semi_infinite_pieces),
+# The kinds of ky segment: ky itself, the 1/u tail (from _tail_start's s),
 # and the substitutions inside and outside the light circle ky = kc.
 PLAIN, TAIL, INSIDE, OUTSIDE = range(4)
 _SEGMENT = ("plain", "tail", "inside", "outside")
@@ -238,11 +237,10 @@ def _reflected_green(model, requests, quad: QuadratureSpec):
                         (r, INSIDE, 0.0, 0.5 * math.sqrt(3.0) * kc),
                         (r, OUTSIDE, 0.0, math.sqrt(edge ** 2 - kc * kc))]
         if k_max is None:
-            pieces, spent = _semi_infinite_pieces(lambda ky: _dyad_pair(
+            s, integrable = _tail_start(lambda ky: _dyad_pair(
                 eps, mu, kx, omega, ky, _xi_medium(kx * kx + ky * ky, 1.0, 1.0, omega),
                 dy, zsum), edge)
-            s = pieces[0][2]
-            if not spent.converged:
+            if not integrable:
                 raise NonConvergenceError(f"reflected Green tail grows at "
                                           f"{where[r]}, ky > {s:.6g}", math.inf)
             members += [(r, PLAIN, edge, s), (r, TAIL, 0.0, 1.0 / s)]

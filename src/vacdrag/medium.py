@@ -10,8 +10,10 @@ on the real axis, so the Kramers-Kronig reconstruction and the two-pole
 frequency-integral identity verified here have exact closed-form references.
 Setting a term's resonance to zero gives the free-carrier (Drude) limit.
 The sum is written once, as lorentz_chi, which chi and the one dispersion
-integral (_dispersion, one pole or two) call. The model dataclasses and
-their loaders are defined in specs and re-exported here.
+integral (_dispersion, one pole or two) call. _dispersion lays out its own
+pieces, a fold about each pole, the plain sides, the head and the 1/u tail,
+and runs them as one batch of quadrature.integrate_adaptive. The model
+dataclasses and their loaders are defined in specs and re-exported here.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import (_PLAIN, _integrate_pieces, _pv_pieces,
-                         _semi_infinite_pieces)
+from .quadrature import _tail_start, integrate_adaptive
 from .specs import (LorentzOscillator, NonConvergenceError, QuadratureSpec,
                     SusceptibilityModel, band_edge, check_identity,
                     check_kk_frequency, load_model, model_from_dict,
@@ -85,35 +86,74 @@ def chi(model: SusceptibilityModel, kind: str, omega):
     return lorentz_chi(terms, omega)
 
 
+# The kinds of dispersion piece: w itself, a window folded about its pole,
+# w = 1/u on the tail.
+_PLAIN, _FOLD, _TAIL = range(3)
+
+
 def _dispersion(terms, poles, quad: QuadratureSpec, cube: bool = False) -> float:
-    """(2/pi) PV int_0^inf w (w^2 if cube) Im chi(w) / prod_p (w^2 - p^2) dw:
-    a principal value on each window of specs.pole_windows and the 1/u tail
-    from their cut, all their pieces one lockstep batch, with each plain
-    piece across specs.band_edge cut in two there, so that its first panel
-    samples the absorption band below a far pole."""
+    """(2/pi) PV int_0^inf w (w^2 if cube) Im chi(w) / prod_p (w^2 - p^2) dw.
+
+    On each window of specs.pole_windows, [pole - d, pole + d] (d half the
+    pole's distance to the nearer end) folds onto t in [0, d] as h(pole + t)
+    + h(pole - t), where the odd part cancels, beside the plain sides; past
+    the last window come the plain head to quadrature._tail_start's s and
+    the tail w = 1/u. A plain piece across specs.band_edge is cut there, so
+    that its first panel samples the absorption band below a far pole. All
+    pieces are one lockstep batch, summed in order per window, then the
+    windows (head and tail last) from 0."""
     windows = pole_windows(terms, poles)
     edge = band_edge(terms)
+    failed = "dispersion integral did not converge at omega = " + ", ".join(
+        f"{p:g}" for p, _, _ in windows)
 
     def h(w):
         im = lorentz_chi(terms, w).imag
         return (2.0 / math.pi) * w * (w * w if cube else 1.0) * im / \
             math.prod(w * w - p * p for p, _, _ in windows)
 
-    def cut(pieces, spent):
-        return [half for kind, lo, hi, pole in pieces
-                for half in ([(kind, lo, edge, pole), (kind, edge, hi, pole)]
-                             if kind == _PLAIN and lo < edge < hi
-                             else [(kind, lo, hi, pole)])], spent
+    pieces = []     # (window, kind, lo, hi, pole); the head and tail are last
 
-    groups = [_pv_pieces(*window) for window in windows]
-    groups.append(_semi_infinite_pieces(h, windows[-1][2]))
-    parts = _integrate_pieces(h, [cut(*group) for group in groups], quad)
-    if not all(p.converged for p in parts):
-        raise NonConvergenceError(
-            "dispersion integral did not converge at omega = "
-            + ", ".join(f"{p:g}" for p, _, _ in windows),
-            residual=sum(p.error_estimate for p in parts))
-    return sum(p.value for p in parts)
+    def plain(window, lo, hi):
+        ends = (lo, edge, hi) if lo < edge < hi else (lo, hi)
+        pieces.extend((window, _PLAIN, a, b, 0.0) for a, b in zip(ends, ends[1:]))
+
+    for window, (pole, a, b) in enumerate(windows):
+        d = 0.5 * min(pole - a, b - pole)
+        pieces.append((window, _FOLD, 0.0, d, pole))
+        for lo, hi in ((a, pole - d), (pole + d, b)):
+            if lo < hi:
+                plain(window, lo, hi)
+    s, integrable = _tail_start(h, windows[-1][2])
+    if not integrable:
+        raise NonConvergenceError(f"{failed}: its tail grows beyond {s:g}", math.inf)
+    plain(len(windows), windows[-1][2], s)
+    pieces.append((len(windows), _TAIL, 0.0, 1.0 / s, 0.0))
+    owner, kind, lo, hi, at = (np.array(column) for column in zip(*pieces))
+
+    def g(arg):
+        x, member = arg
+        k = kind[member]
+        if not k.any():     # plain pieces only: green-checks +5-7% without
+            return h(x)
+        pole, fold, tail = at[member], k == _FOLD, k == _TAIL
+        # h at w, pole + t or 1/u, then at pole - t for each folded abscissa
+        y = h(np.concatenate((np.where(tail, 1.0 / x, np.where(fold, pole + x, x)),
+                              pole[fold] - x[fold])))
+        out = y[:x.size]
+        out[fold] += y[x.size:]
+        out[tail] /= x[tail] ** 2       # |du/dw| on the tail
+        return out
+
+    res = integrate_adaptive(g, lo, hi, quad, batch=lo.size, halved=True)
+
+    def total(r):
+        return sum(float(np.add.accumulate(r[owner == w])[-1])
+                   for w in range(len(windows) + 1))
+
+    if not res.converged.all():
+        raise NonConvergenceError(failed, residual=total(res.error_estimate))
+    return total(res.value)
 
 
 def kk_reconstruct(model: SusceptibilityModel, kind: str, omega: float,

@@ -1,11 +1,12 @@
 """Deterministic adaptive quadrature.
 
-Everything downstream (Green functions, reflection integrals, rates) funnels
-through the three entry points here: a finite-interval adaptive integrator
-built on an embedded Gauss/Kronrod pair, a principal-value integrator using
-symmetric pole folding, and a semi-infinite integrator with a 1/x tail map.
-All run on one adaptive loop (`_adapt`), in which every integral is a
-member of a lockstep batch over its own interval.
+Everything downstream (Green functions, dispersion integrals, rates)
+funnels through one entry point here, `integrate_adaptive`, a
+finite-interval adaptive integrator built on an embedded Gauss/Kronrod pair.
+It runs one adaptive loop (`_adapt`), in which every integral is a member of
+a lockstep batch over its own interval. Callers map their own variables
+onto finite intervals (a principal value's fold about its pole, a 1/u tail
+beyond `_tail_start`'s s) and run the pieces as members of one batch.
 
 Integrands receive a 1-D ndarray of n abscissae and return values of shape
 (..., n): a plain integrand returns shape (n,), a vector integrand stacks
@@ -32,16 +33,13 @@ abscissae, its two halves with `halved` (unless max_subdivisions is 1 or
 it is at the width floor) and one panel otherwise; a bisection costs 30.
 Halved, an integral that one panel cannot resolve skips a panel whose
 estimate only scaled its badness, and one that it can pays a panel more.
-Every batch the package builds starts halved: the pieces of
-`_integrate_pieces`, greens' ky segments, the rate's ky integrals and its
-outer integral with a light-cone crossing, but not that without one.
+Every batch the package builds starts halved: the dispersion pieces of
+medium, greens' ky segments, the rate's ky integrals and its outer integral
+with a light-cone crossing, but not that without one.
 
 A lone `integrate_adaptive` is a batch of one, its integrand called with
 the abscissae alone. With `batch=m` the integrand is called with the pair
-(x, member) of abscissae and the index of the integral each belongs to. A
-principal value and a semi-infinite integral are lists of pieces (plain, a
-window folded about the pole, the 1/u tail), and `_integrate_pieces` runs
-the pieces of any number of them as one batch.
+(x, member) of abscissae and the index of the integral each belongs to.
 
 A panel's four sums per component (the Kronrod and Gauss estimates, and
 QUADPACK's resabs and resasc) are matrix products of its values y, taken
@@ -76,8 +74,6 @@ __all__ = [
     "NonConvergenceError",
     "QuadratureSpec",
     "integrate_adaptive",
-    "integrate_semi_infinite",
-    "principal_value",
     "worst_component",
 ]
 
@@ -371,13 +367,6 @@ def _adapt(f, a, b, spec, halved=False):
         tol = _tolerance(value, spec)
 
 
-def _finish(value, err, evals, converged):
-    if np.ndim(value) == 0:
-        value = complex(value) if np.iscomplexobj(value) else float(value)
-        err = float(err)
-    return IntegralResult(value, err, int(evals), bool(converged))
-
-
 def integrate_adaptive(f, a, b, spec: QuadratureSpec, batch: int | None = None,
                        halved: bool = False) -> IntegralResult:
     """Integrate f over the finite interval [a, b] to spec tolerances.
@@ -408,115 +397,30 @@ def integrate_adaptive(f, a, b, spec: QuadratureSpec, batch: int | None = None,
     if not (a < b).all():
         raise ValueError("require a < b")
     if batch is None:
-        return _finish(*(r[..., 0] for r in _adapt(f, float(a), float(b), spec,
-                                                  halved)))
+        value, err, evals, converged = (r[..., 0] for r in _adapt(
+            f, float(a), float(b), spec, halved))
+        if np.ndim(value) == 0:
+            value = complex(value) if np.iscomplexobj(value) else float(value)
+            err = float(err)
+        return IntegralResult(value, err, int(evals), bool(converged))
     return IntegralResult(*_adapt(f, np.full(batch, a), np.full(batch, b), spec,
                                   halved))
 
-
-# The kinds of piece: x itself, a window folded about a pole, x = 1/u on a
-# semi-infinite tail.
-_PLAIN, _FOLD, _TAIL = range(3)
 
 # Where a semi-infinite integral's tail begins, for a lower limit below it.
 _TAIL_SWITCH = 10.0
 
 
-def _pv_pieces(pole, a, b):
-    """principal_value's pieces, (kind, lo, hi, pole) each, and what they
-    have spent beforehand: the window [pole - w, pole + w] folded onto
-    [0, w], where the odd part cancels, and the plain rest on either side."""
-    pole, a, b = float(pole), float(a), float(b)
-    if not (math.isfinite(pole) and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if not a < b:
-        raise ValueError("require a < b")
-    dmin = min(pole - a, b - pole)
-    if dmin <= 1e-12 * (b - a):
-        raise ValueError("pole must lie strictly inside the interval")
-    w = 0.5 * dmin
-    sides = [(_PLAIN, lo, hi, 0.0)
-             for lo, hi in ((a, pole - w), (pole + w, b)) if lo < hi]
-    return [(_FOLD, 0.0, w, pole)] + sides, IntegralResult(0.0, 0.0, 0, True)
-
-
-def _semi_infinite_pieces(f, a):
-    """integrate_semi_infinite's pieces, the plain head [a, s] integrated
-    directly and the tail mapped onto (0, 1/s] by x = 1/u, and the 4 probe
-    values spent on s: a cheap pre-pass that finds x^2 |f| growing far out,
-    in some component, leaves the tail out and the whole unconverged, as not
-    integrable at this precision."""
-    a = float(a)
-    if not math.isfinite(a):
-        raise ValueError("lower limit must be finite")
+def _tail_start(f, a):
+    """(s, integrable) for f's integral over [a, infinity): the head [a, s]
+    is a plain integral and the tail maps onto (0, 1/s] by x = 1/u. A cheap
+    pre-pass of 4 values finds x^2 |f| growing far out, in some component:
+    then the tail is not integrable at this precision."""
     s = _TAIL_SWITCH
     if a >= s:
         s = a + max(1.0, abs(a))
     probes = np.array([s, 2.0 * s, 50.0 * s, 100.0 * s])
     with np.errstate(all="ignore"):
-        y = np.asarray(f(probes))
-        weight = np.abs(y) * probes ** 2
-    if not np.isfinite(weight).all() or \
-            (weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any():
-        return [(_PLAIN, a, s, 0.0)], IntegralResult(0.0, math.inf, 4, False)
-    return [(_PLAIN, a, s, 0.0), (_TAIL, 0.0, 1.0 / s, 0.0)], \
-        IntegralResult(0.0, 0.0, 4, True)
-
-
-def _integrate_pieces(f, groups, spec):
-    """One IntegralResult per group of pieces of f's integral: the sum of
-    its pieces, sequential and in order, plus what the group spent before.
-    A group is (pieces, spent), as _pv_pieces and _semi_infinite_pieces
-    give; every piece of every group is one member of one batch."""
-    every = [piece for pieces, _ in groups for piece in pieces]
-    kind, lo, hi, pole = (np.array(column) for column in zip(*every))
-
-    def pieces(arg):
-        x, member = arg
-        k = kind[member]
-        # plain pieces only (_PLAIN is 0); fast path: green-checks +5-7% without it
-        if not k.any():
-            return f(x)
-        at, fold, tail = pole[member], k == _FOLD, k == _TAIL
-        # f at x, pole + t or 1/u, then at pole - t for each folded abscissa
-        points = np.where(tail, 1.0 / x, np.where(fold, at + x, x))
-        y = _eval(f, np.concatenate((points, at[fold] - x[fold])))
-        mirror = y[..., x.size:]
-        y = y[..., :x.size].astype(np.result_type(y, np.float64))
-        y[..., fold] += mirror
-        y[..., tail] /= x[tail] ** 2    # |du/dx| on the tail
-        return y
-
-    value, err, evals, converged = _adapt(pieces, lo, hi, spec, halved=True)
-    out, start = [], 0
-    for members, spent in groups:
-        part = slice(start, start + len(members))
-        total, bound = (np.add.accumulate(r[..., part], axis=-1)[..., -1]
-                        for r in (value, err))
-        out.append(_finish(total, bound + spent.error_estimate,
-                           spent.evaluations + evals[part].sum(),
-                           spent.converged and converged[part].all()))
-        start = part.stop
-    return out
-
-
-def principal_value(f, pole, a, b, spec: QuadratureSpec) -> IntegralResult:
-    """Cauchy principal value of f over [a, b] with a simple pole inside.
-
-    A symmetric window about the pole, half as wide as the pole's distance
-    to the nearer end, is folded onto [0, w], where the odd part cancels
-    analytically, and the regular remainder is integrated beside it, every
-    piece a member of one batch.
-    """
-    return _integrate_pieces(f, [_pv_pieces(pole, a, b)], spec)[0]
-
-
-def integrate_semi_infinite(f, a, spec: QuadratureSpec) -> IntegralResult:
-    """Integrate f over [a, infinity) assuming decay beyond _TAIL_SWITCH.
-
-    The head is integrated directly and the tail mapped by x -> 1/u, as one
-    batch. A cheap pre-pass checks that x^2 |f| is not growing far out; if
-    it is, in any component, the tail is not integrable at this precision
-    and the result is flagged unconverged.
-    """
-    return _integrate_pieces(f, [_semi_infinite_pieces(f, a)], spec)[0]
+        weight = np.abs(np.asarray(f(probes))) * probes ** 2
+    return s, bool(np.isfinite(weight).all() and not (
+        weight[..., -1] > 3.0 * np.maximum(weight[..., 0], 1e-300)).any())

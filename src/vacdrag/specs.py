@@ -389,7 +389,8 @@ def pole_windows(terms, poles) -> tuple:
     a pole at each |p| of poles, ascending: [0, mid], ..., [mid', cut], the
     mids between poles and cut = max(band_edge, 2 x the top pole). Raises
     ValueError for a pole within 1e-12 of its window's width of an end of
-    its window, as quadrature.principal_value requires."""
+    its window, where the fold of medium._dispersion about the pole would
+    be too narrow."""
     poles = sorted(abs(p) for p in poles)
     ends = [0.0] + [0.5 * (lo + hi) for lo, hi in zip(poles, poles[1:])]
     ends.append(max(band_edge(terms), 2.0 * poles[-1]))

@@ -89,11 +89,6 @@ def gauss_fixed(f, a, b, n=2000):
     return 0.5 * (b - a) * np.sum(w * f(xm))
 
 
-def shi1_times_2():
-    """2*Shi(1), the PV of e^x/x over [-1, 1]."""
-    return float(2 * mp.shi(1))
-
-
 # ---------------------------------------------------------------------------
 # Textbook Fresnel coefficients (stationary half-space), kz convention
 # ---------------------------------------------------------------------------

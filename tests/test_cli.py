@@ -1243,7 +1243,7 @@ def test_cache_key_covers_the_package_code(tmp_path, scenarios_dir):
     assert run_cli(["run", "--scenario", scenario, "--output", work / "a.csv",
                     "--cache-dir", cache]) == 0
     package = Path(cli.__file__).parent
-    comment = "# The kinds of piece: x itself"
+    comment = "# 15-point Kronrod abscissae (positive half)"
     for name, entries in (("same", 1), ("edited", 2)):
         copy = work / name / "vacdrag"
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
@@ -1251,7 +1251,7 @@ def test_cache_key_covers_the_package_code(tmp_path, scenarios_dir):
             source = (copy / "quadrature.py").read_text()
             assert source.count(comment) == 1
             (copy / "quadrature.py").write_text(
-                source.replace(comment, "# The three kinds of piece: x itself"))
+                source.replace(comment, "# The 15-point Kronrod abscissae (positive half)"))
         subprocess.run([sys.executable, "-m", "vacdrag", "run", "--scenario",
                         str(scenario), "--output", str(work / f"{name}.csv"),
                         "--cache-dir", str(cache)],

@@ -7,24 +7,24 @@ target in the loaded modules, and runs the oracle again, where it must fail.
 Every binding means what an edit of the source would reach: `rates` imports
 the reflection kernel's two stages, `_doppler_medium` and `_reflection`, by
 name from `greens`, `greens` imports `doppler` and
-`moving_susceptibility_tensors` from `kinematics`, `medium` imports the
-piece integrator `_integrate_pieces` from `quadrature`, `rates` and `cli`
+`moving_susceptibility_tensors` from `kinematics`, `greens` and `medium`
+import the tail probe `_tail_start` from `quadrature`, `rates` and `cli`
 import the panel rule `convolution_panels` from `specs`, and test modules
 import what they check. A row whose oracle passes under its mutant is a
 fault the suite cannot see, and fails here. A mutant is a wrapper around the
 original function, a changed copy of a module constant (`_WEIGHTS`) or,
 where the fault sits inside a longer function (`rate_surface`, the damping
-of `lorentz_chi`, the piece integrand and the start of `_integrate_pieces`,
-the cached `_rate_spline`, the panel count of `convolution_panels`, the key
-document of `cli._cache_key`, the unknown-key check of
-`cli.scenario_from_dict` and its key set, the rel_tol floor of
-`QuadratureSpec.__post_init__`, the finiteness check and the range call of
-`LorentzOscillator.__post_init__`, the halved start's badness scale in
-`quadrature._adapt`, the unknown-key check of `model_from_dict`, the window
-rule of `check_kk_frequency`, the band cut of `medium._dispersion`, the
-range call of `check_dissipation`, the range of `check_scale`, the range
-calls of `DetectorSpec.__post_init__` and the kz fold and the decay of the
-rate density `_density`), an edit of its source compiled again in its
+of `lorentz_chi`, the verdict of `_tail_start`, the cached `_rate_spline`,
+the panel count of `convolution_panels`, the key document of
+`cli._cache_key`, the unknown-key check of `cli.scenario_from_dict` and its
+key set, the rel_tol floor of `QuadratureSpec.__post_init__`, the
+finiteness check and the range call of `LorentzOscillator.__post_init__`,
+the halved start's badness scale in `quadrature._adapt`, the unknown-key
+check of `model_from_dict`, the window rule of `check_kk_frequency`, the
+fold, the tail Jacobian, the start and the band cut of `medium._dispersion`,
+the range call of `check_dissipation`, the range of `check_scale`, the
+range calls of `DetectorSpec.__post_init__` and the kz fold and the decay
+of the rate density `_density`), an edit of its source compiled again in its
 module. A dotted name (`_RateSpline._plan`) is a method, bound only
 on its class, and a subscripted name (`_KINDS[dissipation-check]`) an entry
 of a module's table. An oracle may be a parametrized test bound to one of
@@ -181,6 +181,15 @@ def near_field(name, z0):
     return oracle
 
 
+def growing_green_tail(kx, omega, start):
+    """test_greens' test_reflected_green_growing_tail_names_where_it_starts,
+    bound to one request and the tail start it names."""
+    test = test_greens.test_reflected_green_growing_tail_names_where_it_starts
+    oracle = functools.partial(test, kx=kx, omega=omega, start=start)
+    oracle.__name__ = test.__name__
+    return oracle
+
+
 def kernel_branch_points(model, beta):
     """test_rates' test_branch_points_are_zeros_of_the_kernels_xi_medium,
     bound to one model and velocity."""
@@ -288,22 +297,23 @@ MUTATIONS = [
      test_kinematics.test_moving_chi_matches_raw_integral_route),
     ("quadrature", "_WEIGHTS", gauss_column_kronrod, {"quadrature"},
      test_quadrature.test_oscillatory_bessel_integrand_matches_fixed_rule_oracle),
-    ("quadrature", "_integrate_pieces",
-     rewritten("fold_without_mirror", "y[..., fold] += mirror", "pass"),
-     {"quadrature", "medium"},
-     test_quadrature.test_pv_exponential_kernel_matches_hyperbolic_sine_integral),
-    ("quadrature", "_integrate_pieces",
-     rewritten("tail_without_jacobian", "y[..., tail] /= x[tail] ** 2", "pass"),
-     {"quadrature", "medium"}, test_medium.test_kk_below_resonance),
-    ("quadrature", "_integrate_pieces",
+    ("medium", "_dispersion",
+     rewritten("fold_without_mirror", "out[fold] += y[x.size:]", "pass"),
+     {"medium"}, test_medium.test_identity_generic_pair),
+    ("medium", "_dispersion",
+     rewritten("tail_without_jacobian", "out[tail] /= x[tail] ** 2", "pass"),
+     {"medium"}, test_medium.test_kk_below_resonance),
+    ("medium", "_dispersion",
      rewritten("pieces_start_whole", "halved=True", "halved=False"),
-     {"quadrature", "medium"},
-     test_greens.test_green_and_dispersion_batches_start_from_their_halves),
+     {"medium"}, test_greens.test_green_and_dispersion_batches_start_from_their_halves),
+    ("quadrature", "_tail_start",
+     rewritten("tail_probe_always_integrable", "return s, bool(", "return s, True or ("),
+     {"quadrature", "greens", "medium"}, growing_green_tail(0.3, 1.0, "10")),
     ("specs", "check_kk_frequency",
      rewritten("kk_pole_windows_unchecked", "pole_windows(terms, (omega,))", "pass"),
      {"specs", "cli", "medium"}, kind_rejects(test_cli.KK_LOW_POLE)),
     ("medium", "_dispersion",
-     rewritten("band_edge_uncut", "kind == _PLAIN and lo < edge < hi", "False"),
+     rewritten("band_edge_uncut", "if lo < edge < hi", "if False"),
      {"medium"}, test_medium.test_kk_far_pole_samples_the_absorption_band),
     ("specs", "check_dissipation",
      rewritten("dissipation_point_unbounded", "check_scale(", "(lambda *args: None)("),
@@ -359,9 +369,14 @@ MUTATIONS = [
 
 # How an oracle fails under a mutant where not by its own assertion: a
 # mutant whose integral diverges at a segment end stops at the quadrature's
-# panel-width floor first.
+# panel-width floor first, a fold without its mirror samples the pole
+# itself, where the integrand is infinite, and a growing tail let through
+# overflows far out.
 FAILURES = {"inside_jacobian_dropped": (NonConvergenceError,
-                                        r"did not converge at .* inside segment")}
+                                        r"did not converge at .* inside segment"),
+            "fold_without_mirror": (ValueError, "integrand returned a non-finite value"),
+            "tail_probe_always_integrable": (ValueError,
+                                             r"is not finite at .* tail segment")}
 
 
 def patch_every_binding(monkeypatch, module, name, make):
